@@ -36,11 +36,12 @@ print(f"  eigen steps taken: {eigen_steps}, second-order corrections: {soc_steps
 print(f"  final iterate {result.state.x} (minimum is at [-1, 0])")
 print(f"  final max(KKT, curvature) = {max(result.final_kkt, result.final_tau):.2e}\n")
 
-# The first-order mode has no curvature signal. Started exactly on the
-# saddle it is stuck outright (every tangential step increases the true
-# merit through the constraint curvature and is rejected); started a hair
-# off it can only crawl along the circle at a pace bounded by the distance
-# already covered, and it can never certify second-order stationarity.
+# The first-order mode has no curvature signal. Started a hair off the
+# saddle it can only crawl along the circle at a pace bounded by the
+# distance already covered, and it can never certify second-order
+# stationarity. Started exactly on the saddle, where the KKT residual is 0,
+# its exact first-order stop test certifies the saddle before the first
+# iteration, although the curvature -1 remains.
 config0 = trsqp.SolverConfig(
     alpha=0, hessian="identity", kkt_tol=1e-4, max_iters=result.state.k, seed=0
 )
@@ -49,6 +50,6 @@ kkt_end, tau_end = trsqp.true_kkt(base, result0.state.x)
 print(f"first-order mode after the same {result0.state.k} iterations: x = {result0.state.x}")
 print(f"  true KKT {kkt_end:.2e}, remaining negative curvature {tau_end:.3f}")
 exact = trsqp.run(problem, np.array([1.0, 0.0]), config0)
-_, tau_exact = trsqp.true_kkt(base, exact.state.x)
-print(f"started exactly on the saddle it stays put: x = {exact.state.x}, "
-      f"curvature {tau_exact:.3f}")
+print(f"started exactly on the saddle: {exact.stop_reason} after {exact.state.k} iterations, "
+      f"true KKT {exact.final_kkt:.2e}; the first-order stop test certifies the saddle, "
+      f"curvature {-exact.final_tau:.3f} remains")

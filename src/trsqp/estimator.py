@@ -142,21 +142,12 @@ def estimate_values(
     eps: float,
     params: AccuracyParams,
     stream: RngStream,
-    shared: bool = True,
 ) -> tuple[float, float, int]:
-    """Batch-mean value estimates at the current and trial points.
-
-    With ``shared=True`` one sample set is evaluated at both points (the
-    Step-3 estimate); with ``shared=False`` the two points get disjoint
-    sample sets.
-    """
+    """Batch-mean value estimates at the current and trial points, both
+    from one sample set (the Step-3 estimate)."""
     n = batch_size(VALUE, delta, eps, params)
-    if shared:
-        f_k = float(np.mean(problem.sampler.values(x_k, n, stream)))
-        f_s = float(np.mean(problem.sampler.values(x_s, n, stream)))
-    else:
-        f_k = float(np.mean(problem.sampler.values(x_k, n, stream.child("at-current"))))
-        f_s = float(np.mean(problem.sampler.values(x_s, n, stream.child("at-trial"))))
+    f_k = float(np.mean(problem.sampler.values(x_k, n, stream)))
+    f_s = float(np.mean(problem.sampler.values(x_s, n, stream)))
     return f_k, f_s, n
 
 

@@ -66,14 +66,6 @@ class NullSpaceBasis:
 
     Z: np.ndarray
 
-    @property
-    def reduced_dim(self) -> int:
-        return self.Z.shape[1]
-
-    def reduce(self, H: np.ndarray) -> np.ndarray:
-        """Project a symmetric matrix onto the kernel: Z^T H Z."""
-        return self.Z.T @ H @ self.Z
-
 
 def nullspace_basis(G: np.ndarray, rank_tol: float = RANK_TOL) -> NullSpaceBasis:
     """Orthonormal basis of the kernel of a full-row-rank Jacobian.

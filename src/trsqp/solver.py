@@ -144,7 +144,14 @@ class SolverState:
 
 @dataclass
 class IterationRecord:
-    """One row of the trajectory log."""
+    """One row of the trajectory log.
+
+    ``kkt_true`` and ``tau_true`` are the exact KKT residual and negative
+    curvature at the iteration's start point. :func:`run` stamps them after
+    :func:`iterate` returns, evaluating the exact oracle once per distinct
+    iterate; they are NaN without a noiseless oracle and in records that
+    come from calling :func:`iterate` directly.
+    """
 
     k: int
     outcome: str
@@ -196,14 +203,6 @@ class InvariantReport:
         if not ok:
             self.violations[name] = self.violations.get(name, 0) + 1
         self.worst[name] = max(self.worst.get(name, -math.inf), margin)
-
-    def merge(self, other: "InvariantReport") -> None:
-        for name, n in other.checked.items():
-            self.checked[name] = self.checked.get(name, 0) + n
-        for name, n in other.violations.items():
-            self.violations[name] = self.violations.get(name, 0) + n
-        for name, m in other.worst.items():
-            self.worst[name] = max(self.worst.get(name, -math.inf), m)
 
     @property
     def total_checked(self) -> int:
@@ -269,7 +268,7 @@ def _check_step(report, step, c, G, Z, grad, H, delta, kappa_fcd, pred, threshol
         margin = m_u - rhs
         report.add("cauchy_fraction", margin <= 1e-10 * max(1.0, abs(rhs)), margin)
     else:
-        tau_plus = abs(min(step_tau(H_r), 0.0))
+        tau_plus = abs(min(linalg.smallest_eigpair(H_r)[0], 0.0))
         desc = float(g_r @ step.u)
         desc_scale = float(np.linalg.norm(g_r)) * float(np.linalg.norm(step.u))
         report.add("eigen_descent", desc <= 1e-12 * max(desc_scale, 1e-300), desc)
@@ -283,11 +282,6 @@ def _check_step(report, step, c, G, Z, grad, H, delta, kappa_fcd, pred, threshol
         report.add("eigen_curvature", curv_margin <= 1e-10 * abs(curv_rhs), curv_margin)
     pred_margin = pred - threshold
     report.add("pred_threshold", pred_margin <= pred_slack, pred_margin)
-
-
-def step_tau(H_r: np.ndarray) -> float:
-    tau, _ = linalg.smallest_eigpair(H_r)
-    return tau
 
 
 def iterate(
@@ -316,11 +310,6 @@ def iterate(
     kkt_est, tau_plus = est.kkt_norm, est.tau_plus
     h_norm = est.hessian_norm
 
-    if problem.noiseless is not None:
-        kkt_true, tau_true = benchmarks.true_kkt(problem, x)
-    else:
-        kkt_true, tau_true = math.nan, math.nan
-
     def make_record(outcome, step_kind, soc, pred, ared, batch_f):
         return IterationRecord(
             k=k,
@@ -334,8 +323,8 @@ def iterate(
             ared=ared,
             kkt_est=kkt_est,
             tau_est=tau_plus,
-            kkt_true=kkt_true,
-            tau_true=tau_true,
+            kkt_true=math.nan,
+            tau_true=math.nan,
             batch_f=batch_f,
             batch_g=est.batch_grad,
             batch_h=est.batch_hess,
@@ -397,7 +386,7 @@ def iterate(
 
     x_trial = x + step.dx
     f_k, f_s, batch_f = estimator.estimate_values(
-        problem, x, x_trial, delta, state.eps, params, it_stream.child("value"), shared=True
+        problem, x, x_trial, delta, state.eps, params, it_stream.child("value")
     )
     ared = f_s - f_k + state.mu * (float(np.linalg.norm(problem.constraint(x_trial))) - c_norm)
 
@@ -459,12 +448,20 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
     converged = False
     stop_reason = "max-iters"
     hits = 0
-    final_kkt, final_tau = math.nan, math.nan
+    exact_key, exact = None, (math.nan, math.nan)
+
+    def exact_kkt(x):
+        # The iterate stays put on line-6 and rejected iterations, so the
+        # exact oracle is evaluated once per distinct iterate.
+        nonlocal exact_key, exact
+        if problem.noiseless is not None and x.tobytes() != exact_key:
+            exact_key, exact = x.tobytes(), benchmarks.true_kkt(problem, x)
+        return exact
 
     while True:
+        kkt_true, tau_true = exact_kkt(state.x)
         if use_true:
-            final_kkt, final_tau = benchmarks.true_kkt(problem, state.x)
-            crit = final_kkt if config.alpha == 0 else max(final_kkt, final_tau)
+            crit = kkt_true if config.alpha == 0 else max(kkt_true, tau_true)
             if crit <= config.kkt_tol:
                 converged = True
                 stop_reason = "converged"
@@ -478,6 +475,7 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
         state, record = iterate(
             state, problem, config, report if config.check_invariants else None
         )
+        record.kkt_true, record.tau_true = kkt_true, tau_true
         records.append(record)
         if not use_true:
             crit = record.kkt_est if config.alpha == 0 else max(record.kkt_est, record.tau_est)
@@ -487,15 +485,14 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
                 stop_reason = "converged"
                 break
 
-    if math.isnan(final_kkt) and problem.noiseless is not None:
-        final_kkt, final_tau = benchmarks.true_kkt(problem, state.x)
+    kkt_true, tau_true = exact_kkt(state.x)
     return RunResult(
         state=state,
         records=records,
         converged=converged,
         stop_reason=stop_reason,
-        final_kkt=final_kkt,
-        final_tau=final_tau,
+        final_kkt=kkt_true,
+        final_tau=tau_true,
         invariants=report,
         wall_time=time.perf_counter() - t0,
     )

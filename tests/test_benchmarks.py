@@ -3,6 +3,7 @@ import pytest
 
 from trsqp.benchmarks import (
     SyntheticLogisticSpec,
+    _logistic_records,
     make_logistic,
     make_logistic_from_data,
     make_quadratic,
@@ -80,6 +81,24 @@ class TestLogistic:
         s = np.linalg.svd(G, compute_uv=False)
         assert s[-1] > 1e-10 * s[0]
         assert np.max(np.abs(small.constraint_hessians(x))) == 0.0
+
+    def test_record_hessians_match_einsum_bitwise(self):
+        # The estimator averages per-record Hessians with np.mean(axis=0),
+        # which sums in memory order: equal values in another layout would
+        # change the mean's last bits, so layout is asserted too.
+        rng = np.random.default_rng(11)
+        features = rng.standard_normal((400, 15))
+        labels = np.where(rng.uniform(size=400) < 0.5, 1.0, -1.0)
+        _, _, hessian = _logistic_records(features, labels)
+        for _ in range(3):
+            x = rng.standard_normal(15)
+            idx = rng.integers(0, 400, size=1000)
+            H = hessian(x, idx)
+            s = 1.0 / (1.0 + np.exp(-labels[idx] * (features[idx] @ x)))
+            ref = np.einsum("n,ni,nj->nij", s * (1.0 - s), features[idx], features[idx])
+            assert H.flags.c_contiguous
+            assert H.shape == ref.shape and H.tobytes() == ref.tobytes()
+            assert np.mean(H, axis=0).tobytes() == np.mean(ref, axis=0).tobytes()
 
     def test_balanced_labels_and_law(self):
         rng = np.random.default_rng(7)

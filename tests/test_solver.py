@@ -170,3 +170,39 @@ class TestRun:
         assert np.linalg.norm(res.state.x - np.array([-1.0, 0.0])) <= 0.05
         kkt, tau_plus = true_kkt(prob, res.state.x)
         assert max(kkt, tau_plus) <= 1e-4
+
+    @pytest.mark.parametrize("use_true_kkt", [None, False])
+    def test_exact_oracle_once_per_distinct_iterate(self, monkeypatch, use_true_kkt):
+        import trsqp.benchmarks
+
+        prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        cfg = SolverConfig(
+            alpha=1, kkt_tol=1e-4, max_iters=150, seed=3, use_true_kkt=use_true_kkt
+        )
+        x0 = np.array([1.0, 0.003])
+        calls = []
+
+        def counting(problem, x):
+            calls.append(1)
+            return true_kkt(problem, x)
+
+        monkeypatch.setattr(trsqp.benchmarks, "true_kkt", counting)
+        res = run(prob, x0, cfg)
+        accepted = sum(
+            r.outcome in (SUCCESSFUL_RELIABLE, SUCCESSFUL_UNRELIABLE) for r in res.records
+        )
+        assert 0 < accepted < len(res.records)
+        assert len(calls) == 1 + accepted
+
+        # Replaying through iterate leaves the exact columns NaN; run stamps
+        # them with the exact values at each iteration's start point.
+        state = SolverState.initial(prob, x0, cfg)
+        for rec in res.records:
+            kkt, tau = true_kkt(prob, state.x)
+            state, replayed = iterate(state, prob, cfg)
+            assert np.isnan(replayed.kkt_true) and np.isnan(replayed.tau_true)
+            assert (rec.kkt_true.hex(), rec.tau_true.hex()) == (kkt.hex(), tau.hex())
+            assert (replayed.k, replayed.outcome, replayed.ared) == (rec.k, rec.outcome, rec.ared)
+        assert np.array_equal(state.x, res.state.x)
+        final = true_kkt(prob, state.x)
+        assert (res.final_kkt.hex(), res.final_tau.hex()) == (final[0].hex(), final[1].hex())
