@@ -12,29 +12,29 @@ objective is multiplied by a constant.
 import numpy as np
 
 import trsqp
-from trsqp import estimator, linalg, steps
+from trsqp import linalg, steps
 
 problem = trsqp.make_saddle()
 x = np.array([0.8, 0.7])  # infeasible: |x| != 1
 delta = 0.5
 
 c = problem.constraint(x)
-G = problem.jacobian(x)
-Z = linalg.nullspace_basis(G).Z
+J = linalg.nullspace_basis(problem.jacobian(x))
+G, Z = J.G, J.Z
 
 print(f"at x = {x}: feasibility residual |c| = {np.linalg.norm(c):.4f}")
 for scale in (1e-3, 1.0, 1e3):
     grad = scale * problem.noiseless.gradient(x)
-    lam = estimator.estimate_multiplier(G, grad)
+    lam = J.multiplier(grad)
     grad_l = grad + G.T @ lam
     H = scale * problem.noiseless.hessian(x) + np.tensordot(
         lam, problem.constraint_hessians(x), axes=1
     )
-    c_rs, grad_l_rs, _ = steps.rescaled_residuals(c, G, grad_l, H)
+    c_rs, grad_l_rs, _ = steps.rescaled_residuals(c, G, grad_l, linalg.spectral_norm(H))
     split = steps.split_radius(
         steps.GRADIENT_STEP, delta, float(np.linalg.norm(c_rs)), float(np.linalg.norm(grad_l_rs))
     )
-    v, gamma, w = steps.normal_step(c, G, split.normal)
+    v, gamma, w = steps.normal_step(c, J, split.normal)
     u = steps.tangential_gradient(H, grad, w, Z, split.tangential)
     dx = w + Z @ u
     print(

@@ -89,17 +89,11 @@ def build_config(file_values: dict, cli_overrides: dict) -> SolverConfig:
         else:
             raise ValueError(f"unknown config key {key!r}")
     solver_kwargs.update({k: v for k, v in cli_overrides.items() if v is not None})
-    alpha = solver_kwargs.get("alpha", 0)
+    config = SolverConfig(**solver_kwargs)
     if accuracy_kwargs:
-        kwargs = dict(accuracy_kwargs)
-        kwargs.setdefault("alpha", alpha)
-        if "kappa_f" not in kwargs:
-            eta = solver_kwargs.get("eta", 0.4)
-            kfcd = solver_kwargs.get("kappa_fcd", 1.0)
-            dmax = solver_kwargs.get("delta_max", 5.0)
-            kwargs["kappa_f"] = kfcd * eta**3 / (16.0 * max(1.0, dmax))
-        solver_kwargs["accuracy"] = AccuracyParams(**kwargs)
-    return SolverConfig(**solver_kwargs)
+        kwargs = {"alpha": config.alpha, "kappa_f": config.kappa_f_bound, **accuracy_kwargs}
+        config = dataclasses.replace(config, accuracy=AccuracyParams(**kwargs))
+    return config
 
 
 def _initial_point(problem_name: str, problem, seed: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmarks, estimator, linalg, steps
+from .errors import MeritLoopDiverged
 from .problem import GaussianNoiseSpec, gaussian_noisy
 from .rng import RngStream
 from .solver import SolverConfig, run
@@ -173,12 +174,21 @@ def _check_estimator(rng) -> list[CheckResult]:
     return out
 
 
+def _reference_solves():
+    """The quadratic and noisy-saddle solves that the steps and solver checks run."""
+    quadratic = SolverConfig(alpha=0, hessian="identity", kkt_tol=1e-8, max_iters=100, seed=0)
+    saddle = SolverConfig(alpha=1, kkt_tol=1e-4, max_iters=500, seed=7)
+    noisy = gaussian_noisy(benchmarks.make_saddle(), GaussianNoiseSpec(1e-4))
+    return [
+        (benchmarks.make_quadratic(), np.array([2.0, -3.0]), quadratic),
+        (noisy, np.array([1.0, 0.005]), saddle),
+    ]
+
+
 def _check_steps(rng, fault: str | None) -> list[CheckResult]:
     out = []
     worst = 0.0
-    pred_ok = True
-    pred_detail = ""
-    for trial in range(100):
+    for _ in range(100):
         d = int(rng.integers(3, 7))
         m = int(rng.integers(1, d - 1))
         G = rng.standard_normal((m, d))
@@ -187,11 +197,11 @@ def _check_steps(rng, fault: str | None) -> list[CheckResult]:
         H = rng.standard_normal((d, d))
         H = 0.5 * (H + H.T)
         delta = float(rng.uniform(0.2, 2.0))
-        lam = estimator.estimate_multiplier(G, grad)
-        grad_l = grad + G.T @ lam
-        Z = linalg.nullspace_basis(G).Z
+        J = linalg.nullspace_basis(G)
+        grad_l = grad + G.T @ J.multiplier(grad)
+        h_norm = linalg.spectral_norm(H)
         step = steps.build_trial_step(
-            steps.GRADIENT_STEP, c, G, Z, grad, H, grad_l, delta, method="exact"
+            steps.GRADIENT_STEP, c, J, grad, H, h_norm, grad_l, delta, method="exact"
         )
         split = step.split
         worst = max(
@@ -204,38 +214,36 @@ def _check_steps(rng, fault: str | None) -> list[CheckResult]:
         lin = float(np.linalg.norm(c + G @ step.dx))
         target = (1.0 - step.gamma) * float(np.linalg.norm(c))
         worst = max(worst, abs(lin - target) / max(np.linalg.norm(c), 1e-300) * 1e-2)
-        # Merit-parameter escalation must push the model reduction to its
-        # threshold; a sign fault here must be caught.
-        kkt = float(np.sqrt(grad_l @ grad_l + c @ c))
-        h_norm = linalg.spectral_norm(H)
-        curv = kkt / h_norm if h_norm > 0 else np.inf
-        thr = -0.5 * kkt * min(delta, curv)
-        mu = 1.0
-        pred = steps.predicted_reduction(grad, H, mu, c, G, step.dx)
-        for _ in range(200):
-            if pred <= thr + 1e-12 * abs(thr):
-                break
-            mu *= 1.2
-            pred = steps.predicted_reduction(grad, H, mu, c, G, step.dx)
-        if fault == "pred-sign":
-            pred = -pred
-        if pred > thr + 1e-12 * abs(thr):
-            pred_ok = False
-            pred_detail = f"trial {trial}: pred {pred:.3e} above threshold {thr:.3e}"
     out.append(
         CheckResult("steps", "split/orthogonality/feasibility invariants", worst <= 1e-8, f"worst {worst:.2e}")
     )
-    out.append(
-        CheckResult("steps", "merit loop reaches reduction threshold", pred_ok, pred_detail or "all trials")
-    )
+    out.append(_check_merit_loop(fault))
     return out
+
+
+def _check_merit_loop(fault: str | None) -> CheckResult:
+    """The solver's own merit loop must push Pred to its threshold in real
+    solves; the ``pred-sign`` fault negates ``steps.predicted_reduction``."""
+    original = steps.predicted_reduction
+    if fault == "pred-sign":
+        steps.predicted_reduction = lambda *args: -original(*args)
+    try:
+        violations = sum(
+            run(problem, x0, cfg).invariants.violations.get("pred_threshold", 0)
+            for problem, x0, cfg in _reference_solves()
+        )
+        passed, detail = violations == 0, f"{violations} pred_threshold violations"
+    except MeritLoopDiverged as exc:
+        passed, detail = False, f"MeritLoopDiverged: {exc}"
+    finally:
+        steps.predicted_reduction = original
+    return CheckResult("steps", "merit loop reaches reduction threshold", passed, detail)
 
 
 def _check_solver(rng) -> list[CheckResult]:
     out = []
-    prob = benchmarks.make_quadratic()
-    cfg = SolverConfig(alpha=0, hessian="identity", kkt_tol=1e-8, max_iters=100, seed=0)
-    res = run(prob, np.array([2.0, -3.0]), cfg)
+    (prob, x0, cfg), (noisy, noisy_x0, noisy_cfg) = _reference_solves()
+    res = run(prob, x0, cfg)
     ok = res.converged and float(np.max(np.abs(res.state.x - 0.5))) <= 1e-6
     out.append(
         CheckResult(
@@ -245,12 +253,8 @@ def _check_solver(rng) -> list[CheckResult]:
             f"x={res.state.x}, kkt={res.final_kkt:.2e}",
         )
     )
-    noisy = gaussian_noisy(benchmarks.make_saddle(), GaussianNoiseSpec(1e-4))
-    cfg = SolverConfig(alpha=1, kkt_tol=1e-4, max_iters=500, seed=7)
-    rows = []
-    for _ in range(2):
-        r = run(noisy, np.array([1.0, 0.005]), cfg)
-        rows.append([rec.csv_row() for rec in r.records])
+    runs = [run(noisy, noisy_x0, noisy_cfg) for _ in range(2)]
+    rows = [[rec.csv_row() for rec in r.records] for r in runs]
     out.append(
         CheckResult(
             "solver",
@@ -259,7 +263,7 @@ def _check_solver(rng) -> list[CheckResult]:
             f"{len(rows[0])} iterations compared",
         )
     )
-    viol = run(noisy, np.array([1.0, 0.005]), cfg).invariants.total_violations
+    viol = runs[0].invariants.total_violations
     out.append(
         CheckResult("solver", "per-iteration invariants", viol == 0, f"{viol} violations")
     )

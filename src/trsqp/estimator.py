@@ -82,7 +82,8 @@ class AccuracyParams:
 class Estimates:
     """Estimation bundle opening one iteration: gradient, multiplier,
     Lagrangian gradient and its stacked KKT norm, Hessian approximation with
-    reduced-curvature data, and the batch sizes spent."""
+    its operator norm (the iteration's only ||H||) and reduced-curvature
+    data, and the batch sizes spent."""
 
     grad: np.ndarray
     multiplier: np.ndarray
@@ -160,14 +161,8 @@ def estimate_value(
 
 
 def estimate_multiplier(G: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Least-squares multiplier ``-(G G^T)^{-1} G g``.
-
-    Minimizes ||g + G^T lam||; the residual is the projection of ``g`` onto
-    ker(G).
-    """
-    U, s, Vt = linalg._checked_svd(np.atleast_2d(G), linalg.RANK_TOL)
-    m = U.shape[0]
-    return -U @ ((Vt[:m] @ grad) / s[:m])
+    """Least-squares multiplier; see :meth:`linalg.JacobianFactor.multiplier`."""
+    return linalg.JacobianFactor.of(G).multiplier(grad)
 
 
 def _lagrangian_term(problem: Problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -302,8 +297,7 @@ def estimate_models(
     problem: Problem,
     x: np.ndarray,
     c: np.ndarray,
-    G: np.ndarray,
-    Z: np.ndarray,
+    J: linalg.JacobianFactor,
     strategy,
     delta: float,
     params: AccuracyParams,
@@ -312,26 +306,23 @@ def estimate_models(
 ) -> Estimates:
     """Gradient, multiplier, and Hessian estimation opening an iteration.
 
-    A zero estimated KKT residual is resampled up to ``max_resample`` times
-    (fresh sample sets) before being passed through; the caller's progress
-    criterion then fails the iteration.
+    Every attempt reads the multiplier off the one factorization ``J`` of
+    the constraint Jacobian. A zero estimated KKT residual is resampled up
+    to ``max_resample`` times (fresh sample sets) before being passed
+    through; the caller's progress criterion then fails the iteration.
     """
     grad, batch_grad = estimate_gradient(problem, x, delta, params, stream.child("grad"))
-    for attempt in range(1, max_resample + 1):
-        lam = estimate_multiplier(G, grad)
-        grad_l = grad + G.T @ lam
+    for attempt in range(1, max_resample + 2):
+        lam = J.multiplier(grad)
+        grad_l = grad + J.G.T @ lam
         kkt = float(np.sqrt(grad_l @ grad_l + c @ c))
-        if kkt > 0.0:
+        if kkt > 0.0 or attempt > max_resample:
             break
         grad, batch_grad = estimate_gradient(
             problem, x, delta, params, stream.child("grad", attempt)
         )
-    else:
-        lam = estimate_multiplier(G, grad)
-        grad_l = grad + G.T @ lam
-        kkt = float(np.sqrt(grad_l @ grad_l + c @ c))
     H, tau, tau_plus, eigvec, batch_hess = build_hessian(
-        strategy, problem, x, lam, grad_l, Z, delta, params, stream.child("hess")
+        strategy, problem, x, lam, grad_l, J.Z, delta, params, stream.child("hess")
     )
     return Estimates(
         grad=grad,

@@ -1,6 +1,7 @@
 """Dense linear-algebra kernels shared by the step computations.
 
-Null-space bases, least-norm constraint solves, symmetric eigenpairs, and
+One factorization per constraint Jacobian (null-space basis, least-norm
+solve and least-squares multiplier), symmetric eigenpairs, and
 trust-region subproblem solvers. All routines work on small dense arrays,
 are deterministic for identical input bits, and raise rather than silently
 regularize when a Jacobian fails its rank tolerance.
@@ -17,7 +18,7 @@ from scipy.optimize import brentq
 from .errors import NonFiniteInput, RankDeficient
 
 __all__ = [
-    "NullSpaceBasis",
+    "JacobianFactor",
     "nullspace_basis",
     "min_norm_pull",
     "smallest_eigpair",
@@ -41,14 +42,13 @@ def _require_finite(*arrays) -> None:
 
 
 def _checked_svd(G: np.ndarray, rank_tol: float):
-    """SVD of a Jacobian with a full-row-rank check."""
-    G = np.asarray(G, dtype=float)
+    """SVD of an m-by-d Jacobian, m <= d, with a full-row-rank check."""
     _require_finite(G)
-    if G.ndim != 2:
-        raise ValueError("expected a 2-d Jacobian")
-    m, d = G.shape
+    if G.ndim != 2 or G.shape[0] > G.shape[1]:
+        raise ValueError(f"expected an m-by-d Jacobian with m <= d, got shape {G.shape}")
+    m = G.shape[0]
     U, s, Vt = scipy.linalg.svd(G, full_matrices=True)
-    if m == 0 or s[min(m, d) - 1] <= rank_tol * s[0]:
+    if m == 0 or s[m - 1] <= rank_tol * s[0]:
         raise RankDeficient(
             f"smallest singular value {s[-1] if m else 0.0:.3e} below "
             f"tolerance {rank_tol:.1e} * {s[0] if m else 0.0:.3e}"
@@ -57,52 +57,51 @@ def _checked_svd(G: np.ndarray, rank_tol: float):
 
 
 @dataclass(frozen=True)
-class NullSpaceBasis:
-    """Orthonormal basis of ker(G) for an m-by-d Jacobian G.
+class JacobianFactor:
+    """One SVD of a full-row-rank m-by-d Jacobian G, m <= d.
 
     ``Z`` has shape (d, d - m) with Z^T Z = I, G Z = 0, and Z Z^T equal to
-    the orthogonal projector onto ker(G).
+    the orthogonal projector onto ker(G). ``U``, ``s`` and ``Vt`` are the
+    leading m singular triplets; the least-norm solve and the least-squares
+    multiplier read them without refactorizing G.
     """
 
+    G: np.ndarray
     Z: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+
+    @classmethod
+    def of(cls, G: np.ndarray, rank_tol: float = RANK_TOL) -> "JacobianFactor":
+        """Factor G; raises RankDeficient when its smallest singular value
+        falls below ``rank_tol`` times the largest one."""
+        G = np.asarray(G, dtype=float)
+        U, s, Vt = _checked_svd(G, rank_tol)
+        m = G.shape[0]
+        # Right-singular vectors beyond the row rank span ker(G); LAPACK's SVD
+        # is deterministic for identical input bits.
+        return cls(G=G, Z=Vt[m:].T.copy(), U=U, s=s[:m], Vt=Vt[:m])
+
+    def pull(self, rhs: np.ndarray) -> np.ndarray:
+        """Least-norm solution ``-G^T (G G^T)^{-1} rhs`` of G y = -rhs, in im(G^T)."""
+        rhs = np.asarray(rhs, dtype=float)
+        _require_finite(rhs)
+        return -self.Vt.T @ ((self.U.T @ rhs) / self.s)
+
+    def multiplier(self, g: np.ndarray) -> np.ndarray:
+        """Least-squares multiplier ``-(G G^T)^{-1} G g``, minimizing ||g + G^T lam||."""
+        return -self.U @ ((self.Vt @ g) / self.s)
 
 
-def nullspace_basis(G: np.ndarray, rank_tol: float = RANK_TOL) -> NullSpaceBasis:
-    """Orthonormal basis of the kernel of a full-row-rank Jacobian.
-
-    Parameters
-    ----------
-    G : ndarray, shape (m, d), m < d
-        Constraint Jacobian.
-    rank_tol : float
-        Relative singular-value tolerance for the rank check.
-
-    Raises
-    ------
-    RankDeficient
-        If the smallest singular value falls below ``rank_tol`` times the
-        largest one.
-    """
-    m, d = np.shape(G)
-    if m >= d:
-        raise ValueError(f"need m < d, got m={m}, d={d}")
-    _, _, Vt = _checked_svd(G, rank_tol)
-    # Right-singular vectors beyond the row rank span ker(G); LAPACK's SVD is
-    # deterministic for identical input bits.
-    return NullSpaceBasis(Z=Vt[m:].T.copy())
+def nullspace_basis(G: np.ndarray, rank_tol: float = RANK_TOL) -> JacobianFactor:
+    """The factorization of G that ``solver.iterate`` takes once per iteration."""
+    return JacobianFactor.of(G, rank_tol)
 
 
 def min_norm_pull(G: np.ndarray, rhs: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Least-norm solution of G y = -rhs, i.e. ``-G^T (G G^T)^{-1} rhs``.
-
-    The result lies in im(G^T) and satisfies ``G @ result == -rhs`` up to
-    roundoff.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    _require_finite(rhs)
-    U, s, Vt = _checked_svd(G, rank_tol)
-    m = G.shape[0]
-    return -Vt[:m].T @ ((U.T @ rhs) / s[:m])
+    """Least-norm solution of G y = -rhs; see :meth:`JacobianFactor.pull`."""
+    return JacobianFactor.of(G, rank_tol).pull(rhs)
 
 
 def smallest_eigpair(S: np.ndarray) -> tuple[float, np.ndarray]:

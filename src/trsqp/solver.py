@@ -81,7 +81,6 @@ class SolverConfig:
     trs_method: str = "auto"
     aveh_window: int = 50
     eps_floor: float = 1e-300
-    check_invariants: bool = True
 
     def __post_init__(self):
         if self.alpha not in (0, 1):
@@ -96,7 +95,7 @@ class SolverConfig:
             raise ValueError("mu0, eps0, and r must be positive")
         if not 0.0 < self.kappa_fcd <= 1.0:
             raise ValueError("kappa_fcd must lie in (0, 1]")
-        bound = self.kappa_fcd * self.eta**3 / (16.0 * max(1.0, self.delta_max))
+        bound = self.kappa_f_bound
         if self.accuracy is None:
             object.__setattr__(
                 self, "accuracy", AccuracyParams(alpha=self.alpha, kappa_f=bound)
@@ -108,6 +107,12 @@ class SolverConfig:
                 f"kappa_f={self.accuracy.kappa_f:g} exceeds the admissible "
                 f"bound {bound:g} for eta={self.eta:g}, delta_max={self.delta_max:g}"
             )
+
+    @property
+    def kappa_f_bound(self) -> float:
+        """Largest value accuracy.kappa_f may take under these step-acceptance
+        parameters: kappa_fcd * eta^3 / (16 max(1, delta_max))."""
+        return self.kappa_fcd * self.eta**3 / (16.0 * max(1.0, self.delta_max))
 
 
 @dataclass
@@ -227,15 +232,9 @@ class RunResult:
     wall_time: float
 
 
-def _pred_threshold(kkt_norm, h_norm, tau_plus, c_norm, delta, kappa_fcd):
-    curv = kkt_norm / h_norm if h_norm > 0.0 else math.inf
-    grad_term = kkt_norm * min(delta, curv)
-    eigen_term = tau_plus * delta * (delta + c_norm)
-    return -0.5 * kappa_fcd * max(grad_term, eigen_term)
-
-
-def _check_step(report, step, c, G, Z, grad, H, delta, kappa_fcd, pred, threshold, pred_slack):
+def _check_step(report, step, c, J, grad, H, delta, kappa_fcd, pred, threshold, pred_slack):
     """Re-verify the constructed step against its defining inequalities."""
+    G, Z = J.G, J.Z
     split = step.split
     pyth = abs(split.normal**2 + split.tangential**2 - delta**2)
     report.add("radius_split_pythagorean", pyth <= 1e-10 * delta**2, pyth / delta**2)
@@ -298,13 +297,14 @@ def iterate(
     delta = state.delta
 
     c = problem.constraint(x)
-    G = problem.jacobian(x)
     c_norm = float(np.linalg.norm(c))
-    Z = linalg.nullspace_basis(G).Z
+    # The iteration's one factorization of the Jacobian.
+    J = linalg.nullspace_basis(problem.jacobian(x))
+    G = J.G
 
     # Step 1: gradient, multiplier, KKT residual, Hessian approximation.
     est = estimator.estimate_models(
-        problem, x, c, G, Z, state.strategy, delta, params, it_stream, config.max_resample
+        problem, x, c, J, state.strategy, delta, params, it_stream, config.max_resample
     )
     grad, H = est.grad, est.hessian
     kkt_est, tau_plus = est.kkt_norm, est.tau_plus
@@ -339,14 +339,14 @@ def iterate(
         record = make_record(UNSUCCESSFUL_LINE6, "none", False, math.nan, math.nan, 0)
         return state, record
 
-    kind = steps.select_step_type(kkt_est, h_norm, tau_plus, c_norm, delta)
+    kind, decrease = steps.select_step_type(kkt_est, h_norm, tau_plus, c_norm, delta)
     step = steps.build_trial_step(
         kind,
         c,
-        G,
-        Z,
+        J,
         grad,
         H,
+        h_norm,
         est.grad_lagrangian,
         delta,
         tau=est.tau,
@@ -357,7 +357,7 @@ def iterate(
     )
 
     # Step 3: merit loop, then shared-sample value estimates at both points.
-    threshold = _pred_threshold(kkt_est, h_norm, tau_plus, c_norm, delta, config.kappa_fcd)
+    threshold = -0.5 * config.kappa_fcd * decrease
     pred = steps.predicted_reduction(grad, H, state.mu, c, G, step.dx)
     dx_norm = float(np.linalg.norm(step.dx))
     pred_scale = (
@@ -382,7 +382,7 @@ def iterate(
     step.pred = pred
 
     if report is not None:
-        _check_step(report, step, c, G, Z, grad, H, delta, config.kappa_fcd, pred, threshold, slack)
+        _check_step(report, step, c, J, grad, H, delta, config.kappa_fcd, pred, threshold, slack)
 
     x_trial = x + step.dx
     f_k, f_s, batch_f = estimator.estimate_values(
@@ -395,7 +395,7 @@ def iterate(
     soc_performed = False
     accepted = ared / pred >= config.eta
     if not accepted and config.alpha == 1 and c_norm <= config.r:
-        d = steps.soc_step(problem, x, step.dx, G)
+        d = steps.soc_step(problem, x, step.dx, J)
         step.soc = d
         soc_performed = True
         x_trial = x + step.dx + d
@@ -472,9 +472,7 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
         if state.delta < config.delta_min:
             stop_reason = "radius-floor"
             break
-        state, record = iterate(
-            state, problem, config, report if config.check_invariants else None
-        )
+        state, record = iterate(state, problem, config, report)
         record.kkt_true, record.tau_true = kkt_true, tau_true
         records.append(record)
         if not use_true:

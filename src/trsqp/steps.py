@@ -78,15 +78,14 @@ class TrialStep:
 
 
 def rescaled_residuals(
-    c: np.ndarray, G: np.ndarray, grad_l: np.ndarray, H: np.ndarray
+    c: np.ndarray, G: np.ndarray, grad_l: np.ndarray, h_norm: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Feasibility and optimality residuals rescaled by ||G|| and ||H||.
+    """Feasibility and optimality residuals rescaled by ||G|| and ``h_norm`` = ||H||.
 
     Returns ``(c_rs, grad_l_rs, kkt_rs_norm)`` where the last entry is the
     norm of the stacked rescaled residual.
     """
     g_norm = linalg.spectral_norm(G)
-    h_norm = linalg.spectral_norm(H)
     if h_norm == 0.0:
         raise ZeroHessianNorm("Hessian approximation has zero operator norm")
     if g_norm == 0.0:
@@ -113,13 +112,15 @@ def split_radius(mode: str, delta: float, c_rs_norm: float, opt_rs: float) -> Ra
     )
 
 
-def normal_step(c: np.ndarray, G: np.ndarray, normal_radius: float) -> tuple[np.ndarray, float, np.ndarray]:
+def normal_step(
+    c: np.ndarray, J: linalg.JacobianFactor, normal_radius: float
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Shrunk least-norm step toward the linearized constraints.
 
     Returns ``(v, gamma, w)`` with w = gamma v, ||w|| <= normal_radius, and
     gamma = 1 when the pull-back vanishes.
     """
-    v = linalg.min_norm_pull(G, c)
+    v = J.pull(c)
     v_norm = np.linalg.norm(v)
     if v_norm == 0.0:
         return v, 1.0, np.zeros_like(v)
@@ -185,31 +186,35 @@ def tangential_eigen(
     return u
 
 
-def soc_step(problem: Problem, x: np.ndarray, dx: np.ndarray, G: np.ndarray) -> np.ndarray:
+def soc_step(
+    problem: Problem, x: np.ndarray, dx: np.ndarray, J: linalg.JacobianFactor
+) -> np.ndarray:
     """Second-order correction cancelling the quadratic constraint remainder.
 
     Pulls back the remainder c(x + dx) - c(x) - G dx through the least-norm
     solve; identically zero for affine constraints.
     """
-    remainder = problem.constraint(x + dx) - problem.constraint(x) - G @ dx
-    return linalg.min_norm_pull(G, remainder)
+    remainder = problem.constraint(x + dx) - problem.constraint(x) - J.G @ dx
+    return J.pull(remainder)
 
 
 def select_step_type(
     kkt_norm: float, h_norm: float, tau_plus: float, c_norm: float, delta: float
-) -> str:
+) -> tuple[str, float]:
     """Pick the step achieving the larger model reduction.
 
-    Gradient when kkt_norm * min{delta, kkt_norm/||H||} dominates
-    tau_plus * delta * (delta + ||c||); eigen otherwise. ``solver.iterate``
-    passes the stacked KKT norm kkt_norm = ||(gradL, c)||, which mixes
-    objective and constraint units, so the choice is invariant to a
-    rescaling of the objective only at c = 0 (see docs/decisions.md).
+    Returns the step kind and its model-decrease term: gradient when
+    kkt_norm * min{delta, kkt_norm/||H||} dominates
+    tau_plus * delta * (delta + ||c||), eigen otherwise. The solver's
+    predicted-reduction threshold is -kappa_fcd/2 times that term.
+    ``solver.iterate`` passes the stacked KKT norm kkt_norm = ||(gradL, c)||,
+    which mixes objective and constraint units, so the choice is invariant
+    to a rescaling of the objective only at c = 0 (see docs/decisions.md).
     """
     curv = kkt_norm / h_norm if h_norm > 0.0 else np.inf
     lhs = kkt_norm * min(delta, curv)
     rhs = tau_plus * delta * (delta + c_norm)
-    return GRADIENT_STEP if lhs >= rhs else EIGEN_STEP
+    return (GRADIENT_STEP, lhs) if lhs >= rhs else (EIGEN_STEP, rhs)
 
 
 def predicted_reduction(
@@ -228,10 +233,10 @@ def predicted_reduction(
 def build_trial_step(
     kind: str,
     c: np.ndarray,
-    G: np.ndarray,
-    Z: np.ndarray,
+    J: linalg.JacobianFactor,
     grad: np.ndarray,
     H: np.ndarray,
+    h_norm: float,
     grad_l: np.ndarray,
     delta: float,
     tau: float | None = None,
@@ -240,20 +245,24 @@ def build_trial_step(
     kappa_fcd: float = 1.0,
     method: str = "auto",
 ) -> TrialStep:
-    """Assemble a full trial step of the requested kind."""
-    c_rs, grad_l_rs, _ = rescaled_residuals(c, G, grad_l, H)
+    """Assemble a full trial step of the requested kind.
+
+    ``J`` is the iteration's factorization of the constraint Jacobian and
+    ``h_norm`` = ||H||.
+    """
+    c_rs, grad_l_rs, _ = rescaled_residuals(c, J.G, grad_l, h_norm)
     c_rs_norm = float(np.linalg.norm(c_rs))
     if kind == GRADIENT_STEP:
         opt_rs = float(np.linalg.norm(grad_l_rs))
     elif kind == EIGEN_STEP:
-        opt_rs = tau_plus / linalg.spectral_norm(H)
+        opt_rs = tau_plus / h_norm
     else:
         raise ValueError(f"unknown step kind {kind!r}")
     split = split_radius(kind, delta, c_rs_norm, opt_rs)
-    v, gamma, w = normal_step(c, G, split.normal)
+    v, gamma, w = normal_step(c, J, split.normal)
     if kind == GRADIENT_STEP:
-        u = tangential_gradient(H, grad, w, Z, split.tangential, kappa_fcd, method)
+        u = tangential_gradient(H, grad, w, J.Z, split.tangential, kappa_fcd, method)
     else:
-        u = tangential_eigen(H, grad, w, Z, split.tangential, tau, eigvec)
-    t = Z @ u
+        u = tangential_eigen(H, grad, w, J.Z, split.tangential, tau, eigvec)
+    t = J.Z @ u
     return TrialStep(kind=kind, v=v, gamma=gamma, w=w, u=u, t=t, dx=w + t, split=split)

@@ -348,7 +348,6 @@ class ScaledModel:
     c: np.ndarray
     G: np.ndarray
     grad_l: np.ndarray
-    H: np.ndarray
     h_norm: float
     tau_plus: float
     kkt: float  # ||(grad_L, c)||, the norm the solver hands to the selection
@@ -369,7 +368,6 @@ def _scaled_saddle(scale: float, x: np.ndarray) -> ScaledModel:
         c=c,
         G=G,
         grad_l=grad_l,
-        H=H,
         h_norm=linalg.spectral_norm(H),
         tau_plus=abs(min(tau, 0.0)),
         kkt=float(np.sqrt(grad_l @ grad_l + c @ c)),
@@ -378,18 +376,19 @@ def _scaled_saddle(scale: float, x: np.ndarray) -> ScaledModel:
 
 def _selected_kind(model: ScaledModel, delta: float) -> str:
     c_norm = float(np.linalg.norm(model.c))
-    return steps.select_step_type(model.kkt, model.h_norm, model.tau_plus, c_norm, delta)
+    kind, _ = steps.select_step_type(model.kkt, model.h_norm, model.tau_plus, c_norm, delta)
+    return kind
 
 
 def _decomposition_snapshot(model: ScaledModel, kind: str, delta: float) -> np.ndarray:
     """gamma, normal/delta and tangential/delta of a step of type ``kind``."""
-    c_rs, grad_l_rs, _ = steps.rescaled_residuals(model.c, model.G, model.grad_l, model.H)
+    c_rs, grad_l_rs, _ = steps.rescaled_residuals(model.c, model.G, model.grad_l, model.h_norm)
     if kind == steps.GRADIENT_STEP:
         opt = float(np.linalg.norm(grad_l_rs))
     else:
         opt = model.tau_plus / model.h_norm
     split = steps.split_radius(kind, delta, float(np.linalg.norm(c_rs)), opt)
-    _, gamma, _ = steps.normal_step(model.c, model.G, split.normal)
+    _, gamma, _ = steps.normal_step(model.c, linalg.nullspace_basis(model.G), split.normal)
     return np.array([gamma, split.normal / delta, split.tangential / delta])
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from trsqp import steps
 from trsqp.cli import build_config, main, read_config_file
 
 
@@ -127,8 +128,14 @@ class TestCheckCommand:
         assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_fault_injection_detected(self, capsys):
+        # The fault reaches the solver's own merit loop, and only that row
+        # fails; the patched Pred is restored afterwards.
+        original = steps.predicted_reduction
         assert run_cli(["check", "--inject-fault", "pred-sign"]) == 1
-        assert "[FAIL]" in capsys.readouterr().out
+        failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+        assert len(failed) == 1
+        assert "merit loop" in failed[0] and "MeritLoopDiverged" in failed[0]
+        assert steps.predicted_reduction is original
 
     def test_filter_restricts_modules(self, capsys):
         assert run_cli(["check", "--filter", "steps"]) == 0

@@ -241,10 +241,9 @@ class TestEstimateModels:
     def test_bundle_at_saddle(self):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(0.0))
         x = np.array([1.0, 0.0])
-        c, G = prob.constraint(x), prob.jacobian(x)
-        Z = nullspace_basis(G).Z
+        c, J = prob.constraint(x), nullspace_basis(prob.jacobian(x))
         est = estimator.estimate_models(
-            prob, x, c, G, Z, make_hessian_strategy("lagrangian", 1, 2),
+            prob, x, c, J, make_hessian_strategy("lagrangian", 1, 2),
             1.0, AccuracyParams(alpha=1), RngStream(0).child(0),
         )
         assert est.kkt_norm == pytest.approx(0.0, abs=1e-14)
@@ -269,10 +268,9 @@ class TestEstimateModels:
             constraint_hessians=lambda x: np.zeros((1, 2, 2)),
         )
         x = np.array([0.0, 0.7])
-        c, G = prob.constraint(x), prob.jacobian(x)
-        Z = nullspace_basis(G).Z
+        c, J = prob.constraint(x), nullspace_basis(prob.jacobian(x))
         est = estimator.estimate_models(
-            prob, x, c, G, Z, make_hessian_strategy("identity", 0, 2),
+            prob, x, c, J, make_hessian_strategy("identity", 0, 2),
             1.0, AccuracyParams(alpha=0), RngStream(0).child(0), max_resample=3,
         )
         assert est.kkt_norm == 0.0

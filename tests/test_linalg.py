@@ -52,6 +52,7 @@ class TestNullspaceBasis:
 
     def test_randomized_invariants(self):
         rng = np.random.default_rng(0)
+        rhs_rng = np.random.default_rng(1)
         for _ in range(1000):
             d = int(rng.integers(2, 9))
             m = int(rng.integers(1, d))
@@ -62,6 +63,12 @@ class TestNullspaceBasis:
             assert np.max(np.abs(G @ Z)) <= 1e-10 * max(1.0, np.abs(G).max())
             P = np.eye(d) - G.T @ np.linalg.solve(G @ G.T, G)
             assert np.max(np.abs(Z @ Z.T - P)) <= 1e-8
+            # The same factor gives the least-norm pull and the multiplier.
+            rhs = rhs_rng.standard_normal(m)
+            assert np.max(np.abs(G @ basis.pull(rhs) + rhs)) <= 1e-10 * max(1.0, np.abs(rhs).max())
+            g = rhs_rng.standard_normal(d)
+            resid = G @ (g + G.T @ basis.multiplier(g))
+            assert np.max(np.abs(resid)) <= 1e-10 * max(1.0, np.abs(g).max())
 
     def test_deterministic(self):
         G = np.random.default_rng(3).standard_normal((3, 7))

@@ -10,6 +10,7 @@ from trsqp.solver import (
     SUCCESSFUL_UNRELIABLE,
     UNSUCCESSFUL_LINE6,
     UNSUCCESSFUL_REJECTED,
+    InvariantReport,
     SolverConfig,
     SolverState,
     iterate,
@@ -67,6 +68,33 @@ class TestIterate:
         assert rec.tau_est == pytest.approx(1.0, abs=1e-12)
         assert rec.soc
         assert rec.outcome in (SUCCESSFUL_RELIABLE, SUCCESSFUL_UNRELIABLE)
+
+    def test_one_jacobian_factorization_per_iteration(self, monkeypatch):
+        # The null-space basis, multiplier, normal step, SOC pull and the
+        # invariant checks all read off one SVD of G per iteration.
+        import trsqp.linalg
+
+        prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        cfg = SolverConfig(alpha=1, kkt_tol=0.0, seed=0)
+        state = SolverState.initial(prob, np.array([1.0, 0.005]), cfg)
+        svd = trsqp.linalg._checked_svd
+        calls = []
+
+        def counting(G, rank_tol):
+            calls.append(1)
+            return svd(G, rank_tol)
+
+        monkeypatch.setattr(trsqp.linalg, "_checked_svd", counting)
+        report = InvariantReport()
+        seen = set()
+        for k in range(20):
+            state, rec = iterate(state, prob, cfg, report)
+            assert len(calls) == k + 1
+            seen.add("line6" if rec.outcome == UNSUCCESSFUL_LINE6 else rec.step_kind)
+            if rec.soc:
+                seen.add("soc")
+        assert seen == {"line6", "gradient", "eigen", "soc"}
+        assert report.total_checked > 0 and report.total_violations == 0
 
     def test_merit_parameter_monotone(self):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))

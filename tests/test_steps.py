@@ -4,7 +4,6 @@ import pytest
 from trsqp import linalg, steps
 from trsqp.benchmarks import make_saddle
 from trsqp.errors import DegenerateResiduals, NotNegativeCurvature, ZeroHessianNorm
-from trsqp.estimator import estimate_multiplier
 from trsqp.steps import (
     EIGEN_STEP,
     GRADIENT_STEP,
@@ -28,37 +27,36 @@ def random_state(rng, d=None, m=None):
     grad = rng.standard_normal(d)
     H = rng.standard_normal((d, d))
     H = 0.5 * (H + H.T)
-    lam = estimate_multiplier(G, grad)
-    grad_l = grad + G.T @ lam
-    Z = linalg.nullspace_basis(G).Z
-    return c, G, Z, grad, H, grad_l
+    J = linalg.nullspace_basis(G)
+    grad_l = grad + G.T @ J.multiplier(grad)
+    return c, J, grad, H, grad_l
 
 
 class TestRescaledResiduals:
     def test_all_zero(self):
         c_rs, gl_rs, norm = rescaled_residuals(
-            np.zeros(1), np.array([[1.0, 1.0]]), np.zeros(2), np.eye(2)
+            np.zeros(1), np.array([[1.0, 1.0]]), np.zeros(2), 1.0
         )
         assert norm == 0.0
 
     def test_feasibility_scaling(self):
         # ||G|| = 2 halves the feasibility residual twice over.
         c_rs, _, _ = rescaled_residuals(
-            np.array([4.0]), np.array([[2.0, 0.0]]), np.zeros(2), np.eye(2)
+            np.array([4.0]), np.array([[2.0, 0.0]]), np.zeros(2), 1.0
         )
         assert np.allclose(c_rs, [2.0])
 
     def test_objective_scale_invariance(self):
         rng = np.random.default_rng(0)
-        c, G, Z, grad, H, grad_l = random_state(rng)
-        base = rescaled_residuals(c, G, grad_l, H)
-        scaled = rescaled_residuals(c, G, 7.0 * grad_l, 7.0 * H)
+        c, J, grad, H, grad_l = random_state(rng)
+        base = rescaled_residuals(c, J.G, grad_l, linalg.spectral_norm(H))
+        scaled = rescaled_residuals(c, J.G, 7.0 * grad_l, linalg.spectral_norm(7.0 * H))
         assert np.allclose(base[1], scaled[1], atol=1e-14)
         assert base[2] == pytest.approx(scaled[2], rel=1e-14)
 
     def test_zero_hessian_norm_raises(self):
         with pytest.raises(ZeroHessianNorm):
-            rescaled_residuals(np.zeros(1), np.array([[1.0, 0.0]]), np.ones(2), np.zeros((2, 2)))
+            rescaled_residuals(np.zeros(1), np.array([[1.0, 0.0]]), np.ones(2), 0.0)
 
 
 class TestSplitRadius:
@@ -93,21 +91,23 @@ class TestSplitRadius:
 
 
 class TestNormalStep:
+    ROW_OF_ONES = linalg.nullspace_basis(np.array([[1.0, 1.0]]))
+
     def test_feasible_point(self):
-        v, gamma, w = normal_step(np.zeros(1), np.array([[1.0, 1.0]]), 0.5)
+        v, gamma, w = normal_step(np.zeros(1), self.ROW_OF_ONES, 0.5)
         assert np.array_equal(v, np.zeros(2))
         assert gamma == 1.0
         assert np.array_equal(w, np.zeros(2))
 
     def test_shrink_factor(self):
         # ||v|| = sqrt(2), radius 0.5 -> gamma = 0.5/sqrt(2).
-        v, gamma, w = normal_step(np.array([2.0]), np.array([[1.0, 1.0]]), 0.5)
+        v, gamma, w = normal_step(np.array([2.0]), self.ROW_OF_ONES, 0.5)
         assert np.allclose(v, [-1.0, -1.0])
         assert gamma == pytest.approx(0.5 / np.sqrt(2.0))
         assert np.linalg.norm(w) == pytest.approx(0.5)
 
     def test_full_pullback_inside_radius(self):
-        v, gamma, w = normal_step(np.array([2.0]), np.array([[1.0, 1.0]]), 2.0)
+        v, gamma, w = normal_step(np.array([2.0]), self.ROW_OF_ONES, 2.0)
         assert gamma == 1.0
         assert np.allclose(w, [-1.0, -1.0])
 
@@ -163,13 +163,13 @@ class TestSocStep:
         prob = _affine_problem()
         x = np.array([0.3, -0.2, 0.9])
         dx = np.array([0.1, 0.2, -0.1])
-        d = soc_step(prob, x, dx, prob.jacobian(x))
+        d = soc_step(prob, x, dx, linalg.nullspace_basis(prob.jacobian(x)))
         assert np.max(np.abs(d)) <= 1e-14
 
     def test_zero_step_gives_zero(self):
         prob = make_saddle()
         x = np.array([1.0, 0.0])
-        d = soc_step(prob, x, np.zeros(2), prob.jacobian(x))
+        d = soc_step(prob, x, np.zeros(2), linalg.nullspace_basis(prob.jacobian(x)))
         assert np.array_equal(d, np.zeros(2))
 
     def test_saddle_hand_expansion(self):
@@ -178,7 +178,7 @@ class TestSocStep:
         prob = make_saddle()
         x = np.array([1.0, 0.0])
         t = 0.3
-        d = soc_step(prob, x, np.array([0.0, t]), prob.jacobian(x))
+        d = soc_step(prob, x, np.array([0.0, t]), linalg.nullspace_basis(prob.jacobian(x)))
         assert np.allclose(d, [-(t**2) / 2.0, 0.0], atol=1e-14)
 
 
@@ -186,21 +186,21 @@ class TestSelectStepType:
     def test_zero_curvature_always_gradient(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            kind = select_step_type(
-                float(rng.uniform(0, 3)), float(rng.uniform(0.1, 3)), 0.0,
-                float(rng.uniform(0, 2)), float(rng.uniform(0.01, 2)),
-            )
+            kkt, h_norm = float(rng.uniform(0, 3)), float(rng.uniform(0.1, 3))
+            delta = float(rng.uniform(0.01, 2))
+            kind, decrease = select_step_type(kkt, h_norm, 0.0, float(rng.uniform(0, 2)), delta)
             assert kind == GRADIENT_STEP
+            assert decrease == kkt * min(delta, kkt / h_norm)
 
     def test_zero_kkt_with_curvature_is_eigen(self):
-        assert select_step_type(0.0, 1.0, 0.5, 0.0, 1.0) == EIGEN_STEP
+        assert select_step_type(0.0, 1.0, 0.5, 0.0, 1.0) == (EIGEN_STEP, 0.5)
 
     def test_direct_evaluation(self):
         # LHS = 1 * min(0.5, 1) = 0.5 >= RHS = 1 * 0.5 * 0.5 = 0.25.
-        assert select_step_type(1.0, 1.0, 1.0, 0.0, 0.5) == GRADIENT_STEP
+        assert select_step_type(1.0, 1.0, 1.0, 0.0, 0.5) == (GRADIENT_STEP, 0.5)
 
     def test_zero_hessian_norm_uses_radius(self):
-        assert select_step_type(1.0, 0.0, 0.5, 0.0, 2.0) == GRADIENT_STEP
+        assert select_step_type(1.0, 0.0, 0.5, 0.0, 2.0) == (GRADIENT_STEP, 2.0)
 
 
 class TestPredictedReduction:
@@ -223,13 +223,13 @@ class TestPredictedReduction:
     def test_constraint_term_is_gamma_contraction(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            c, G, Z, grad, H, grad_l = random_state(rng)
+            c, J, grad, H, grad_l = random_state(rng)
             step = build_trial_step(
-                GRADIENT_STEP, c, G, Z, grad, H, grad_l, 1.0, method="exact"
+                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, 1.0, method="exact"
             )
             mu = float(rng.uniform(0.5, 20.0))
-            pred = predicted_reduction(grad, H, mu, c, G, step.dx)
-            pred_no_mu = predicted_reduction(grad, H, 0.0, c, G, step.dx)
+            pred = predicted_reduction(grad, H, mu, c, J.G, step.dx)
+            pred_no_mu = predicted_reduction(grad, H, 0.0, c, J.G, step.dx)
             c_norm = np.linalg.norm(c)
             assert pred - pred_no_mu == pytest.approx(-mu * step.gamma * c_norm, rel=1e-8)
 
@@ -238,10 +238,12 @@ class TestBuildTrialStep:
     def test_gradient_step_invariants(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            c, G, Z, grad, H, grad_l = random_state(rng)
+            c, J, grad, H, grad_l = random_state(rng)
+            G = J.G
             delta = float(rng.uniform(0.05, 3.0))
             step = build_trial_step(
-                GRADIENT_STEP, c, G, Z, grad, H, grad_l, delta, method="exact"
+                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, delta,
+                method="exact",
             )
             w_norm, t_norm = np.linalg.norm(step.w), np.linalg.norm(step.t)
             assert abs(step.w @ step.t) <= 1e-10 * max(w_norm * t_norm, 1e-300)
@@ -255,16 +257,16 @@ class TestBuildTrialStep:
         # radius.
         prob = make_saddle()
         x = np.array([1.0, 0.0])
-        c, G = prob.constraint(x), prob.jacobian(x)
-        Z = linalg.nullspace_basis(G).Z
+        c, J = prob.constraint(x), linalg.nullspace_basis(prob.jacobian(x))
+        G, Z = J.G, J.Z
         grad = prob.noiseless.gradient(x)
-        lam = estimate_multiplier(G, grad)
+        lam = J.multiplier(grad)
         H = prob.noiseless.hessian(x) + lam[0] * 2.0 * np.eye(2)
         grad_l = grad + G.T @ lam
         tau, zeta = linalg.smallest_eigpair(Z.T @ H @ Z)
         delta = 0.4
         step = build_trial_step(
-            EIGEN_STEP, c, G, Z, grad, H, grad_l, delta,
+            EIGEN_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, delta,
             tau=tau, tau_plus=abs(min(tau, 0.0)), eigvec=zeta,
         )
         assert step.split.tangential == pytest.approx(delta)
