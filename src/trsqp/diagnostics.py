@@ -1,8 +1,10 @@
 """Self-contained diagnostic suite behind the ``check`` command.
 
-Each check re-derives an expected quantity through an independent route
-(finite differences, Monte Carlo frequencies, closed forms) and compares
-the library against it. Checks are grouped by module name so the command
+Most checks re-derive an expected quantity through an independent route
+(finite differences, Monte Carlo frequencies, closed forms, the Cauchy
+point) and compare the library against it. The step checks apply the
+solver's own ``check_step`` to random trial steps and read the invariant
+reports of real solves. Checks are grouped by module name so the command
 line can filter them.
 """
 
@@ -16,7 +18,7 @@ from . import benchmarks, estimator, linalg, steps
 from .errors import MeritLoopDiverged
 from .problem import GaussianNoiseSpec, gaussian_noisy
 from .rng import RngStream
-from .solver import SolverConfig, run
+from .solver import InvariantReport, SolverConfig, check_step, run
 
 __all__ = ["CheckResult", "run_checks", "finite_difference_gradient", "finite_difference_hessian"]
 
@@ -52,6 +54,25 @@ def finite_difference_hessian(grad, x: np.ndarray, h: float = 1e-6) -> np.ndarra
     return 0.5 * (H + H.T)
 
 
+def _trs_instance(rng, near_hard: bool):
+    """A random TRS instance (H, g, radius) of dimension at most 6. A near-hard
+    one has a repeated negative bottom eigenvalue, and g's components on its
+    eigenspace are scaled by 10^-U(4, 14): the pole of the secular equation
+    is then too sharp for root finding alone to reach the boundary."""
+    n = int(rng.integers(1, 7))
+    if near_hard:
+        k = int(rng.integers(1, n + 1))
+        lam = -float(rng.uniform(0.1, 3.0))
+        w = np.concatenate([np.full(k, lam), lam + rng.uniform(0.1, 3.0, n - k)])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        gq = rng.standard_normal(n)
+        gq[:k] *= 10.0 ** -rng.uniform(4.0, 14.0)
+        H, g = (Q * w) @ Q.T, Q @ gq
+    else:
+        H, g = rng.standard_normal((n, n)), rng.standard_normal(n)
+    return 0.5 * (H + H.T), g, float(rng.uniform(0.1, 2.0))
+
+
 def _check_linalg(rng) -> list[CheckResult]:
     out = []
     worst_res = 0.0
@@ -69,16 +90,15 @@ def _check_linalg(rng) -> list[CheckResult]:
         CheckResult("linalg", "nullspace residuals", worst_res <= 1e-10, f"worst {worst_res:.2e}")
     )
     worst_gap = -np.inf
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        H = rng.standard_normal((n, n))
-        H = 0.5 * (H + H.T)
-        g = rng.standard_normal(n)
-        radius = float(rng.uniform(0.1, 2.0))
-        u = linalg.trs_solve(H, g, radius, method="exact")
-        uc = linalg.cauchy_point(H, g, radius)
-        gap = linalg.model_value(H, g, u) - linalg.model_value(H, g, uc)
-        worst_gap = max(worst_gap, gap)
+    # The near-hard draws come from a generator of their own, so the shared
+    # one feeds the later groups the same draws.
+    for near_hard, gen in ((False, rng), (True, np.random.default_rng(20241))):
+        for _ in range(200):
+            H, g, radius = _trs_instance(gen, near_hard)
+            u = linalg.trs_solve(H, g, radius)
+            uc = linalg.cauchy_point(H, g, radius)
+            gap = linalg.model_value(H, g, u) - linalg.model_value(H, g, uc)
+            worst_gap = max(worst_gap, gap)
     out.append(
         CheckResult(
             "linalg",
@@ -186,8 +206,7 @@ def _reference_solves():
 
 
 def _check_steps(rng, fault: str | None) -> list[CheckResult]:
-    out = []
-    worst = 0.0
+    report = InvariantReport()
     for _ in range(100):
         d = int(rng.integers(3, 7))
         m = int(rng.integers(1, d - 1))
@@ -200,25 +219,14 @@ def _check_steps(rng, fault: str | None) -> list[CheckResult]:
         J = linalg.nullspace_basis(G)
         grad_l = grad + G.T @ J.multiplier(grad)
         h_norm = linalg.spectral_norm(H)
-        step = steps.build_trial_step(
-            steps.GRADIENT_STEP, c, J, grad, H, h_norm, grad_l, delta, method="exact"
-        )
-        split = step.split
-        worst = max(
-            worst,
-            abs(split.normal**2 + split.tangential**2 - delta**2) / delta**2,
-            max(0.0, (float(np.linalg.norm(step.dx)) - delta) / delta),
-            abs(float(step.w @ step.t))
-            / max(np.linalg.norm(step.w) * np.linalg.norm(step.t), 1e-300),
-        )
-        lin = float(np.linalg.norm(c + G @ step.dx))
-        target = (1.0 - step.gamma) * float(np.linalg.norm(c))
-        worst = max(worst, abs(lin - target) / max(np.linalg.norm(c), 1e-300) * 1e-2)
-    out.append(
-        CheckResult("steps", "split/orthogonality/feasibility invariants", worst <= 1e-8, f"worst {worst:.2e}")
-    )
-    out.append(_check_merit_loop(fault))
-    return out
+        step = steps.build_trial_step(steps.GRADIENT_STEP, c, J, grad, H, h_norm, grad_l, delta)
+        check_step(report, step, c, J, grad, H, delta, kappa_fcd=1.0)
+    viol = report.total_violations
+    detail = f"{viol} violations in {report.total_checked} checks"
+    return [
+        CheckResult("steps", "split/orthogonality/feasibility invariants", viol == 0, detail),
+        _check_merit_loop(fault),
+    ]
 
 
 def _check_merit_loop(fault: str | None) -> CheckResult:

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels shared by the step computations.
 
 One factorization per constraint Jacobian (null-space basis, least-norm
-solve and least-squares multiplier), symmetric eigenpairs, and
-trust-region subproblem solvers. All routines work on small dense arrays,
+solve and least-squares multiplier), symmetric eigenpairs, the exact
+trust-region subproblem solver and the Cauchy point. All routines work on small dense arrays,
 are deterministic for identical input bits, and raise rather than silently
 regularize when a Jacobian fails its rank tolerance.
 """
@@ -29,10 +29,6 @@ __all__ = [
 
 # Relative rank tolerance on singular values of constraint Jacobians.
 RANK_TOL = 1e-10
-
-# Dimension threshold above which trs_solve(method="auto") switches from the
-# eigendecomposition-based exact solver to Steihaug CG.
-EXACT_TRS_MAX_DIM = 200
 
 
 def _require_finite(*arrays) -> None:
@@ -151,11 +147,7 @@ def cauchy_point(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _exact_trs(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
-    """Global solution of min m(u) s.t. ||u|| <= radius via the secular equation.
-
-    Works on the eigendecomposition of H, handling the interior, boundary,
-    and hard cases (More-Sorensen).
-    """
+    """The secular-equation solve behind :func:`trs_solve`."""
     w, Q = scipy.linalg.eigh(0.5 * (H + H.T))
     gq = Q.T @ g
     lam_min = float(w[0])
@@ -170,6 +162,15 @@ def _exact_trs(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
 
     def radius_gap(lam: float) -> float:
         return float(np.linalg.norm(shifted(lam)) - radius)
+
+    def to_boundary(u: np.ndarray) -> np.ndarray:
+        """Move u along the bottom eigenvector e_0 onto the sphere if it falls
+        short by more than root-finding accuracy, to the root t of
+        ||u + t e_0|| = radius with the lower model value (More-Sorensen)."""
+        shortfall = radius**2 - float(u @ u)
+        if shortfall > 1e-12 * radius**2:
+            u[0] = -np.copysign(np.sqrt(u[0] ** 2 + shortfall), gq[0])
+        return Q @ u
 
     if lam_min > 0.0:
         u = -(gq / w)
@@ -198,117 +199,38 @@ def _exact_trs(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
                 break
             new_lo = lam_lo + 0.25 * (lo - lam_lo)
             if new_lo <= lam_lo or new_lo == lo:
-                return Q @ shifted(lo)
+                return to_boundary(shifted(lo))
             lo = new_lo
         else:
-            return Q @ shifted(lo)
+            return to_boundary(shifted(lo))
 
     hi = max(0.0, -lam_min) + float(np.linalg.norm(gq)) / radius + 1e-12
     while radius_gap(hi) > 0.0:
         hi = 2.0 * hi + 1.0
     eps = float(np.finfo(float).eps)
-    lam = brentq(radius_gap, lo, hi, xtol=1e-18, rtol=4 * eps, maxiter=200)
-    return Q @ shifted(lam)
+    u = shifted(brentq(radius_gap, lo, hi, xtol=1e-18, rtol=4 * eps, maxiter=200))
+    # Near the hard case the pole at -lam_min is too sharp for brentq to reach
+    # the sphere, though a minimizer lies on it whenever lam_min <= 0.
+    return Q @ u if lam_min > 0.0 else to_boundary(u)
 
 
-def _dogleg_trs(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
-    """Dogleg path solution; falls back to the Cauchy point when H is not SPD.
+def trs_solve(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
+    """Global minimizer of 0.5 u^T H u + g^T u subject to ||u|| <= radius.
 
-    Both branches attain the full Cauchy reduction, so the method carries
-    kappa_fcd = 1.
-    """
-    try:
-        c, low = scipy.linalg.cho_factor(0.5 * (H + H.T))
-        newton = -scipy.linalg.cho_solve((c, low), g)
-    except scipy.linalg.LinAlgError:
-        return cauchy_point(H, g, radius)
-    if np.linalg.norm(newton) <= radius:
-        return newton
-    gnorm = np.linalg.norm(g)
-    if gnorm == 0.0:
-        return np.zeros_like(g)
-    gHg = float(g @ (H @ g))
-    pu = -(gnorm**2 / gHg) * g
-    pu_norm = np.linalg.norm(pu)
-    if pu_norm >= radius:
-        return -(radius / gnorm) * g
-    # Intersection of the second dogleg leg with the boundary.
-    d = newton - pu
-    a = float(d @ d)
-    b = float(pu @ d)
-    cc = float(pu @ pu) - radius**2
-    t = (-b + np.sqrt(b * b - a * cc)) / a
-    return pu + t * d
+    Safeguarded secular-equation root finding on the eigendecomposition of
+    H, covering the interior, boundary and hard cases of More and Sorensen
+    (1983). The minimizer's model value is at most the Cauchy point's, so
+    the fraction-of-Cauchy-decrease condition holds with kappa_fcd = 1.
 
-
-def _steihaug_trs(H: np.ndarray, g: np.ndarray, radius: float, tol: float = 1e-10) -> np.ndarray:
-    """Steihaug-Toint truncated CG for the trust-region subproblem."""
-    n = len(g)
-    z = np.zeros(n)
-    r = g.copy()
-    d = -g.copy()
-    r0 = np.linalg.norm(r)
-    if r0 == 0.0:
-        return z
-    threshold = r0 * min(0.5, np.sqrt(r0))
-
-    def to_boundary(z, d):
-        a = float(d @ d)
-        b = float(z @ d)
-        c = float(z @ z) - radius**2
-        return (-b + np.sqrt(max(b * b - a * c, 0.0))) / a
-
-    for _ in range(2 * n + 10):
-        Hd = H @ d
-        dHd = float(d @ Hd)
-        if dHd <= 0.0:
-            return z + to_boundary(z, d) * d
-        alpha = float(r @ r) / dHd
-        z_next = z + alpha * d
-        if np.linalg.norm(z_next) >= radius:
-            return z + to_boundary(z, d) * d
-        r_next = r + alpha * Hd
-        if np.linalg.norm(r_next) <= max(threshold, tol):
-            return z_next
-        beta = float(r_next @ r_next) / float(r @ r)
-        d = -r_next + beta * d
-        z, r = z_next, r_next
-    return z
-
-
-def trs_solve(H: np.ndarray, g: np.ndarray, radius: float, method: str = "auto") -> np.ndarray:
-    """Approximately solve min 0.5 u^T H u + g^T u subject to ||u|| <= radius.
-
-    Parameters
-    ----------
-    H : ndarray, symmetric
-    g : ndarray
-    radius : float, > 0
-    method : {"auto", "exact", "dogleg", "steihaug"}
-        "exact" computes the global minimizer (safeguarded secular-equation
-        root finding on the eigendecomposition) and, like "dogleg", attains
-        the full Cauchy reduction. "steihaug" attains a configured fraction.
-        "auto" uses "exact" up to dimension 200 and "steihaug" beyond.
-
-    Returns
-    -------
-    u : ndarray with ||u|| <= radius (tiny relative slack from root finding).
+    Returns u with ||u|| <= radius; a root-finding overshoot is scaled back
+    onto the sphere.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     _require_finite(H, g)
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if method == "auto":
-        method = "exact" if len(g) <= EXACT_TRS_MAX_DIM else "steihaug"
-    if method == "exact":
-        u = _exact_trs(H, g, radius)
-    elif method == "dogleg":
-        u = _dogleg_trs(H, g, radius)
-    elif method == "steihaug":
-        u = _steihaug_trs(H, g, radius)
-    else:
-        raise ValueError(f"unknown trust-region method {method!r}")
+    u = _exact_trs(H, g, radius)
     nrm = np.linalg.norm(u)
     if nrm > radius:
         u *= radius / nrm

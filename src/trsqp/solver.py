@@ -29,6 +29,7 @@ __all__ = [
     "IterationRecord",
     "InvariantReport",
     "RunResult",
+    "check_step",
     "iterate",
     "run",
 ]
@@ -78,7 +79,6 @@ class SolverConfig:
     merit_loop_cap: int = 100
     max_resample: int = 5
     seed: int = 0
-    trs_method: str = "auto"
     aveh_window: int = 50
     eps_floor: float = 1e-300
 
@@ -232,8 +232,9 @@ class RunResult:
     wall_time: float
 
 
-def _check_step(report, step, c, J, grad, H, delta, kappa_fcd, pred, threshold, pred_slack):
-    """Re-verify the constructed step against its defining inequalities."""
+def check_step(report, step, c, J, grad, H, delta, kappa_fcd):
+    """Re-verify a constructed trial step against its defining inequalities,
+    adding one row per inequality to ``report``."""
     G, Z = J.G, J.Z
     split = step.split
     pyth = abs(split.normal**2 + split.tangential**2 - delta**2)
@@ -279,8 +280,6 @@ def _check_step(report, step, c, J, grad, H, delta, kappa_fcd, pred, threshold, 
         curv_rhs = -kappa_fcd * tau_plus * split.tangential**2
         curv_margin = curv_val - curv_rhs
         report.add("eigen_curvature", curv_margin <= 1e-10 * abs(curv_rhs), curv_margin)
-    pred_margin = pred - threshold
-    report.add("pred_threshold", pred_margin <= pred_slack, pred_margin)
 
 
 def iterate(
@@ -353,7 +352,6 @@ def iterate(
         tau_plus=tau_plus,
         eigvec=est.eigvec,
         kappa_fcd=config.kappa_fcd,
-        method=config.trs_method,
     )
 
     # Step 3: merit loop, then shared-sample value estimates at both points.
@@ -382,7 +380,8 @@ def iterate(
     step.pred = pred
 
     if report is not None:
-        _check_step(report, step, c, J, grad, H, delta, config.kappa_fcd, pred, threshold, slack)
+        check_step(report, step, c, J, grad, H, delta, config.kappa_fcd)
+        report.add("pred_threshold", pred - threshold <= slack, pred - threshold)
 
     x_trial = x + step.dx
     f_k, f_s, batch_f = estimator.estimate_values(

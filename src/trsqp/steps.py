@@ -135,7 +135,6 @@ def tangential_gradient(
     Z: np.ndarray,
     tangential_radius: float,
     kappa_fcd: float = 1.0,
-    method: str = "auto",
 ) -> np.ndarray:
     """Reduced trust-region solve for the gradient-step tangential component.
 
@@ -147,7 +146,7 @@ def tangential_gradient(
         return np.zeros(Z.shape[1])
     g_r = Z.T @ (grad + H @ w)
     H_r = Z.T @ H @ Z
-    u = linalg.trs_solve(H_r, g_r, tangential_radius, method=method)
+    u = linalg.trs_solve(H_r, g_r, tangential_radius)
     m_u = linalg.model_value(H_r, g_r, u)
     g_r_norm = np.linalg.norm(g_r)
     h_r_norm = linalg.spectral_norm(H_r)
@@ -243,7 +242,6 @@ def build_trial_step(
     tau_plus: float = 0.0,
     eigvec: np.ndarray | None = None,
     kappa_fcd: float = 1.0,
-    method: str = "auto",
 ) -> TrialStep:
     """Assemble a full trial step of the requested kind.
 
@@ -261,7 +259,7 @@ def build_trial_step(
     split = split_radius(kind, delta, c_rs_norm, opt_rs)
     v, gamma, w = normal_step(c, J, split.normal)
     if kind == GRADIENT_STEP:
-        u = tangential_gradient(H, grad, w, J.Z, split.tangential, kappa_fcd, method)
+        u = tangential_gradient(H, grad, w, J.Z, split.tangential, kappa_fcd)
     else:
         u = tangential_eigen(H, grad, w, J.Z, split.tangential, tau, eigvec)
     t = J.Z @ u

@@ -158,8 +158,9 @@ class TestConfigFile:
         # kappa_f re-derived from the overridden eta.
         assert cfg.accuracy.kappa_f == pytest.approx(0.3**3 / 80.0)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["warp_speed", "trs_method", "check_invariants"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("warp_speed = 9\n")
-        with pytest.raises(ValueError, match="warp_speed"):
+        cfg_file.write_text(f"{key} = 9\n")
+        with pytest.raises(ValueError, match=key):
             build_config(read_config_file(cfg_file), {})

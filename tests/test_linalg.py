@@ -169,17 +169,16 @@ class TestCauchyPoint:
 
 
 class TestTrsSolve:
-    @pytest.mark.parametrize("method", ["exact", "dogleg", "steihaug"])
-    def test_pd_interior(self, method):
+    def test_pd_interior(self):
         g = np.array([3.0, 4.0])
-        u = trs_solve(np.eye(2), g, 1.0, method=method)
+        u = trs_solve(np.eye(2), g, 1.0)
         m = model_value(np.eye(2), g, u)
         assert m == pytest.approx(-4.5, abs=1e-10)
         assert m <= fcd_rhs(np.eye(2), g, 1.0) + 1e-12
 
     def test_negative_curvature_boundary(self):
         H = np.diag([-1.0, 1.0])
-        u = trs_solve(H, np.zeros(2), 2.0, method="exact")
+        u = trs_solve(H, np.zeros(2), 2.0)
         assert abs(abs(u[0]) - 2.0) < 1e-9
         assert abs(u[1]) < 1e-9
         assert model_value(H, np.zeros(2), u) == pytest.approx(-2.0, abs=1e-9)
@@ -189,12 +188,11 @@ class TestTrsSolve:
         for _ in range(20):
             H = rng.standard_normal((4, 4))
             H = 0.5 * (H + H.T)
-            u = trs_solve(H, np.zeros(4), 1.5, method="exact")
+            u = trs_solve(H, np.zeros(4), 1.5)
             assert model_value(H, np.zeros(4), u) <= 1e-12
             assert np.linalg.norm(u) <= 1.5 * (1 + 1e-12)
 
-    @pytest.mark.parametrize("method", ["exact", "dogleg", "steihaug"])
-    def test_randomized_fcd_and_radius(self, method):
+    def test_randomized_fcd_and_radius(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
             n = int(rng.integers(1, 7))
@@ -202,7 +200,7 @@ class TestTrsSolve:
             H = 0.5 * (H + H.T)
             g = rng.standard_normal(n)
             radius = float(rng.uniform(0.05, 3.0))
-            u = trs_solve(H, g, radius, method=method)
+            u = trs_solve(H, g, radius)
             assert np.linalg.norm(u) <= radius * (1 + 1e-12)
             m = model_value(H, g, u)
             rhs = fcd_rhs(H, g, radius)
@@ -216,7 +214,26 @@ class TestTrsSolve:
             H = 0.5 * (H + H.T)
             g = rng.standard_normal(n)
             radius = float(rng.uniform(0.05, 3.0))
-            u = trs_solve(H, g, radius, method="exact")
+            u = trs_solve(H, g, radius)
+            uc = cauchy_point(H, g, radius)
+            mu, mc = model_value(H, g, u), model_value(H, g, uc)
+            assert mu <= mc + 1e-10 * max(1.0, abs(mc))
+        # Near the hard case: a repeated negative bottom eigenvalue with g's
+        # bottom components nearly, but not exactly, zero.
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            k = int(rng.integers(1, n + 1))
+            lam = -float(rng.uniform(0.1, 3.0))
+            w = np.concatenate([np.full(k, lam), lam + rng.uniform(0.1, 3.0, n - k)])
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            H = (Q * w) @ Q.T
+            H = 0.5 * (H + H.T)
+            gq = rng.standard_normal(n)
+            gq[:k] *= 10.0 ** -rng.uniform(4.0, 14.0)
+            g = Q @ gq
+            radius = float(rng.uniform(0.05, 3.0))
+            u = trs_solve(H, g, radius)
             uc = cauchy_point(H, g, radius)
             mu, mc = model_value(H, g, u), model_value(H, g, uc)
             assert mu <= mc + 1e-10 * max(1.0, abs(mc))
@@ -225,10 +242,16 @@ class TestTrsSolve:
         # g orthogonal to the bottom eigenspace, limit point interior.
         H = np.diag([-2.0, 1.0])
         g = np.array([0.0, 0.1])
-        u = trs_solve(H, g, 1.0, method="exact")
+        u = trs_solve(H, g, 1.0)
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-9)
         # Reduction must beat the pure eigendirection step.
         assert model_value(H, g, u) <= -1.0 + 1e-9
+        # Nearly hard: the pole at -lam_min is too sharp for root finding to
+        # reach the boundary, where the minimizer lies.
+        H, g = np.array([[-1.0]]), np.array([1e-12])
+        u = trs_solve(H, g, 3.0)
+        assert np.linalg.norm(u) == pytest.approx(3.0, abs=1e-12)
+        assert model_value(H, g, u) <= model_value(H, g, cauchy_point(H, g, 3.0))
 
     def test_nonfinite_raises(self):
         with pytest.raises(NonFiniteInput):

@@ -118,7 +118,7 @@ class TestTangentialGradient:
         Z = np.eye(4)[:, :2]
         H = np.eye(4)
         grad = np.array([3.0, 4.0, 0.0, 0.0])
-        u = tangential_gradient(H, grad, np.zeros(4), Z, 1.0, method="exact")
+        u = tangential_gradient(H, grad, np.zeros(4), Z, 1.0)
         m = linalg.model_value(Z.T @ H @ Z, Z.T @ grad, u)
         assert m == pytest.approx(-4.5, abs=1e-10)
 
@@ -129,7 +129,7 @@ class TestTangentialGradient:
 
     def test_zero_reduced_gradient_psd(self):
         Z = np.eye(3)[:, :2]
-        u = tangential_gradient(np.eye(3), np.zeros(3), np.zeros(3), Z, 1.0, method="exact")
+        u = tangential_gradient(np.eye(3), np.zeros(3), np.zeros(3), Z, 1.0)
         assert np.linalg.norm(u) <= 1e-12
 
 
@@ -225,7 +225,7 @@ class TestPredictedReduction:
         for _ in range(100):
             c, J, grad, H, grad_l = random_state(rng)
             step = build_trial_step(
-                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, 1.0, method="exact"
+                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, 1.0
             )
             mu = float(rng.uniform(0.5, 20.0))
             pred = predicted_reduction(grad, H, mu, c, J.G, step.dx)
@@ -242,8 +242,7 @@ class TestBuildTrialStep:
             G = J.G
             delta = float(rng.uniform(0.05, 3.0))
             step = build_trial_step(
-                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, delta,
-                method="exact",
+                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, delta
             )
             w_norm, t_norm = np.linalg.norm(step.w), np.linalg.norm(step.t)
             assert abs(step.w @ step.t) <= 1e-10 * max(w_norm * t_norm, 1e-300)
