@@ -30,7 +30,7 @@ class NotNegativeCurvature(TrsqpError):
 
 
 class MeritLoopDiverged(TrsqpError):
-    """The merit-parameter loop hit its iteration cap."""
+    """The merit parameter overflowed: no finite value clears the Pred threshold."""
 
 
 class MissingNoiselessOracle(TrsqpError):

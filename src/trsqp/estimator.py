@@ -39,6 +39,10 @@ __all__ = [
 
 VALUE, GRADIENT, HESSIAN = "value", "gradient", "hessian"
 
+# Fresh gradient sample sets drawn when an estimated KKT residual is exactly
+# zero, before the zero is passed through to the progress criterion.
+MAX_RESAMPLE = 5
+
 
 @dataclass(frozen=True)
 class AccuracyParams:
@@ -249,22 +253,21 @@ class BatchedLagrangianHessian:
         return mean + _lagrangian_term(problem, x, lam)
 
 
-_STRATEGIES = {
-    "identity": lambda dim, window: IdentityHessian(dim),
-    "sr1": lambda dim, window: SR1Hessian(dim),
-    "esth": lambda dim, window: SampledLagrangianHessian(),
-    "aveh": lambda dim, window: AveragedLagrangianHessian(window),
-    "lagrangian": lambda dim, window: BatchedLagrangianHessian(),
+HESSIAN_STRATEGIES = {
+    "identity": IdentityHessian,
+    "sr1": SR1Hessian,
+    "esth": lambda dim: SampledLagrangianHessian(),
+    "aveh": lambda dim: AveragedLagrangianHessian(),
 }
 
 
-def make_hessian_strategy(name: str, alpha: int, dim: int, window: int = 50):
+def make_hessian_strategy(name: str, alpha: int, dim: int):
     """Instantiate a Hessian strategy; second-order runs always use the
     batched Lagrangian estimate."""
     if alpha == 1:
         return BatchedLagrangianHessian()
     try:
-        return _STRATEGIES[name](dim, window)
+        return HESSIAN_STRATEGIES[name](dim)
     except KeyError:
         raise ValueError(f"unknown Hessian strategy {name!r}") from None
 
@@ -302,21 +305,20 @@ def estimate_models(
     delta: float,
     params: AccuracyParams,
     stream: RngStream,
-    max_resample: int = 5,
 ) -> Estimates:
     """Gradient, multiplier, and Hessian estimation opening an iteration.
 
     Every attempt reads the multiplier off the one factorization ``J`` of
     the constraint Jacobian. A zero estimated KKT residual is resampled up
-    to ``max_resample`` times (fresh sample sets) before being passed
+    to ``MAX_RESAMPLE`` times (fresh sample sets) before being passed
     through; the caller's progress criterion then fails the iteration.
     """
     grad, batch_grad = estimate_gradient(problem, x, delta, params, stream.child("grad"))
-    for attempt in range(1, max_resample + 2):
+    for attempt in range(1, MAX_RESAMPLE + 2):
         lam = J.multiplier(grad)
         grad_l = grad + J.G.T @ lam
         kkt = float(np.sqrt(grad_l @ grad_l + c @ c))
-        if kkt > 0.0 or attempt > max_resample:
+        if kkt > 0.0 or attempt > MAX_RESAMPLE:
             break
         grad, batch_grad = estimate_gradient(
             problem, x, delta, params, stream.child("grad", attempt)

@@ -149,6 +149,10 @@ def cauchy_point(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
 def _exact_trs(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
     """The secular-equation solve behind :func:`trs_solve`."""
     w, Q = scipy.linalg.eigh(0.5 * (H + H.T))
+    # eigh returns the zero eigenvalues of a singular H as roundoff of either
+    # sign. A roundoff-positive one would send a g orthogonal to the kernel
+    # down the positive-definite branch, which divides by it.
+    w[np.abs(w) <= 1e-12 * np.max(np.abs(w))] = 0.0
     gq = Q.T @ g
     lam_min = float(w[0])
 

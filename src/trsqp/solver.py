@@ -46,6 +46,11 @@ UNSUCCESSFUL_REJECTED = "unsuccessful-rejected"
 PRED_SLACK = 1e-12
 PRED_ABS_SLACK = 1e-13
 
+# Floor on the reliability parameter, which would otherwise underflow to 0.
+EPS_FLOOR = 1e-300
+# Consecutive estimate-based KKT hits needed to stop without an exact oracle.
+STOP_PATIENCE = 5
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -75,16 +80,13 @@ class SolverConfig:
     max_iters: int = 10_000
     delta_min: float = 1e-12
     use_true_kkt: bool | None = None
-    stop_patience: int = 5
-    merit_loop_cap: int = 100
-    max_resample: int = 5
     seed: int = 0
-    aveh_window: int = 50
-    eps_floor: float = 1e-300
 
     def __post_init__(self):
         if self.alpha not in (0, 1):
             raise ValueError("alpha must be 0 or 1")
+        if self.hessian not in estimator.HESSIAN_STRATEGIES:
+            raise ValueError(f"hessian must be one of {', '.join(estimator.HESSIAN_STRATEGIES)}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
         if self.gamma <= 1.0 or self.rho <= 1.0:
@@ -133,9 +135,7 @@ class SolverState:
         x0 = np.asarray(x0, dtype=float).copy()
         if x0.shape != (problem.dim,):
             raise ValueError(f"x0 must have shape ({problem.dim},)")
-        strategy = estimator.make_hessian_strategy(
-            config.hessian, config.alpha, problem.dim, config.aveh_window
-        )
+        strategy = estimator.make_hessian_strategy(config.hessian, config.alpha, problem.dim)
         return cls(
             x=x0,
             delta=config.delta0,
@@ -232,6 +232,11 @@ class RunResult:
     wall_time: float
 
 
+def _shrink_eps(eps: float, config: SolverConfig) -> float:
+    """The reliability parameter after an unreliable or failed iteration."""
+    return max(eps / config.gamma, EPS_FLOOR)
+
+
 def check_step(report, step, c, J, grad, H, delta, kappa_fcd):
     """Re-verify a constructed trial step against its defining inequalities,
     adding one row per inequality to ``report``."""
@@ -303,7 +308,7 @@ def iterate(
 
     # Step 1: gradient, multiplier, KKT residual, Hessian approximation.
     est = estimator.estimate_models(
-        problem, x, c, J, state.strategy, delta, params, it_stream, config.max_resample
+        problem, x, c, J, state.strategy, delta, params, it_stream
     )
     grad, H = est.grad, est.hessian
     kkt_est, tau_plus = est.kkt_norm, est.tau_plus
@@ -333,7 +338,7 @@ def iterate(
     # reliability parameter without touching the iterate.
     if max(kkt_est / max(1.0, h_norm), tau_plus) < config.eta * delta:
         state.delta = delta / config.gamma
-        state.eps = max(state.eps / config.gamma, config.eps_floor)
+        state.eps = _shrink_eps(state.eps, config)
         state.k = k + 1
         record = make_record(UNSUCCESSFUL_LINE6, "none", False, math.nan, math.nan, 0)
         return state, record
@@ -365,19 +370,17 @@ def iterate(
     # The linearized constraint reduction is -gamma ||c||; when it vanishes
     # the merit parameter cannot move Pred, and the threshold then holds
     # analytically (full-Cauchy gradient steps, curvature-matched eigen
-    # steps), so the loop only runs while escalation makes progress.
+    # steps), so the loop only runs while escalation makes progress. Pred is
+    # then affine in mu with negative slope, so mu overflows only when no
+    # finite mu clears the threshold.
     constraint_drop = float(np.linalg.norm(c + G @ step.dx)) - c_norm
-    loops = 0
     while pred > threshold + slack and constraint_drop < 0.0:
-        if loops >= config.merit_loop_cap:
-            raise MeritLoopDiverged(
-                f"merit parameter exceeded {config.merit_loop_cap} updates at k={k} "
-                f"(pred={pred:.3e}, threshold={threshold:.3e})"
-            )
         state.mu *= config.rho
+        if state.mu == math.inf:
+            raise MeritLoopDiverged(
+                f"merit parameter overflowed at k={k} (pred={pred:.3e}, threshold={threshold:.3e})"
+            )
         pred = steps.predicted_reduction(grad, H, state.mu, c, G, step.dx)
-        loops += 1
-    step.pred = pred
 
     if report is not None:
         check_step(report, step, c, J, grad, H, delta, config.kappa_fcd)
@@ -394,10 +397,8 @@ def iterate(
     soc_performed = False
     accepted = ared / pred >= config.eta
     if not accepted and config.alpha == 1 and c_norm <= config.r:
-        d = steps.soc_step(problem, x, step.dx, J)
-        step.soc = d
         soc_performed = True
-        x_trial = x + step.dx + d
+        x_trial = x + step.dx + steps.soc_step(problem, x, step.dx, J)
         f_s, _ = estimator.estimate_value(
             problem, x_trial, delta, state.eps, params, it_stream.child("soc-value")
         )
@@ -414,11 +415,11 @@ def iterate(
             state.eps = config.gamma * state.eps
         else:
             outcome = SUCCESSFUL_UNRELIABLE
-            state.eps = max(state.eps / config.gamma, config.eps_floor)
+            state.eps = _shrink_eps(state.eps, config)
     else:
         outcome = UNSUCCESSFUL_REJECTED
         state.delta = delta / config.gamma
-        state.eps = max(state.eps / config.gamma, config.eps_floor)
+        state.eps = _shrink_eps(state.eps, config)
 
     state.k = k + 1
     record = make_record(outcome, kind, soc_performed, pred, ared, batch_f)
@@ -477,7 +478,7 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
         if not use_true:
             crit = record.kkt_est if config.alpha == 0 else max(record.kkt_est, record.tau_est)
             hits = hits + 1 if crit <= config.kkt_tol else 0
-            if hits >= config.stop_patience:
+            if hits >= STOP_PATIENCE:
                 converged = True
                 stop_reason = "converged"
                 break

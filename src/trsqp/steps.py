@@ -54,27 +54,19 @@ class RadiusSplit:
 
     normal: float
     tangential: float
-    mode: str
 
 
 @dataclass
 class TrialStep:
-    """A constructed trial step and its ingredients.
-
-    ``pred`` is filled by the merit loop once the penalty parameter is
-    fixed; ``soc`` is attached when a second-order correction is computed.
-    """
+    """A constructed trial step and its ingredients."""
 
     kind: str
-    v: np.ndarray
     gamma: float
     w: np.ndarray
     u: np.ndarray
     t: np.ndarray
     dx: np.ndarray
     split: RadiusSplit
-    pred: float = np.nan
-    soc: np.ndarray | None = None
 
 
 def rescaled_residuals(
@@ -108,7 +100,6 @@ def split_radius(mode: str, delta: float, c_rs_norm: float, opt_rs: float) -> Ra
     return RadiusSplit(
         normal=delta * c_rs_norm / denom,
         tangential=delta * opt_rs / denom,
-        mode=mode,
     )
 
 
@@ -257,10 +248,10 @@ def build_trial_step(
     else:
         raise ValueError(f"unknown step kind {kind!r}")
     split = split_radius(kind, delta, c_rs_norm, opt_rs)
-    v, gamma, w = normal_step(c, J, split.normal)
+    _, gamma, w = normal_step(c, J, split.normal)
     if kind == GRADIENT_STEP:
         u = tangential_gradient(H, grad, w, J.Z, split.tangential, kappa_fcd)
     else:
         u = tangential_eigen(H, grad, w, J.Z, split.tangential, tau, eigvec)
     t = J.Z @ u
-    return TrialStep(kind=kind, v=v, gamma=gamma, w=w, u=u, t=t, dx=w + t, split=split)
+    return TrialStep(kind=kind, gamma=gamma, w=w, u=u, t=t, dx=w + t, split=split)

@@ -158,7 +158,19 @@ class TestConfigFile:
         # kappa_f re-derived from the overridden eta.
         assert cfg.accuracy.kappa_f == pytest.approx(0.3**3 / 80.0)
 
-    @pytest.mark.parametrize("key", ["warp_speed", "trs_method", "check_invariants"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "warp_speed",
+            "trs_method",
+            "check_invariants",
+            "merit_loop_cap",
+            "max_resample",
+            "aveh_window",
+            "eps_floor",
+            "stop_patience",
+        ],
+    )
     def test_unknown_key_rejected(self, tmp_path, key):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(f"{key} = 9\n")

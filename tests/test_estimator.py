@@ -271,6 +271,6 @@ class TestEstimateModels:
         c, J = prob.constraint(x), nullspace_basis(prob.jacobian(x))
         est = estimator.estimate_models(
             prob, x, c, J, make_hessian_strategy("identity", 0, 2),
-            1.0, AccuracyParams(alpha=0), RngStream(0).child(0), max_resample=3,
+            1.0, AccuracyParams(alpha=0), RngStream(0).child(0),
         )
         assert est.kkt_norm == 0.0

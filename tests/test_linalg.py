@@ -207,6 +207,12 @@ class TestTrsSolve:
             assert m <= rhs + 1e-10 * max(1.0, abs(rhs))
 
     def test_exact_beats_cauchy(self):
+        def beats_cauchy(H, g, radius):
+            u = trs_solve(H, g, radius)
+            uc = cauchy_point(H, g, radius)
+            mu, mc = model_value(H, g, u), model_value(H, g, uc)
+            assert mu <= mc + 1e-10 * max(1.0, abs(mc))
+
         rng = np.random.default_rng(23)
         for _ in range(300):
             n = int(rng.integers(1, 7))
@@ -214,10 +220,7 @@ class TestTrsSolve:
             H = 0.5 * (H + H.T)
             g = rng.standard_normal(n)
             radius = float(rng.uniform(0.05, 3.0))
-            u = trs_solve(H, g, radius)
-            uc = cauchy_point(H, g, radius)
-            mu, mc = model_value(H, g, u), model_value(H, g, uc)
-            assert mu <= mc + 1e-10 * max(1.0, abs(mc))
+            beats_cauchy(H, g, radius)
         # Near the hard case: a repeated negative bottom eigenvalue with g's
         # bottom components nearly, but not exactly, zero.
         rng = np.random.default_rng(29)
@@ -233,10 +236,23 @@ class TestTrsSolve:
             gq[:k] *= 10.0 ** -rng.uniform(4.0, 14.0)
             g = Q @ gq
             radius = float(rng.uniform(0.05, 3.0))
-            u = trs_solve(H, g, radius)
-            uc = cauchy_point(H, g, radius)
-            mu, mc = model_value(H, g, u), model_value(H, g, uc)
-            assert mu <= mc + 1e-10 * max(1.0, abs(mc))
+            beats_cauchy(H, g, radius)
+        # Singular positive semidefinite H with g orthogonal to its kernel:
+        # eigh returns the zero eigenvalues as roundoff of either sign, and
+        # the minimizer is the interior point -H^+ g.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, n))
+            w = np.concatenate([np.zeros(k), rng.uniform(0.1, 3.0, n - k)])
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            H = (Q * w) @ Q.T
+            H = 0.5 * (H + H.T)
+            gq = rng.standard_normal(n)
+            gq[:k] = 0.0
+            g = Q @ gq
+            radius = float(rng.uniform(0.1, 2.0))
+            beats_cauchy(H, g, radius)
 
     def test_hard_case(self):
         # g orthogonal to the bottom eigenspace, limit point interior.

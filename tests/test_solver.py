@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from trsqp.benchmarks import make_quadratic, make_saddle, true_kkt
+from trsqp.cli import _initial_point
 from trsqp.errors import MissingNoiselessOracle
 from trsqp.estimator import AccuracyParams
-from trsqp.problem import GaussianNoiseSpec, gaussian_noisy
+from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
+    EPS_FLOOR,
+    STOP_PATIENCE,
     SUCCESSFUL_RELIABLE,
     SUCCESSFUL_UNRELIABLE,
     UNSUCCESSFUL_LINE6,
@@ -36,6 +39,10 @@ class TestConfigValidation:
             SolverConfig(delta0=6.0, delta_max=5.0)
         with pytest.raises(ValueError):
             SolverConfig(alpha=2)
+        with pytest.raises(ValueError, match="hessian"):
+            SolverConfig(alpha=1, hessian="sr-1")
+        with pytest.raises(ValueError, match="hessian"):
+            SolverConfig(alpha=0, hessian="lagrangian")
 
     def test_alpha_mismatch_rejected(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -117,14 +124,14 @@ class TestIterate:
             if rec.outcome in (UNSUCCESSFUL_LINE6, UNSUCCESSFUL_REJECTED):
                 assert np.array_equal(state.x, x0)
                 assert state.delta == d0 / cfg.gamma
-                assert state.eps == max(e0 / cfg.gamma, cfg.eps_floor)
+                assert state.eps == max(e0 / cfg.gamma, EPS_FLOOR)
             else:
                 assert not np.array_equal(state.x, x0)
                 assert state.delta == min(cfg.gamma * d0, cfg.delta_max)
                 if rec.outcome == SUCCESSFUL_RELIABLE:
                     assert state.eps == cfg.gamma * e0
                 else:
-                    assert state.eps == max(e0 / cfg.gamma, cfg.eps_floor)
+                    assert state.eps == max(e0 / cfg.gamma, EPS_FLOOR)
 
 
 class TestRun:
@@ -160,8 +167,27 @@ class TestRun:
         )
         res = run(prob, np.array([2.0, 0.0]), cfg)
         assert res.converged
-        tail = [r.kkt_est for r in res.records[-cfg.stop_patience:]]
+        tail = [r.kkt_est for r in res.records[-STOP_PATIENCE:]]
         assert all(v <= cfg.kkt_tol for v in tail)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_objective_scaled_by_1e8(self, seed):
+        # The merit parameter has to grow by about the objective scale in the
+        # first iteration; it rises as far as Pred needs, with no cap.
+        saddle = make_saddle()
+        base, scale = saddle.noiseless, 1e8
+        oracle = NoiselessOracle(
+            value=lambda x: scale * base.value(x),
+            gradient=lambda x: scale * base.gradient(x),
+            hessian=lambda x: scale * base.hessian(x),
+        )
+        prob = exact_problem(
+            2, 1, oracle, saddle.constraint, saddle.jacobian, saddle.constraint_hessians
+        )
+        cfg = SolverConfig(alpha=1, kkt_tol=1e-4, seed=seed)
+        res = run(prob, _initial_point("saddle", prob, seed), cfg)
+        assert res.invariants.total_violations == 0
+        assert np.linalg.norm(res.state.x - np.array([-1.0, 0.0])) <= 1e-9
 
     def test_true_kkt_needs_oracle(self):
         from trsqp.problem import Problem
