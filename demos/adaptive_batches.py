@@ -13,12 +13,12 @@ import trsqp
 from trsqp import estimator
 from trsqp.rng import RngStream
 
-params = trsqp.AccuracyParams(alpha=1)
+config = trsqp.SolverConfig(alpha=1)
 print(f"{'radius':>8} {'value batch':>12} {'gradient batch':>15} {'hessian batch':>14}")
 for delta in (5.0, 2.0, 1.0, 0.5, 0.2, 0.1, 0.05):
-    n_f = estimator.batch_size(estimator.VALUE, delta, 1.0, params)
-    n_g = estimator.batch_size(estimator.GRADIENT, delta, 1.0, params)
-    n_h = estimator.batch_size(estimator.HESSIAN, delta, 1.0, params)
+    n_f = estimator.batch_size(estimator.VALUE, delta, 1.0, config)
+    n_g = estimator.batch_size(estimator.GRADIENT, delta, 1.0, config)
+    n_h = estimator.batch_size(estimator.HESSIAN, delta, 1.0, config)
     print(f"{delta:>8.2f} {n_f:>12} {n_g:>15} {n_h:>14}")
 print("(batches clamp at 10000)\n")
 
@@ -29,10 +29,10 @@ delta = 1.0
 trials, failures = 500, 0
 for t in range(trials):
     g_bar, n = estimator.estimate_gradient(
-        problem, x, delta, params, RngStream(t).child("demo")
+        problem, x, delta, config, RngStream(t).child("demo")
     )
-    failures += np.linalg.norm(g_bar - g_true) > params.kappa_g * delta**2
+    failures += np.linalg.norm(g_bar - g_true) > config.kappa_g * delta**2
 print(
     f"gradient accuracy event at radius {delta}: "
-    f"{failures}/{trials} failures observed, nominal bound {params.p_g:.0%}"
+    f"{failures}/{trials} failures observed, nominal bound {config.p_g:.0%}"
 )

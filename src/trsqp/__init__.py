@@ -16,7 +16,6 @@ from .benchmarks import (
     make_saddle,
     true_kkt,
 )
-from .estimator import AccuracyParams
 from .problem import (
     GaussianNoiseSpec,
     NoiselessOracle,
@@ -30,7 +29,6 @@ from .rng import RngStream
 from .solver import IterationRecord, RunResult, SolverConfig, SolverState, iterate, run
 
 __all__ = [
-    "AccuracyParams",
     "GaussianNoiseSpec",
     "IterationRecord",
     "NoiselessOracle",

@@ -26,6 +26,9 @@ __all__ = [
     "true_kkt",
 ]
 
+# Constraint matrices drawn before a logistic problem gives up on full row rank.
+MAX_RANK_RETRIES = 100
+
 
 def _analytic_problem(dim, m, f, g, h, c, G, c_hess, name):
     oracle = NoiselessOracle(value=f, gradient=g, hessian=h)
@@ -79,7 +82,6 @@ class SyntheticLogisticSpec:
     n_records: int = 6000
     num_constraints: int = 5
     feature_law: str = "normal"
-    max_rank_retries: int = 100
 
     def __post_init__(self):
         if self.feature_law not in ("normal", "exponential"):
@@ -121,7 +123,6 @@ def make_logistic_from_data(
     labels: np.ndarray,
     num_constraints: int = 5,
     rng: np.random.Generator | None = None,
-    max_rank_retries: int = 100,
     name: str = "logistic",
 ) -> Problem:
     """Equality-constrained logistic regression over a given dataset.
@@ -131,10 +132,10 @@ def make_logistic_from_data(
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     n, d = features.shape
-    for _ in range(max_rank_retries):
+    for _ in range(MAX_RANK_RETRIES):
         A = rng.standard_normal((num_constraints, d))
         s = np.linalg.svd(A, compute_uv=False)
-        if s[-1] > 1e-10 * s[0]:
+        if s[-1] > linalg.RANK_TOL * s[0]:
             break
     else:
         raise DatasetGenerationFailed("could not draw a full-row-rank constraint matrix")
@@ -175,7 +176,6 @@ def make_logistic(spec: SyntheticLogisticSpec, rng: np.random.Generator) -> Prob
         labels,
         num_constraints=spec.num_constraints,
         rng=rng,
-        max_rank_retries=spec.max_rank_retries,
         name=f"logistic-{spec.feature_law}",
     )
 

@@ -20,16 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmarks, diagnostics
-from .estimator import AccuracyParams
 from .problem import GaussianNoiseSpec, gaussian_noisy, load_labeled_csv
 from .solver import IterationRecord, SolverConfig, run
 
 PROBLEM_CHOICES = ("saddle", "logistic-normal", "logistic-exponential", "quadratic")
 
-# Flat key=value names accepted in config files, split between solver and
-# accuracy parameters.
-_ACCURACY_KEYS = {f.name for f in dataclasses.fields(AccuracyParams)} - {"alpha"}
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(SolverConfig)} - {"accuracy"}
+# Flat key=value names accepted in config files.
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 @dataclasses.dataclass
@@ -76,24 +73,14 @@ def read_config_file(path) -> dict:
 def build_config(file_values: dict, cli_overrides: dict) -> SolverConfig:
     """Assemble a SolverConfig from defaults, a config file, and CLI flags."""
     defaults = SolverConfig()
-    acc_defaults = AccuracyParams()
-    solver_kwargs = {}
-    accuracy_kwargs = {}
+    kwargs = {}
     for key, raw in file_values.items():
-        if key in _ACCURACY_KEYS:
-            accuracy_kwargs[key] = _parse_value(raw, type(getattr(acc_defaults, key)))
-        elif key in _CONFIG_KEYS:
-            default = getattr(defaults, key)
-            target = bool if key == "use_true_kkt" else type(default)
-            solver_kwargs[key] = _parse_value(raw, target)
-        else:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    solver_kwargs.update({k: v for k, v in cli_overrides.items() if v is not None})
-    config = SolverConfig(**solver_kwargs)
-    if accuracy_kwargs:
-        kwargs = {"alpha": config.alpha, "kappa_f": config.kappa_f_bound, **accuracy_kwargs}
-        config = dataclasses.replace(config, accuracy=AccuracyParams(**kwargs))
-    return config
+        target = bool if key == "use_true_kkt" else type(getattr(defaults, key))
+        kwargs[key] = _parse_value(raw, target)
+    kwargs.update({k: v for k, v in cli_overrides.items() if v is not None})
+    return SolverConfig(**kwargs)
 
 
 def _initial_point(problem_name: str, problem, seed: int) -> np.ndarray:
@@ -239,7 +226,10 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.seeds is None:
         env_seed = os.environ.get("TRSQP_SEED")
-        args.seeds = [int(env_seed)] if env_seed else [0]
+        try:
+            args.seeds = [int(env_seed)] if env_seed else [0]
+        except ValueError:
+            parser.error(f"TRSQP_SEED must be an integer, got {env_seed!r}")
     overrides = {
         "alpha": args.alpha,
         "max_iters": args.max_iters,

@@ -154,8 +154,8 @@ def _check_problem(rng) -> list[CheckResult]:
 
 def _check_estimator(rng) -> list[CheckResult]:
     out = []
-    params = estimator.AccuracyParams(alpha=0)
-    n = estimator.batch_size(estimator.GRADIENT, 1.0, 1.0, params)
+    config = SolverConfig(alpha=0)
+    n = estimator.batch_size(estimator.GRADIENT, 1.0, 1.0, config)
     out.append(
         CheckResult(
             "estimator", "gradient batch rule at unit radius", n == 2223, f"got {n}, want 2223"
@@ -167,16 +167,16 @@ def _check_estimator(rng) -> list[CheckResult]:
     failures = 0
     trials = 200
     for t in range(trials):
-        g_bar, _ = estimator.estimate_gradient(prob, x, 1.0, params, RngStream(t, ("diag",)))
-        if np.linalg.norm(g_bar - g_true) > params.kappa_g * 1.0:
+        g_bar, _ = estimator.estimate_gradient(prob, x, 1.0, config, RngStream(t, ("diag",)))
+        if np.linalg.norm(g_bar - g_true) > config.kappa_g * 1.0:
             failures += 1
     freq = failures / trials
     out.append(
         CheckResult(
             "estimator",
             "gradient accuracy event frequency",
-            freq <= params.p_g,
-            f"failure rate {freq:.3f} vs p_g={params.p_g}",
+            freq <= config.p_g,
+            f"failure rate {freq:.3f} vs p_g={config.p_g}",
         )
     )
     G = rng.standard_normal((2, 5))
@@ -220,7 +220,7 @@ def _check_steps(rng, fault: str | None) -> list[CheckResult]:
         grad_l = grad + G.T @ J.multiplier(grad)
         h_norm = linalg.spectral_norm(H)
         step = steps.build_trial_step(steps.GRADIENT_STEP, c, J, grad, H, h_norm, grad_l, delta)
-        check_step(report, step, c, J, grad, H, delta, kappa_fcd=1.0)
+        check_step(report, step, c, J, grad, H, delta)
     viol = report.total_violations
     detail = f"{viol} violations in {report.total_checked} checks"
     return [

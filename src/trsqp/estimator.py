@@ -3,8 +3,10 @@
 Batch sizes follow the Chebyshev rule: the sample count for each estimate
 grows as the trust-region radius (and, for values, the reliability
 parameter) shrinks, so the estimation error stays proportional to the
-radius with fixed probability. On top of the batched estimates this module
-provides the estimated multiplier and the Hessian-approximation strategies.
+radius with fixed probability. The accuracy constants of the rule are
+fields of :class:`solver.SolverConfig`, which every estimate here reads. On
+top of the batched estimates this module provides the estimated multiplier
+and the Hessian-approximation strategies.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,8 +22,10 @@ from . import linalg
 from .problem import Problem
 from .rng import RngStream
 
+if TYPE_CHECKING:
+    from .solver import SolverConfig
+
 __all__ = [
-    "AccuracyParams",
     "Estimates",
     "batch_size",
     "estimate_gradient",
@@ -43,54 +48,18 @@ VALUE, GRADIENT, HESSIAN = "value", "gradient", "hessian"
 # zero, before the zero is passed through to the progress criterion.
 MAX_RESAMPLE = 5
 
-
-@dataclass(frozen=True)
-class AccuracyParams:
-    """Accuracy coefficients, failure probabilities, and variance constants
-    of the random models.
-
-    ``alpha`` is 0 when targeting first-order stationarity and 1 when
-    targeting second-order stationarity; it sharpens the radius exponents in
-    the gradient and value accuracy conditions. The default ``kappa_f`` is
-    the largest value admitted by the default step-acceptance parameters
-    (kappa_fcd * eta^3 / (16 max(1, delta_max)) with kappa_fcd=1, eta=0.4,
-    delta_max=5).
-    """
-
-    alpha: int = 0
-    kappa_f: float = 8e-4
-    kappa_g: float = 0.05
-    kappa_h: float = 0.05
-    p_f: float = 0.9
-    p_g: float = 0.9
-    p_h: float = 0.9
-    c_f: float = 5.0
-    c_g: float = 5.0
-    c_h: float = 5.0
-    batch_cap: int = 10_000
-
-    def __post_init__(self):
-        if self.alpha not in (0, 1):
-            raise ValueError("alpha must be 0 or 1")
-        for name in ("kappa_f", "kappa_g", "kappa_h", "c_f", "c_g", "c_h"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("p_f", "p_g", "p_h"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if self.batch_cap < 1:
-            raise ValueError("batch_cap must be at least 1")
+# Relative tolerance of the SR1 skip rule.
+SR1_SKIP_TOL = 1e-8
 
 
 @dataclass
 class Estimates:
-    """Estimation bundle opening one iteration: gradient, multiplier,
-    Lagrangian gradient and its stacked KKT norm, Hessian approximation with
+    """Estimation bundle opening one iteration: gradient, Lagrangian
+    gradient and its stacked KKT norm, Hessian approximation with
     its operator norm (the iteration's only ||H||) and reduced-curvature
     data, and the batch sizes spent."""
 
     grad: np.ndarray
-    multiplier: np.ndarray
     grad_lagrangian: np.ndarray
     kkt_norm: float
     hessian: np.ndarray
@@ -102,7 +71,7 @@ class Estimates:
     batch_hess: int
 
 
-def batch_size(kind: str, delta: float, eps: float, params: AccuracyParams) -> int:
+def batch_size(kind: str, delta: float, eps: float, config: SolverConfig) -> int:
     """Chebyshev lower bound on the sample count, clamped to [1, batch_cap].
 
     Value batches scale with min{(kappa_f delta^(alpha+2))^2, eps^2};
@@ -111,30 +80,30 @@ def batch_size(kind: str, delta: float, eps: float, params: AccuracyParams) -> i
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    a = params.alpha
+    a = config.alpha
     if kind == HESSIAN:
-        denom = params.p_h * (params.kappa_h * delta) ** 2
-        raw = params.c_h / denom if denom > 0 else math.inf
+        denom = config.p_h * (config.kappa_h * delta) ** 2
+        raw = config.c_h / denom if denom > 0 else math.inf
     elif kind == GRADIENT:
-        denom = params.p_g * (params.kappa_g * delta ** (a + 1)) ** 2
-        raw = params.c_g / denom if denom > 0 else math.inf
+        denom = config.p_g * (config.kappa_g * delta ** (a + 1)) ** 2
+        raw = config.c_g / denom if denom > 0 else math.inf
     elif kind == VALUE:
         if eps <= 0.0:
             raise ValueError("eps must be positive for value batches")
-        denom = params.p_f * min((params.kappa_f * delta ** (a + 2)) ** 2, eps**2)
-        raw = params.c_f / denom if denom > 0 else math.inf
+        denom = config.p_f * min((config.kappa_f * delta ** (a + 2)) ** 2, eps**2)
+        raw = config.c_f / denom if denom > 0 else math.inf
     else:
         raise ValueError(f"unknown batch kind {kind!r}")
     if not math.isfinite(raw):
-        return params.batch_cap
-    return int(min(max(math.ceil(raw), 1), params.batch_cap))
+        return config.batch_cap
+    return int(min(max(math.ceil(raw), 1), config.batch_cap))
 
 
 def estimate_gradient(
-    problem: Problem, x: np.ndarray, delta: float, params: AccuracyParams, stream: RngStream
+    problem: Problem, x: np.ndarray, delta: float, config: SolverConfig, stream: RngStream
 ) -> tuple[np.ndarray, int]:
     """Batch-mean gradient estimate at ``x``."""
-    n = batch_size(GRADIENT, delta, math.inf, params)
+    n = batch_size(GRADIENT, delta, math.inf, config)
     samples = problem.sampler.gradients(x, n, stream)
     return np.mean(samples, axis=0), n
 
@@ -145,22 +114,22 @@ def estimate_values(
     x_s: np.ndarray,
     delta: float,
     eps: float,
-    params: AccuracyParams,
+    config: SolverConfig,
     stream: RngStream,
 ) -> tuple[float, float, int]:
     """Batch-mean value estimates at the current and trial points, both
     from one sample set (the Step-3 estimate)."""
-    n = batch_size(VALUE, delta, eps, params)
+    n = batch_size(VALUE, delta, eps, config)
     f_k = float(np.mean(problem.sampler.values(x_k, n, stream)))
     f_s = float(np.mean(problem.sampler.values(x_s, n, stream)))
     return f_k, f_s, n
 
 
 def estimate_value(
-    problem: Problem, x: np.ndarray, delta: float, eps: float, params: AccuracyParams, stream: RngStream
+    problem: Problem, x: np.ndarray, delta: float, eps: float, config: SolverConfig, stream: RngStream
 ) -> tuple[float, int]:
     """Single-point value estimate on a fresh sample set (SOC re-estimation)."""
-    n = batch_size(VALUE, delta, eps, params)
+    n = batch_size(VALUE, delta, eps, config)
     return float(np.mean(problem.sampler.values(x, n, stream))), n
 
 
@@ -182,7 +151,7 @@ class IdentityHessian:
     def __init__(self, dim: int):
         self._eye = np.eye(dim)
 
-    def build(self, problem, x, lam, grad_l, delta, params, stream):
+    def build(self, problem, x, lam, grad_l, delta, config, stream):
         return self._eye.copy()
 
 
@@ -191,25 +160,24 @@ class SR1Hessian:
 
     The update uses consecutive iterates and estimated Lagrangian gradients;
     it is skipped when the denominator fails the standard safeguard
-    |z^T s| >= tol ||z|| ||s|| (or when the iterate did not move).
+    |z^T s| >= SR1_SKIP_TOL ||z|| ||s|| (or when the iterate did not move).
     """
 
     last_batch = 0
 
-    def __init__(self, dim: int, skip_tol: float = 1e-8):
+    def __init__(self, dim: int):
         self._H = np.eye(dim)
-        self._skip_tol = skip_tol
         self._prev_x = None
         self._prev_grad_l = None
 
-    def build(self, problem, x, lam, grad_l, delta, params, stream):
+    def build(self, problem, x, lam, grad_l, delta, config, stream):
         if self._prev_x is not None:
             s = x - self._prev_x
             y = grad_l - self._prev_grad_l
             z = y - self._H @ s
             norms = np.linalg.norm(z) * np.linalg.norm(s)
             denom = float(z @ s)
-            if norms > 0.0 and abs(denom) >= self._skip_tol * norms:
+            if norms > 0.0 and abs(denom) >= SR1_SKIP_TOL * norms:
                 self._H = self._H + np.outer(z, z) / denom
         self._prev_x = x.copy()
         self._prev_grad_l = grad_l.copy()
@@ -221,7 +189,7 @@ class SampledLagrangianHessian:
 
     last_batch = 1
 
-    def build(self, problem, x, lam, grad_l, delta, params, stream):
+    def build(self, problem, x, lam, grad_l, delta, config, stream):
         sample = problem.sampler.hessians(x, 1, stream)[0]
         return sample + _lagrangian_term(problem, x, lam)
 
@@ -234,7 +202,7 @@ class AveragedLagrangianHessian:
     def __init__(self, window: int = 50):
         self._buffer: deque = deque(maxlen=window)
 
-    def build(self, problem, x, lam, grad_l, delta, params, stream):
+    def build(self, problem, x, lam, grad_l, delta, config, stream):
         sample = problem.sampler.hessians(x, 1, stream)[0]
         self._buffer.append(sample + _lagrangian_term(problem, x, lam))
         return np.mean(self._buffer, axis=0)
@@ -246,8 +214,8 @@ class BatchedLagrangianHessian:
     def __init__(self):
         self.last_batch = 0
 
-    def build(self, problem, x, lam, grad_l, delta, params, stream):
-        n = batch_size(HESSIAN, delta, math.inf, params)
+    def build(self, problem, x, lam, grad_l, delta, config, stream):
+        n = batch_size(HESSIAN, delta, math.inf, config)
         self.last_batch = n
         mean = np.mean(problem.sampler.hessians(x, n, stream), axis=0)
         return mean + _lagrangian_term(problem, x, lam)
@@ -280,7 +248,7 @@ def build_hessian(
     grad_l: np.ndarray,
     Z: np.ndarray,
     delta: float,
-    params: AccuracyParams,
+    config: SolverConfig,
     stream: RngStream,
 ) -> tuple[np.ndarray, float | None, float, np.ndarray | None, int]:
     """Hessian approximation plus reduced-curvature data.
@@ -288,9 +256,9 @@ def build_hessian(
     Returns ``(H, tau, tau_plus, eigvec, batch)``. For first-order runs
     ``tau_plus`` is pinned to zero and no eigenpair is computed.
     """
-    H = strategy.build(problem, x, lam, grad_l, delta, params, stream)
+    H = strategy.build(problem, x, lam, grad_l, delta, config, stream)
     H = 0.5 * (H + H.T)
-    if params.alpha == 1:
+    if config.alpha == 1:
         tau, zeta = linalg.smallest_eigpair(Z.T @ H @ Z)
         return H, tau, abs(min(tau, 0.0)), zeta, strategy.last_batch
     return H, None, 0.0, None, strategy.last_batch
@@ -303,7 +271,7 @@ def estimate_models(
     J: linalg.JacobianFactor,
     strategy,
     delta: float,
-    params: AccuracyParams,
+    config: SolverConfig,
     stream: RngStream,
 ) -> Estimates:
     """Gradient, multiplier, and Hessian estimation opening an iteration.
@@ -313,7 +281,7 @@ def estimate_models(
     to ``MAX_RESAMPLE`` times (fresh sample sets) before being passed
     through; the caller's progress criterion then fails the iteration.
     """
-    grad, batch_grad = estimate_gradient(problem, x, delta, params, stream.child("grad"))
+    grad, batch_grad = estimate_gradient(problem, x, delta, config, stream.child("grad"))
     for attempt in range(1, MAX_RESAMPLE + 2):
         lam = J.multiplier(grad)
         grad_l = grad + J.G.T @ lam
@@ -321,14 +289,13 @@ def estimate_models(
         if kkt > 0.0 or attempt > MAX_RESAMPLE:
             break
         grad, batch_grad = estimate_gradient(
-            problem, x, delta, params, stream.child("grad", attempt)
+            problem, x, delta, config, stream.child("grad", attempt)
         )
     H, tau, tau_plus, eigvec, batch_hess = build_hessian(
-        strategy, problem, x, lam, grad_l, J.Z, delta, params, stream.child("hess")
+        strategy, problem, x, lam, grad_l, J.Z, delta, config, stream.child("hess")
     )
     return Estimates(
         grad=grad,
-        multiplier=lam,
         grad_lagrangian=grad_l,
         kkt_norm=kkt,
         hessian=H,

@@ -37,17 +37,17 @@ def _require_finite(*arrays) -> None:
             raise NonFiniteInput("input contains NaN or infinity")
 
 
-def _checked_svd(G: np.ndarray, rank_tol: float):
+def _checked_svd(G: np.ndarray):
     """SVD of an m-by-d Jacobian, m <= d, with a full-row-rank check."""
     _require_finite(G)
     if G.ndim != 2 or G.shape[0] > G.shape[1]:
         raise ValueError(f"expected an m-by-d Jacobian with m <= d, got shape {G.shape}")
     m = G.shape[0]
     U, s, Vt = scipy.linalg.svd(G, full_matrices=True)
-    if m == 0 or s[m - 1] <= rank_tol * s[0]:
+    if m == 0 or s[m - 1] <= RANK_TOL * s[0]:
         raise RankDeficient(
             f"smallest singular value {s[-1] if m else 0.0:.3e} below "
-            f"tolerance {rank_tol:.1e} * {s[0] if m else 0.0:.3e}"
+            f"tolerance {RANK_TOL:.1e} * {s[0] if m else 0.0:.3e}"
         )
     return U, s, Vt
 
@@ -69,11 +69,11 @@ class JacobianFactor:
     Vt: np.ndarray
 
     @classmethod
-    def of(cls, G: np.ndarray, rank_tol: float = RANK_TOL) -> "JacobianFactor":
+    def of(cls, G: np.ndarray) -> "JacobianFactor":
         """Factor G; raises RankDeficient when its smallest singular value
-        falls below ``rank_tol`` times the largest one."""
+        falls below ``RANK_TOL`` times the largest one."""
         G = np.asarray(G, dtype=float)
-        U, s, Vt = _checked_svd(G, rank_tol)
+        U, s, Vt = _checked_svd(G)
         m = G.shape[0]
         # Right-singular vectors beyond the row rank span ker(G); LAPACK's SVD
         # is deterministic for identical input bits.
@@ -90,14 +90,14 @@ class JacobianFactor:
         return -self.U @ ((self.Vt @ g) / self.s)
 
 
-def nullspace_basis(G: np.ndarray, rank_tol: float = RANK_TOL) -> JacobianFactor:
+def nullspace_basis(G: np.ndarray) -> JacobianFactor:
     """The factorization of G that ``solver.iterate`` takes once per iteration."""
-    return JacobianFactor.of(G, rank_tol)
+    return JacobianFactor.of(G)
 
 
-def min_norm_pull(G: np.ndarray, rhs: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def min_norm_pull(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least-norm solution of G y = -rhs; see :meth:`JacobianFactor.pull`."""
-    return JacobianFactor.of(G, rank_tol).pull(rhs)
+    return JacobianFactor.of(G).pull(rhs)
 
 
 def smallest_eigpair(S: np.ndarray) -> tuple[float, np.ndarray]:
@@ -224,7 +224,7 @@ def trs_solve(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
     Safeguarded secular-equation root finding on the eigendecomposition of
     H, covering the interior, boundary and hard cases of More and Sorensen
     (1983). The minimizer's model value is at most the Cauchy point's, so
-    the fraction-of-Cauchy-decrease condition holds with kappa_fcd = 1.
+    the fraction-of-Cauchy-decrease condition holds with constant 1.
 
     Returns u with ||u|| <= radius; a root-finding overshoot is scaled back
     onto the sphere.

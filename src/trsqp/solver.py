@@ -19,7 +19,6 @@ import numpy as np
 
 from . import benchmarks, estimator, linalg, steps
 from .errors import MeritLoopDiverged, MissingNoiselessOracle
-from .estimator import AccuracyParams
 from .problem import Problem
 from .rng import RngStream
 
@@ -62,6 +61,12 @@ class SolverConfig:
     ``hessian`` picks the first-order Hessian strategy ('identity', 'sr1',
     'esth', 'aveh'); second-order runs (alpha=1) always estimate the
     Lagrangian Hessian with radius-adaptive batches.
+
+    The random models' accuracy coefficients (``kappa_g``, ``kappa_h``),
+    failure probabilities (``p_*``) and variance constants (``c_*``) set
+    the Chebyshev batch sizes, clamped to [1, ``batch_cap``]; ``alpha``
+    sharpens the radius exponents of the gradient and value conditions.
+    The value coefficient :attr:`kappa_f` is derived, not set.
     """
 
     alpha: int = 0
@@ -73,8 +78,15 @@ class SolverConfig:
     mu0: float = 1.0
     eps0: float = 1.0
     r: float = 0.01
-    kappa_fcd: float = 1.0
-    accuracy: AccuracyParams | None = None
+    kappa_g: float = 0.05
+    kappa_h: float = 0.05
+    p_f: float = 0.9
+    p_g: float = 0.9
+    p_h: float = 0.9
+    c_f: float = 5.0
+    c_g: float = 5.0
+    c_h: float = 5.0
+    batch_cap: int = 10_000
     hessian: str = "identity"
     kkt_tol: float = 1e-4
     max_iters: int = 10_000
@@ -95,26 +107,22 @@ class SolverConfig:
             raise ValueError("need 0 < delta0 < delta_max")
         if self.mu0 <= 0.0 or self.eps0 <= 0.0 or self.r <= 0.0:
             raise ValueError("mu0, eps0, and r must be positive")
-        if not 0.0 < self.kappa_fcd <= 1.0:
-            raise ValueError("kappa_fcd must lie in (0, 1]")
-        bound = self.kappa_f_bound
-        if self.accuracy is None:
-            object.__setattr__(
-                self, "accuracy", AccuracyParams(alpha=self.alpha, kappa_f=bound)
-            )
-        if self.accuracy.alpha != self.alpha:
-            raise ValueError("accuracy.alpha disagrees with config.alpha")
-        if self.accuracy.kappa_f > bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"kappa_f={self.accuracy.kappa_f:g} exceeds the admissible "
-                f"bound {bound:g} for eta={self.eta:g}, delta_max={self.delta_max:g}"
-            )
+        for name in ("kappa_g", "kappa_h", "c_f", "c_g", "c_h"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("p_f", "p_g", "p_h"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1)")
+        if self.batch_cap < 1:
+            raise ValueError("batch_cap must be at least 1")
 
     @property
-    def kappa_f_bound(self) -> float:
-        """Largest value accuracy.kappa_f may take under these step-acceptance
-        parameters: kappa_fcd * eta^3 / (16 max(1, delta_max))."""
-        return self.kappa_fcd * self.eta**3 / (16.0 * max(1.0, self.delta_max))
+    def kappa_f(self) -> float:
+        """Value-accuracy coefficient: the largest the step-acceptance
+        parameters admit, eta^3 / (16 max(1, delta_max)). The bound also
+        scales with the fraction-of-Cauchy-decrease constant, which is 1
+        because the reduced subproblem is solved exactly."""
+        return self.eta**3 / (16.0 * max(1.0, self.delta_max))
 
 
 @dataclass
@@ -237,7 +245,7 @@ def _shrink_eps(eps: float, config: SolverConfig) -> float:
     return max(eps / config.gamma, EPS_FLOOR)
 
 
-def check_step(report, step, c, J, grad, H, delta, kappa_fcd):
+def check_step(report, step, c, J, grad, H, delta):
     """Re-verify a constructed trial step against its defining inequalities,
     adding one row per inequality to ``report``."""
     G, Z = J.G, J.Z
@@ -269,7 +277,7 @@ def check_step(report, step, c, J, grad, H, delta, kappa_fcd):
         g_r_norm = float(np.linalg.norm(g_r))
         h_r_norm = linalg.spectral_norm(H_r)
         curv = g_r_norm / h_r_norm if h_r_norm > 0.0 else math.inf
-        rhs = -0.5 * kappa_fcd * g_r_norm * min(split.tangential, curv)
+        rhs = -0.5 * g_r_norm * min(split.tangential, curv)
         margin = m_u - rhs
         report.add("cauchy_fraction", margin <= 1e-10 * max(1.0, abs(rhs)), margin)
     else:
@@ -282,7 +290,7 @@ def check_step(report, step, c, J, grad, H, delta, kappa_fcd):
             "eigen_within_radius", u_excess <= 1e-12 * max(split.tangential, 1e-300), u_excess
         )
         curv_val = float(step.u @ (H_r @ step.u))
-        curv_rhs = -kappa_fcd * tau_plus * split.tangential**2
+        curv_rhs = -tau_plus * split.tangential**2
         curv_margin = curv_val - curv_rhs
         report.add("eigen_curvature", curv_margin <= 1e-10 * abs(curv_rhs), curv_margin)
 
@@ -294,7 +302,6 @@ def iterate(
     report: InvariantReport | None = None,
 ) -> tuple[SolverState, IterationRecord]:
     """Run exactly one outer iteration, mutating and returning the state."""
-    params = config.accuracy
     k = state.k
     it_stream = state.stream.child(k)
     x = state.x
@@ -308,7 +315,7 @@ def iterate(
 
     # Step 1: gradient, multiplier, KKT residual, Hessian approximation.
     est = estimator.estimate_models(
-        problem, x, c, J, state.strategy, delta, params, it_stream
+        problem, x, c, J, state.strategy, delta, config, it_stream
     )
     grad, H = est.grad, est.hessian
     kkt_est, tau_plus = est.kkt_norm, est.tau_plus
@@ -356,11 +363,10 @@ def iterate(
         tau=est.tau,
         tau_plus=tau_plus,
         eigvec=est.eigvec,
-        kappa_fcd=config.kappa_fcd,
     )
 
     # Step 3: merit loop, then shared-sample value estimates at both points.
-    threshold = -0.5 * config.kappa_fcd * decrease
+    threshold = -0.5 * decrease
     pred = steps.predicted_reduction(grad, H, state.mu, c, G, step.dx)
     dx_norm = float(np.linalg.norm(step.dx))
     pred_scale = (
@@ -383,12 +389,12 @@ def iterate(
         pred = steps.predicted_reduction(grad, H, state.mu, c, G, step.dx)
 
     if report is not None:
-        check_step(report, step, c, J, grad, H, delta, config.kappa_fcd)
+        check_step(report, step, c, J, grad, H, delta)
         report.add("pred_threshold", pred - threshold <= slack, pred - threshold)
 
     x_trial = x + step.dx
     f_k, f_s, batch_f = estimator.estimate_values(
-        problem, x, x_trial, delta, state.eps, params, it_stream.child("value")
+        problem, x, x_trial, delta, state.eps, config, it_stream.child("value")
     )
     ared = f_s - f_k + state.mu * (float(np.linalg.norm(problem.constraint(x_trial))) - c_norm)
 
@@ -400,7 +406,7 @@ def iterate(
         soc_performed = True
         x_trial = x + step.dx + steps.soc_step(problem, x, step.dx, J)
         f_s, _ = estimator.estimate_value(
-            problem, x_trial, delta, state.eps, params, it_stream.child("soc-value")
+            problem, x_trial, delta, state.eps, config, it_stream.child("soc-value")
         )
         ared = f_s - f_k + state.mu * (
             float(np.linalg.norm(problem.constraint(x_trial))) - c_norm

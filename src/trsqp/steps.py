@@ -125,7 +125,6 @@ def tangential_gradient(
     w: np.ndarray,
     Z: np.ndarray,
     tangential_radius: float,
-    kappa_fcd: float = 1.0,
 ) -> np.ndarray:
     """Reduced trust-region solve for the gradient-step tangential component.
 
@@ -142,7 +141,7 @@ def tangential_gradient(
     g_r_norm = np.linalg.norm(g_r)
     h_r_norm = linalg.spectral_norm(H_r)
     curv = g_r_norm / h_r_norm if h_r_norm > 0.0 else np.inf
-    rhs = -0.5 * kappa_fcd * g_r_norm * min(tangential_radius, curv)
+    rhs = -0.5 * g_r_norm * min(tangential_radius, curv)
     if m_u > rhs + CHECK_SLACK * max(1.0, abs(rhs)):
         raise SubsolverFailure(
             f"reduction {m_u:.6e} misses the Cauchy fraction bound {rhs:.6e}"
@@ -196,7 +195,8 @@ def select_step_type(
     Returns the step kind and its model-decrease term: gradient when
     kkt_norm * min{delta, kkt_norm/||H||} dominates
     tau_plus * delta * (delta + ||c||), eigen otherwise. The solver's
-    predicted-reduction threshold is -kappa_fcd/2 times that term.
+    predicted-reduction threshold is -1/2 times that term (the Cauchy
+    fraction of the exact subproblem solve is 1).
     ``solver.iterate`` passes the stacked KKT norm kkt_norm = ||(gradL, c)||,
     which mixes objective and constraint units, so the choice is invariant
     to a rescaling of the objective only at c = 0 (see docs/decisions.md).
@@ -232,7 +232,6 @@ def build_trial_step(
     tau: float | None = None,
     tau_plus: float = 0.0,
     eigvec: np.ndarray | None = None,
-    kappa_fcd: float = 1.0,
 ) -> TrialStep:
     """Assemble a full trial step of the requested kind.
 
@@ -250,7 +249,7 @@ def build_trial_step(
     split = split_radius(kind, delta, c_rs_norm, opt_rs)
     _, gamma, w = normal_step(c, J, split.normal)
     if kind == GRADIENT_STEP:
-        u = tangential_gradient(H, grad, w, J.Z, split.tangential, kappa_fcd)
+        u = tangential_gradient(H, grad, w, J.Z, split.tangential)
     else:
         u = tangential_eigen(H, grad, w, J.Z, split.tangential, tau, eigvec)
     t = J.Z @ u

@@ -14,7 +14,6 @@ import pytest
 import trsqp
 from trsqp import estimator, linalg, steps
 from trsqp.cli import main as cli_main
-from trsqp.estimator import AccuracyParams
 from trsqp.problem import GaussianNoiseSpec, gaussian_noisy
 from trsqp.rng import RngStream
 from trsqp.solver import SolverConfig, run
@@ -278,12 +277,12 @@ def test_criterion_5_per_iteration_invariants(portfolio):
 def test_criterion_6_estimator_statistics():
     # Uncapped regime for all three batch rules: alpha=1 at the radius cap.
     prob = gaussian_noisy(trsqp.make_quadratic(), GaussianNoiseSpec(1e-2))
-    params = AccuracyParams(alpha=1)
+    config = SolverConfig(alpha=1)
     delta, eps = 5.0, 0.05
-    n_f = estimator.batch_size(estimator.VALUE, delta, eps, params)
-    n_g = estimator.batch_size(estimator.GRADIENT, delta, eps, params)
-    n_h = estimator.batch_size(estimator.HESSIAN, delta, eps, params)
-    assert max(n_f, n_g, n_h) < params.batch_cap, "batch rules must be uncapped here"
+    n_f = estimator.batch_size(estimator.VALUE, delta, eps, config)
+    n_g = estimator.batch_size(estimator.GRADIENT, delta, eps, config)
+    n_h = estimator.batch_size(estimator.HESSIAN, delta, eps, config)
+    assert max(n_f, n_g, n_h) < config.batch_cap, "batch rules must be uncapped here"
 
     x = np.array([0.8, -0.3])
     f_true = prob.noiseless.value(x)
@@ -294,14 +293,14 @@ def test_criterion_6_estimator_statistics():
     for trial in range(1000):
         stream = RngStream(trial).child("mc6")
         h_bar = np.mean(prob.sampler.hessians(x, n_h, stream.child("h")), axis=0)
-        if linalg.spectral_norm(h_bar - h_true) > params.kappa_h * delta:
+        if linalg.spectral_norm(h_bar - h_true) > config.kappa_h * delta:
             fail_h += 1
-        g_bar, _ = estimator.estimate_gradient(prob, x, delta, params, stream.child("g"))
-        if np.linalg.norm(g_bar - g_true) > params.kappa_g * delta**2:
+        g_bar, _ = estimator.estimate_gradient(prob, x, delta, config, stream.child("g"))
+        if np.linalg.norm(g_bar - g_true) > config.kappa_g * delta**2:
             fail_g += 1
-        f_bar, _ = estimator.estimate_value(prob, x, delta, eps, params, stream.child("f"))
+        f_bar, _ = estimator.estimate_value(prob, x, delta, eps, config, stream.child("f"))
         err = abs(f_bar - f_true)
-        if err > params.kappa_f * delta**3:
+        if err > config.kappa_f * delta**3:
             fail_f += 1
         sq_errs.append(err**2)
     freqs = (fail_h / 1000, fail_g / 1000, fail_f / 1000)
@@ -313,7 +312,7 @@ def test_criterion_6_estimator_statistics():
         f"failure frequencies (hessian, gradient, value) = {freqs} vs nominal 0.9; "
         f"value second moment {second_moment:.2e} <= {eps**2:.2e}",
     )
-    assert freqs[0] <= params.p_h and freqs[1] <= params.p_g and freqs[2] <= params.p_f
+    assert freqs[0] <= config.p_h and freqs[1] <= config.p_g and freqs[2] <= config.p_f
     assert all(f <= 0.05 for f in freqs)
     assert second_moment <= eps**2
 

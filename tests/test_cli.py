@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trsqp import steps
 from trsqp.cli import build_config, main, read_config_file
+from trsqp.solver import SolverConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -91,6 +97,12 @@ class TestRunCommand:
         assert code == 0
         assert (out / "quadratic_noise0_seed3.csv").exists()
 
+    def test_seed_env_must_be_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TRSQP_SEED", "abc")
+        code = run_cli(["run", "--problem", "quadratic", "--out", str(tmp_path)])
+        assert code == 2
+        assert "TRSQP_SEED" in capsys.readouterr().err
+
     def test_logistic_rejects_noise(self, tmp_path, capsys):
         code = run_cli(
             [
@@ -154,9 +166,9 @@ class TestConfigFile:
         assert cfg.eta == 0.3
         assert cfg.max_iters == 77  # CLI wins over file
         assert cfg.hessian == "sr1"
-        assert cfg.accuracy.kappa_g == 0.1
-        # kappa_f re-derived from the overridden eta.
-        assert cfg.accuracy.kappa_f == pytest.approx(0.3**3 / 80.0)
+        assert cfg.kappa_g == 0.1
+        # kappa_f derived from the overridden eta.
+        assert cfg.kappa_f == pytest.approx(0.3**3 / 80.0)
 
     @pytest.mark.parametrize(
         "key",
@@ -169,10 +181,18 @@ class TestConfigFile:
             "aveh_window",
             "eps_floor",
             "stop_patience",
+            "kappa_f",
+            "kappa_fcd",
+            "accuracy",
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, key):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(f"{key} = 9\n")
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             build_config(read_config_file(cfg_file), {})
+
+    def test_readme_lists_every_key(self):
+        listing = re.search(r"fields of\s+`SolverConfig`:(.*?)\.", README.read_text(), re.S)
+        keys = re.findall(r"`(\w+)`", listing.group(1))
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(SolverConfig))

@@ -10,7 +10,6 @@ from trsqp.estimator import (
     GRADIENT,
     HESSIAN,
     VALUE,
-    AccuracyParams,
     AveragedLagrangianHessian,
     SR1Hessian,
     batch_size,
@@ -24,61 +23,62 @@ from trsqp.estimator import (
 from trsqp.linalg import nullspace_basis
 from trsqp.problem import GaussianNoiseSpec, gaussian_noisy
 from trsqp.rng import RngStream
+from trsqp.solver import SolverConfig
 
 
 class TestBatchSize:
     def test_gradient_unit_radius(self):
-        params = AccuracyParams(alpha=0, kappa_g=0.05, p_g=0.9, c_g=5.0)
-        assert batch_size(GRADIENT, 1.0, 1.0, params) == math.ceil(5.0 / (0.9 * 0.0025))
-        assert batch_size(GRADIENT, 1.0, 1.0, params) == 2223
+        config = SolverConfig(alpha=0, kappa_g=0.05, p_g=0.9, c_g=5.0)
+        assert batch_size(GRADIENT, 1.0, 1.0, config) == math.ceil(5.0 / (0.9 * 0.0025))
+        assert batch_size(GRADIENT, 1.0, 1.0, config) == 2223
 
     def test_gradient_small_radius_capped(self):
-        params = AccuracyParams(alpha=0)
-        assert batch_size(GRADIENT, 0.1, 1.0, params) == 10_000
+        config = SolverConfig(alpha=0)
+        assert batch_size(GRADIENT, 0.1, 1.0, config) == 10_000
 
     def test_value_capped_with_loose_reliability(self):
-        params = AccuracyParams(alpha=0, kappa_f=8e-4)
-        assert batch_size(VALUE, 1.0, 1e9, params) == 10_000
+        config = SolverConfig(alpha=0)
+        assert batch_size(VALUE, 1.0, 1e9, config) == 10_000
 
     def test_value_reliability_drives_batch(self):
-        params = AccuracyParams(alpha=0, kappa_f=8e-4)
+        config = SolverConfig(alpha=0)
         # eps smaller than kappa_f * delta^2 takes over the denominator.
-        n = batch_size(VALUE, 100.0, 0.05, params)
+        n = batch_size(VALUE, 100.0, 0.05, config)
         assert n == math.ceil(5.0 / (0.9 * 0.05**2))
 
     def test_alpha_sharpens_exponents(self):
-        p0 = AccuracyParams(alpha=0)
-        p1 = AccuracyParams(alpha=1)
-        assert batch_size(GRADIENT, 0.5, 1.0, p1) > batch_size(GRADIENT, 0.5, 1.0, p0)
-        assert batch_size(HESSIAN, 0.5, 1.0, p1) == batch_size(HESSIAN, 0.5, 1.0, p0)
+        c0 = SolverConfig(alpha=0)
+        c1 = SolverConfig(alpha=1)
+        assert batch_size(GRADIENT, 0.5, 1.0, c1) > batch_size(GRADIENT, 0.5, 1.0, c0)
+        assert batch_size(HESSIAN, 0.5, 1.0, c1) == batch_size(HESSIAN, 0.5, 1.0, c0)
 
     def test_floor_is_one(self):
-        params = AccuracyParams(alpha=0, c_g=1e-12)
-        assert batch_size(GRADIENT, 5.0, 1.0, params) == 1
+        config = SolverConfig(alpha=0, c_g=1e-12)
+        assert batch_size(GRADIENT, 5.0, 1.0, config) == 1
 
 
 class TestGradientEstimate:
     def test_exact_at_zero_noise(self):
         prob = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(0.0))
         x = np.array([2.0, -1.0])
-        g, n = estimate_gradient(prob, x, 1.0, AccuracyParams(alpha=0), RngStream(0).child(0))
+        g, n = estimate_gradient(prob, x, 1.0, SolverConfig(alpha=0), RngStream(0).child(0))
         assert np.array_equal(g, prob.noiseless.gradient(x))
         assert n == 2223
 
     def test_chebyshev_event_frequency(self):
         # The accuracy event must fail far less often than its nominal p.
         prob = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-2))
-        params = AccuracyParams(alpha=0)
+        config = SolverConfig(alpha=0)
         x = np.array([0.3, 0.3])
         g_true = prob.noiseless.gradient(x)
         failures = sum(
             np.linalg.norm(
-                estimate_gradient(prob, x, 1.0, params, RngStream(t).child("mc"))[0] - g_true
+                estimate_gradient(prob, x, 1.0, config, RngStream(t).child("mc"))[0] - g_true
             )
-            > params.kappa_g
+            > config.kappa_g
             for t in range(300)
         )
-        assert failures / 300 <= params.p_g
+        assert failures / 300 <= config.p_g
 
 
 class TestValueEstimates:
@@ -90,7 +90,7 @@ class TestValueEstimates:
             np.array([0.0, 1.0]),
             1.0,
             1.0,
-            AccuracyParams(alpha=0),
+            SolverConfig(alpha=0),
             RngStream(0).child("v"),
         )
         assert f_k == prob.noiseless.value(np.array([1.0, 0.0]))
@@ -100,19 +100,19 @@ class TestValueEstimates:
         prob = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-2))
         x = np.array([0.25, -0.75])
         f_k, f_s, _ = estimate_values(
-            prob, x, x.copy(), 1.0, 1.0, AccuracyParams(alpha=0), RngStream(5).child("v")
+            prob, x, x.copy(), 1.0, 1.0, SolverConfig(alpha=0), RngStream(5).child("v")
         )
         assert f_k == f_s
 
     def test_second_moment_bounded_by_reliability(self):
         prob = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-2))
-        params = AccuracyParams(alpha=1)
+        config = SolverConfig(alpha=1)
         x = np.array([0.1, 0.9])
         f_true = prob.noiseless.value(x)
         eps = 0.05
         sq_errs = []
         for t in range(400):
-            f_bar, _ = estimate_value(prob, x, 5.0, eps, params, RngStream(t).child("mc2"))
+            f_bar, _ = estimate_value(prob, x, 5.0, eps, config, RngStream(t).child("mc2"))
             sq_errs.append((f_bar - f_true) ** 2)
         assert np.mean(sq_errs) <= eps**2
 
@@ -145,17 +145,17 @@ class TestMultiplier:
 class TestHessianStrategies:
     def _ctx(self, variance=0.0, alpha=1):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(variance))
-        params = AccuracyParams(alpha=alpha)
-        return prob, params
+        config = SolverConfig(alpha=alpha)
+        return prob, config
 
     def test_identity(self):
-        prob, params = self._ctx(alpha=0)
+        prob, config = self._ctx(alpha=0)
         strat = make_hessian_strategy("identity", 0, 2)
         x = np.array([0.5, 0.5])
         G = prob.jacobian(x)
         Z = nullspace_basis(G).Z
         H, tau, tau_plus, zeta, n = build_hessian(
-            strat, prob, x, np.zeros(1), np.zeros(2), Z, 1.0, params, RngStream(0).child(0)
+            strat, prob, x, np.zeros(1), np.zeros(2), Z, 1.0, config, RngStream(0).child(0)
         )
         assert np.array_equal(H, np.eye(2))
         assert tau is None and tau_plus == 0.0 and zeta is None
@@ -163,7 +163,7 @@ class TestHessianStrategies:
     def test_lagrangian_at_saddle(self):
         # Exact oracles at the saddle point: multiplier -1, Lagrangian
         # Hessian diag(-2, -1), reduced curvature -1.
-        prob, params = self._ctx(alpha=1)
+        prob, config = self._ctx(alpha=1)
         x = np.array([1.0, 0.0])
         G = prob.jacobian(x)
         g = prob.noiseless.gradient(x)
@@ -172,14 +172,14 @@ class TestHessianStrategies:
         Z = nullspace_basis(G).Z
         strat = make_hessian_strategy("lagrangian", 1, 2)
         H, tau, tau_plus, zeta, n = build_hessian(
-            strat, prob, x, lam, g + G.T @ lam, Z, 1.0, params, RngStream(0).child(0)
+            strat, prob, x, lam, g + G.T @ lam, Z, 1.0, config, RngStream(0).child(0)
         )
         assert np.allclose(H, np.diag([-2.0, -1.0]), atol=1e-12)
         assert tau == pytest.approx(-1.0, abs=1e-12)
         assert tau_plus == pytest.approx(1.0, abs=1e-12)
 
     def test_lagrangian_at_minimum(self):
-        prob, params = self._ctx(alpha=1)
+        prob, config = self._ctx(alpha=1)
         x = np.array([-1.0, 0.0])
         G = prob.jacobian(x)
         g = prob.noiseless.gradient(x)
@@ -188,43 +188,43 @@ class TestHessianStrategies:
         Z = nullspace_basis(G).Z
         strat = make_hessian_strategy("lagrangian", 1, 2)
         H, tau, tau_plus, _, _ = build_hessian(
-            strat, prob, x, lam, g + G.T @ lam, Z, 1.0, params, RngStream(0).child(0)
+            strat, prob, x, lam, g + G.T @ lam, Z, 1.0, config, RngStream(0).child(0)
         )
         assert Z.T @ H @ Z == pytest.approx(np.array([[3.0]]), abs=1e-12)
         assert tau_plus == 0.0
 
     def test_sr1_secant_and_skip(self):
         strat = SR1Hessian(2)
-        prob, params = self._ctx(alpha=0)
+        prob, config = self._ctx(alpha=0)
         x0, g0 = np.array([0.0, 0.0]), np.array([1.0, 0.0])
         x1, g1 = np.array([1.0, 0.5]), np.array([0.0, 2.0])
-        strat.build(prob, x0, None, g0, 1.0, params, RngStream(0).child(0))
-        H = strat.build(prob, x1, None, g1, 1.0, params, RngStream(0).child(1))
+        strat.build(prob, x0, None, g0, 1.0, config, RngStream(0).child(0))
+        H = strat.build(prob, x1, None, g1, 1.0, config, RngStream(0).child(1))
         s, y = x1 - x0, g1 - g0
         assert np.allclose(H @ s, y, atol=1e-12)  # secant equation
         # Unchanged iterate: the update is skipped, H carries over.
-        H2 = strat.build(prob, x1, None, g1 + 1.0, 1.0, params, RngStream(0).child(2))
+        H2 = strat.build(prob, x1, None, g1 + 1.0, 1.0, config, RngStream(0).child(2))
         assert np.array_equal(H2, H)
 
     def test_aveh_is_window_mean(self):
-        prob, params = self._ctx(variance=1e-2, alpha=0)
+        prob, config = self._ctx(variance=1e-2, alpha=0)
         strat = AveragedLagrangianHessian(window=3)
         x = np.array([0.2, 0.8])
         lam = np.array([0.0])
         seen = []
         for k in range(5):
-            H = strat.build(prob, x, lam, np.zeros(2), 1.0, params, RngStream(0).child(k))
+            H = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(0).child(k))
             sample = prob.sampler.hessians(x, 1, RngStream(0).child(k))[0]
             seen.append(sample)  # lam = 0 so the constraint term vanishes
             expected = np.mean(seen[-3:], axis=0)
             assert np.allclose(H, expected, atol=1e-12)
 
     def test_esth_single_draw(self):
-        prob, params = self._ctx(variance=1e-2, alpha=0)
+        prob, config = self._ctx(variance=1e-2, alpha=0)
         strat = make_hessian_strategy("esth", 0, 2)
         x = np.array([0.3, -0.3])
         lam = np.array([0.5])
-        H = strat.build(prob, x, lam, np.zeros(2), 1.0, params, RngStream(1).child(0))
+        H = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(1).child(0))
         sample = prob.sampler.hessians(x, 1, RngStream(1).child(0))[0]
         assert np.allclose(H, sample + 0.5 * 2.0 * np.eye(2), atol=1e-12)
 
@@ -244,7 +244,7 @@ class TestEstimateModels:
         c, J = prob.constraint(x), nullspace_basis(prob.jacobian(x))
         est = estimator.estimate_models(
             prob, x, c, J, make_hessian_strategy("lagrangian", 1, 2),
-            1.0, AccuracyParams(alpha=1), RngStream(0).child(0),
+            1.0, SolverConfig(alpha=1), RngStream(0).child(0),
         )
         assert est.kkt_norm == pytest.approx(0.0, abs=1e-14)
         assert est.tau_plus == pytest.approx(1.0, abs=1e-12)
@@ -271,6 +271,6 @@ class TestEstimateModels:
         c, J = prob.constraint(x), nullspace_basis(prob.jacobian(x))
         est = estimator.estimate_models(
             prob, x, c, J, make_hessian_strategy("identity", 0, 2),
-            1.0, AccuracyParams(alpha=0), RngStream(0).child(0),
+            1.0, SolverConfig(alpha=0), RngStream(0).child(0),
         )
         assert est.kkt_norm == 0.0

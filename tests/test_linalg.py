@@ -13,12 +13,12 @@ from trsqp.linalg import (
 )
 
 
-def fcd_rhs(H, g, radius, kappa_fcd=1.0):
+def fcd_rhs(H, g, radius):
     """Fraction-of-Cauchy-decrease bound on the model reduction."""
     gnorm = np.linalg.norm(g)
     hnorm = spectral_norm(H)
     curv = gnorm / hnorm if hnorm > 0 else np.inf
-    return -0.5 * kappa_fcd * gnorm * min(radius, curv)
+    return -0.5 * gnorm * min(radius, curv)
 
 
 class TestNullspaceBasis:

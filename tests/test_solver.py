@@ -4,7 +4,6 @@ import pytest
 from trsqp.benchmarks import make_quadratic, make_saddle, true_kkt
 from trsqp.cli import _initial_point
 from trsqp.errors import MissingNoiselessOracle
-from trsqp.estimator import AccuracyParams
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
     EPS_FLOOR,
@@ -24,11 +23,15 @@ from trsqp.solver import (
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         cfg = SolverConfig()
-        assert cfg.accuracy.kappa_f == pytest.approx(0.4**3 / 80.0)
+        assert cfg.kappa_f == pytest.approx(0.4**3 / 80.0)
 
-    def test_kappa_f_bound_enforced(self):
-        with pytest.raises(ValueError, match="kappa_f"):
-            SolverConfig(accuracy=AccuracyParams(alpha=0, kappa_f=0.01))
+    def test_kappa_f_is_derived(self):
+        cfg = SolverConfig(eta=0.3, delta0=0.5, delta_max=0.8)
+        assert cfg.kappa_f == 0.3**3 / 16.0
+        with pytest.raises(AttributeError):
+            cfg.kappa_f = 1e-4
+        with pytest.raises(TypeError):
+            SolverConfig(kappa_f=1e-4)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
@@ -43,10 +46,12 @@ class TestConfigValidation:
             SolverConfig(alpha=1, hessian="sr-1")
         with pytest.raises(ValueError, match="hessian"):
             SolverConfig(alpha=0, hessian="lagrangian")
-
-    def test_alpha_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            SolverConfig(alpha=1, accuracy=AccuracyParams(alpha=0, kappa_f=1e-4))
+        with pytest.raises(ValueError, match="kappa_g"):
+            SolverConfig(kappa_g=0.0)
+        with pytest.raises(ValueError, match="p_f"):
+            SolverConfig(p_f=1.0)
+        with pytest.raises(ValueError, match="batch_cap"):
+            SolverConfig(batch_cap=0)
 
 
 class TestIterate:
@@ -87,9 +92,9 @@ class TestIterate:
         svd = trsqp.linalg._checked_svd
         calls = []
 
-        def counting(G, rank_tol):
+        def counting(G):
             calls.append(1)
-            return svd(G, rank_tol)
+            return svd(G)
 
         monkeypatch.setattr(trsqp.linalg, "_checked_svd", counting)
         report = InvariantReport()
