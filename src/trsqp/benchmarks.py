@@ -91,29 +91,27 @@ class SyntheticLogisticSpec:
 
 
 def _logistic_records(features: np.ndarray, labels: np.ndarray):
-    """Per-record oracles for the loss log(1 + exp(-y z^T x))."""
+    """Means of the loss log(1 + exp(-y z^T x)) and its derivatives over records ``idx``."""
     Zf = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
 
     def value(x, idx):
         margins = y[idx] * (Zf[idx] @ x)
-        return np.logaddexp(0.0, -margins)
+        return np.logaddexp(0.0, -margins).mean()
 
     def gradient(x, idx):
-        margins = y[idx] * (Zf[idx] @ x)
+        Zi = Zf[idx]
+        margins = y[idx] * (Zi @ x)
         # d/dm log(1+e^{-m}) = sigma(m) - 1
         coef = (1.0 / (1.0 + np.exp(-margins)) - 1.0) * y[idx]
-        return coef[:, None] * Zf[idx]
+        return coef @ Zi / len(idx)
 
     def hessian(x, idx):
         Zi = Zf[idx]
         margins = y[idx] * (Zi @ x)
         s = 1.0 / (1.0 + np.exp(-margins))
         w = s * (1.0 - s)
-        # Bitwise equal to einsum("n,ni,nj->nij", w, Zi, Zi), C-contiguous
-        # and faster; callers average it with np.mean(axis=0), which sums
-        # in memory order, so the layout must stay contiguous.
-        return (w[:, None] * Zi)[:, :, None] * Zi[:, None, :]
+        return (Zi.T * w) @ Zi / len(idx)
 
     return value, gradient, hessian
 

@@ -104,8 +104,7 @@ def estimate_gradient(
 ) -> tuple[np.ndarray, int]:
     """Batch-mean gradient estimate at ``x``."""
     n = batch_size(GRADIENT, delta, math.inf, config)
-    samples = problem.sampler.gradients(x, n, stream)
-    return np.mean(samples, axis=0), n
+    return problem.sampler.gradients(x, n, stream), n
 
 
 def estimate_values(
@@ -120,8 +119,8 @@ def estimate_values(
     """Batch-mean value estimates at the current and trial points, both
     from one sample set (the Step-3 estimate)."""
     n = batch_size(VALUE, delta, eps, config)
-    f_k = float(np.mean(problem.sampler.values(x_k, n, stream)))
-    f_s = float(np.mean(problem.sampler.values(x_s, n, stream)))
+    f_k = float(problem.sampler.values(x_k, n, stream))
+    f_s = float(problem.sampler.values(x_s, n, stream))
     return f_k, f_s, n
 
 
@@ -130,7 +129,7 @@ def estimate_value(
 ) -> tuple[float, int]:
     """Single-point value estimate on a fresh sample set (SOC re-estimation)."""
     n = batch_size(VALUE, delta, eps, config)
-    return float(np.mean(problem.sampler.values(x, n, stream))), n
+    return float(problem.sampler.values(x, n, stream)), n
 
 
 def estimate_multiplier(G: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -190,8 +189,7 @@ class SampledLagrangianHessian:
     last_batch = 1
 
     def build(self, problem, x, lam, grad_l, delta, config, stream):
-        sample = problem.sampler.hessians(x, 1, stream)[0]
-        return sample + _lagrangian_term(problem, x, lam)
+        return problem.sampler.hessians(x, 1, stream) + _lagrangian_term(problem, x, lam)
 
 
 class AveragedLagrangianHessian:
@@ -203,7 +201,7 @@ class AveragedLagrangianHessian:
         self._buffer: deque = deque(maxlen=window)
 
     def build(self, problem, x, lam, grad_l, delta, config, stream):
-        sample = problem.sampler.hessians(x, 1, stream)[0]
+        sample = problem.sampler.hessians(x, 1, stream)
         self._buffer.append(sample + _lagrangian_term(problem, x, lam))
         return np.mean(self._buffer, axis=0)
 
@@ -217,8 +215,7 @@ class BatchedLagrangianHessian:
     def build(self, problem, x, lam, grad_l, delta, config, stream):
         n = batch_size(HESSIAN, delta, math.inf, config)
         self.last_batch = n
-        mean = np.mean(problem.sampler.hessians(x, n, stream), axis=0)
-        return mean + _lagrangian_term(problem, x, lam)
+        return problem.sampler.hessians(x, n, stream) + _lagrangian_term(problem, x, lam)
 
 
 HESSIAN_STRATEGIES = {

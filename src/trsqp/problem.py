@@ -40,14 +40,14 @@ class NoiselessOracle:
 
 
 class ObjectiveSampler(Protocol):
-    """Draws realizations of the stochastic objective.
-
-    A call with the same ``stream`` key identifies one logical sample set:
-    evaluating it at two points reuses that set, which is how shared-sample
-    value estimation works.
+    """Draws batch means of the stochastic objective: each method returns
+    the mean of ``n`` draws at ``x`` (a float, a gradient, a Hessian), and a
+    mean of ``n = 1`` is one draw. A call with the same ``stream`` key
+    identifies one logical sample set: evaluating it at two points reuses
+    that set, which is how shared-sample value estimation works.
     """
 
-    def values(self, x: np.ndarray, n: int, stream: RngStream) -> np.ndarray: ...
+    def values(self, x: np.ndarray, n: int, stream: RngStream) -> float: ...
 
     def gradients(self, x: np.ndarray, n: int, stream: RngStream) -> np.ndarray: ...
 
@@ -94,49 +94,53 @@ class GaussianNoiseSpec:
 
 
 class _GaussianSampler:
-    """Noise model around exact oracles.
+    """Noise model around exact oracles, returning batch means.
 
     Per draw: value ~ N(f, sigma^2); gradient realized as
     grad + sigma * (z + z0 * ones) with z ~ N(0, I) and scalar z0 ~ N(0, 1),
     whose covariance is sigma^2 (I + ones ones^T); Hessian noise fills the
     upper triangle (diagonal included) with i.i.d. N(0, sigma^2) and mirrors
     it. Draws are keyed by (stream, evaluation point), so identical points
-    see identical noise and distinct points are independent.
+    see identical noise and distinct points are independent. A mean sums a
+    C-contiguous (n, ...) array of draws over axis 0, bitwise ``np.mean`` of
+    the per-draw tensor; at zero noise it is the exact oracle's value.
     """
 
     def __init__(self, oracle: NoiselessOracle, dim: int, variance: float):
         self._oracle = oracle
         self._dim = dim
         self._sigma = float(np.sqrt(variance))
+        iu = np.triu_indices(dim)
+        slot = np.empty((dim, dim), dtype=np.intp)
+        slot[iu] = slot[iu[1], iu[0]] = np.arange(len(iu[0]))
+        self._triu_slot = slot.ravel()  # draw column of entries (i, j) and (j, i)
 
     def values(self, x, n, stream):
         f = self._oracle.value(x)
         if self._sigma == 0.0:
-            return np.full(n, f, dtype=float)
+            return f
         rng = stream.point_generator(x)
-        return f + self._sigma * rng.standard_normal(n)
+        return np.mean(f + self._sigma * rng.standard_normal(n))
 
     def gradients(self, x, n, stream):
         g = self._oracle.gradient(x)
         if self._sigma == 0.0:
-            return np.tile(g, (n, 1))
+            return g
         rng = stream.point_generator(x)
         z = rng.standard_normal((n, self._dim))
         z0 = rng.standard_normal((n, 1))
-        return g[None, :] + self._sigma * (z + z0)
+        return np.mean(g[None, :] + self._sigma * (z + z0), axis=0)
 
     def hessians(self, x, n, stream):
         H = self._oracle.hessian(x)
-        d = self._dim
         if self._sigma == 0.0:
-            return np.tile(H, (n, 1, 1))
+            return H
+        d = self._dim
         rng = stream.point_generator(x)
-        iu = np.triu_indices(d)
-        draws = self._sigma * rng.standard_normal((n, len(iu[0])))
-        noise = np.zeros((n, d, d))
-        noise[:, iu[0], iu[1]] = draws
-        noise[:, iu[1], iu[0]] = draws
-        return H[None, :, :] + noise
+        draws = self._sigma * rng.standard_normal((n, d * (d + 1) // 2))
+        # take() keeps the gathered array C-contiguous; draws[:, slot] would
+        # come out in Fortran order and np.mean would sum it in another order.
+        return np.mean(H.ravel() + draws.take(self._triu_slot, axis=1), axis=0).reshape(d, d)
 
 
 def exact_problem(
@@ -182,10 +186,11 @@ def gaussian_noisy(base: Problem, spec: GaussianNoiseSpec) -> Problem:
 
 
 class _FiniteSumSampler:
-    """Subsampling over per-record oracles, uniform with replacement.
+    """Batch means over records drawn uniformly with replacement.
 
     Record indices are a deterministic function of the stream key alone, so
-    one sample set evaluated at two points reuses the same records.
+    one sample set evaluated at two points reuses the same records. Batches
+    larger than the dataset are drawn with replacement too, not swapped for the full mean.
     """
 
     def __init__(self, value_fn, gradient_fn, hessian_fn, n_records):
@@ -209,7 +214,7 @@ class _FiniteSumSampler:
 
 def finite_sum_problem(
     dim: int,
-    value_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    value_fn: Callable[[np.ndarray, np.ndarray], float],
     gradient_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     hessian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n_records: int,
@@ -221,17 +226,18 @@ def finite_sum_problem(
 ) -> Problem:
     """Problem whose objective is the mean of per-record losses.
 
-    ``value_fn(x, idx)`` (and the gradient/Hessian analogues) evaluate the
-    selected records at ``x``; batches are drawn uniformly with replacement.
-    The full-data mean serves as the noiseless oracle.
+    ``value_fn(x, idx)``, ``gradient_fn`` and ``hessian_fn`` return the mean
+    loss, gradient and Hessian of the records ``idx`` at ``x``, counting a
+    repeated index once per occurrence. Batches are drawn uniformly with
+    replacement; the noiseless oracle passes every index once.
     """
     if n_records < 1:
         raise EmptyDataset("finite-sum problem needs at least one record")
     all_idx = np.arange(n_records)
     oracle = NoiselessOracle(
-        value=lambda x: float(np.mean(value_fn(x, all_idx))),
-        gradient=lambda x: np.mean(gradient_fn(x, all_idx), axis=0),
-        hessian=lambda x: np.mean(hessian_fn(x, all_idx), axis=0),
+        value=lambda x: float(value_fn(x, all_idx)),
+        gradient=lambda x: gradient_fn(x, all_idx),
+        hessian=lambda x: hessian_fn(x, all_idx),
     )
     sampler = _FiniteSumSampler(value_fn, gradient_fn, hessian_fn, n_records)
     return Problem(

@@ -292,7 +292,7 @@ def test_criterion_6_estimator_statistics():
     sq_errs = []
     for trial in range(1000):
         stream = RngStream(trial).child("mc6")
-        h_bar = np.mean(prob.sampler.hessians(x, n_h, stream.child("h")), axis=0)
+        h_bar = prob.sampler.hessians(x, n_h, stream.child("h"))
         if linalg.spectral_norm(h_bar - h_true) > config.kappa_h * delta:
             fail_h += 1
         g_bar, _ = estimator.estimate_gradient(prob, x, delta, config, stream.child("g"))

@@ -214,7 +214,7 @@ class TestHessianStrategies:
         seen = []
         for k in range(5):
             H = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(0).child(k))
-            sample = prob.sampler.hessians(x, 1, RngStream(0).child(k))[0]
+            sample = prob.sampler.hessians(x, 1, RngStream(0).child(k))
             seen.append(sample)  # lam = 0 so the constraint term vanishes
             expected = np.mean(seen[-3:], axis=0)
             assert np.allclose(H, expected, atol=1e-12)
@@ -225,7 +225,7 @@ class TestHessianStrategies:
         x = np.array([0.3, -0.3])
         lam = np.array([0.5])
         H = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(1).child(0))
-        sample = prob.sampler.hessians(x, 1, RngStream(1).child(0))[0]
+        sample = prob.sampler.hessians(x, 1, RngStream(1).child(0))
         assert np.allclose(H, sample + 0.5 * 2.0 * np.eye(2), atol=1e-12)
 
     def test_alpha1_overrides_strategy_name(self):

@@ -6,7 +6,9 @@ from trsqp.diagnostics import finite_difference_gradient
 from trsqp.errors import EmptyDataset, MissingNoiselessOracle
 from trsqp.problem import (
     GaussianNoiseSpec,
+    NoiselessOracle,
     Problem,
+    exact_problem,
     finite_sum_problem,
     gaussian_noisy,
     load_labeled_csv,
@@ -19,40 +21,99 @@ def noisy():
     return gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-2))
 
 
+def _smooth_problem(d):
+    """Exact d-dimensional problem with a dense, x-dependent Hessian."""
+    M = np.random.default_rng(d).standard_normal((d, d))
+    Q = M + M.T
+    oracle = NoiselessOracle(
+        value=lambda x: float(0.5 * x @ Q @ x + np.sum(np.sin(x))),
+        gradient=lambda x: Q @ x + np.cos(x),
+        hessian=lambda x: Q - np.diag(np.sin(x)),
+    )
+    return exact_problem(
+        d,
+        1,
+        oracle,
+        constraint=lambda x: x[:1] - 1.0,
+        jacobian=lambda x: np.eye(1, d),
+        constraint_hessians=lambda x: np.zeros((1, d, d)),
+    )
+
+
+def _tensor_means(oracle, d, sigma, x, n, stream):
+    """Reference: build every draw of the noise law as a per-sample tensor
+    and average it with np.mean, drawing as the sampler does."""
+    values = oracle.value(x) + sigma * stream.point_generator(x).standard_normal(n)
+    rng = stream.point_generator(x)
+    z = rng.standard_normal((n, d))
+    z0 = rng.standard_normal((n, 1))
+    gradients = oracle.gradient(x)[None, :] + sigma * (z + z0)
+    iu = np.triu_indices(d)
+    draws = sigma * stream.point_generator(x).standard_normal((n, len(iu[0])))
+    noise = np.zeros((n, d, d))
+    noise[:, iu[0], iu[1]] = draws
+    noise[:, iu[1], iu[0]] = draws
+    hessians = oracle.hessian(x)[None, :, :] + noise
+    return float(np.mean(values)), np.mean(gradients, axis=0), np.mean(hessians, axis=0)
+
+
+def _means_over_streams(draw, x, n, count, stream):
+    """``count`` batch means of size ``n``, each on its own child stream."""
+    return np.array([draw(x, n, stream.child(i)) for i in range(count)])
+
+
 class TestGaussianNoise:
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("n", [1, 7, 10_000])
+    def test_means_match_tensor_reference_bitwise(self, d, n):
+        base = _smooth_problem(d)
+        prob = gaussian_noisy(base, GaussianNoiseSpec(0.3))
+        stream = RngStream(d).child("ref", n)
+        x = np.random.default_rng(n).standard_normal(d)
+        f, g, H = _tensor_means(base.noiseless, d, np.sqrt(0.3), x, n, stream)
+        assert prob.sampler.values(x, n, stream) == f
+        assert prob.sampler.gradients(x, n, stream).tobytes() == g.tobytes()
+        assert prob.sampler.hessians(x, n, stream).tobytes() == H.tobytes()
+
     def test_zero_variance_reproduces_oracle(self):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(0.0))
-        x = np.array([0.3, -0.8])
+        rng = np.random.default_rng(0)
         stream = RngStream(0).child("t")
-        assert np.all(prob.sampler.values(x, 5, stream) == prob.noiseless.value(x))
-        assert np.all(prob.sampler.gradients(x, 5, stream) == prob.noiseless.gradient(x))
-        assert np.all(prob.sampler.hessians(x, 3, stream) == prob.noiseless.hessian(x))
+        for _ in range(2_000):
+            x = rng.uniform(-3.0, 3.0, size=2)
+            n = int(rng.integers(1, 10_001))
+            assert prob.sampler.values(x, n, stream) == prob.noiseless.value(x)
+            assert np.array_equal(prob.sampler.gradients(x, n, stream), prob.noiseless.gradient(x))
+            assert np.array_equal(prob.sampler.hessians(x, n, stream), prob.noiseless.hessian(x))
 
     def test_value_moments(self, noisy):
+        # The mean of n draws has mean f and variance sigma^2 / n.
         x = np.array([1.2, 0.4])
-        vals = noisy.sampler.values(x, 10_000, RngStream(1).child("v"))
         f = noisy.noiseless.value(x)
-        sigma = 0.1
-        assert abs(np.mean(vals) - f) <= 4 * sigma / np.sqrt(10_000)
-        assert abs(np.var(vals) - sigma**2) <= 0.1 * sigma**2
+        sigma, n, count = 0.1, 10, 5_000
+        means = _means_over_streams(noisy.sampler.values, x, n, count, RngStream(1).child("v"))
+        assert abs(np.mean(means) - f) <= 4 * sigma / np.sqrt(n * count)
+        assert abs(np.var(means) - sigma**2 / n) <= 0.1 * sigma**2 / n
 
     def test_gradient_covariance(self):
         prob = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-1))
         x = np.array([0.5, -0.5])
+        n = 5
         g = prob.noiseless.gradient(x)
-        draws = prob.sampler.gradients(x, 10_000, RngStream(2).child("g")) - g
-        cov = draws.T @ draws / draws.shape[0]
-        expected = 1e-1 * (np.eye(2) + np.ones((2, 2)))
-        assert np.max(np.abs(cov - expected)) <= 0.15 * 1e-1 * 2
+        errs = _means_over_streams(prob.sampler.gradients, x, n, 5_000, RngStream(2).child("g")) - g
+        cov = errs.T @ errs / errs.shape[0]
+        expected = 1e-1 * (np.eye(2) + np.ones((2, 2))) / n
+        assert np.max(np.abs(cov - expected)) <= 0.15 * 1e-1 * 2 / n
 
     def test_hessian_noise_symmetric_with_right_variance(self, noisy):
         x = np.array([0.0, 1.0])
-        draws = noisy.sampler.hessians(x, 5_000, RngStream(3).child("h"))
-        assert np.max(np.abs(draws - np.transpose(draws, (0, 2, 1)))) == 0.0
-        noise = draws - noisy.noiseless.hessian(x)
+        n = 4
+        means = _means_over_streams(noisy.sampler.hessians, x, n, 4_000, RngStream(3).child("h"))
+        assert np.max(np.abs(means - np.transpose(means, (0, 2, 1)))) == 0.0
+        noise = means - noisy.noiseless.hessian(x)
         for i in range(2):
             for j in range(2):
-                assert abs(np.var(noise[:, i, j]) - 1e-2) <= 0.15 * 1e-2
+                assert abs(np.var(noise[:, i, j]) - 1e-2 / n) <= 0.15 * 1e-2 / n
 
     def test_constraints_never_perturbed(self, noisy):
         x = np.array([0.7, 0.7])
@@ -65,11 +126,15 @@ class TestGaussianNoise:
         # distinct points see independent noise.
         x = np.array([0.1, 0.2])
         stream = RngStream(4).child("shared")
-        a = noisy.sampler.values(x, 100, stream)
-        b = noisy.sampler.values(x.copy(), 100, stream)
-        assert np.array_equal(a, b)
-        c = noisy.sampler.values(x + 0.5, 100, stream)
-        assert not np.array_equal(a - np.mean(a), c - np.mean(c))
+        for draw, oracle in [
+            (noisy.sampler.values, noisy.noiseless.value),
+            (noisy.sampler.gradients, noisy.noiseless.gradient),
+            (noisy.sampler.hessians, noisy.noiseless.hessian),
+        ]:
+            a = draw(x, 100, stream)
+            assert np.array_equal(a, draw(x.copy(), 100, stream))
+            c = draw(x + 0.5, 100, stream)
+            assert not np.array_equal(a - oracle(x), c - oracle(x + 0.5))
 
     def test_requires_noiseless_oracle(self, noisy):
         stripped = Problem(
@@ -89,19 +154,22 @@ class TestGaussianNoise:
             GaussianNoiseSpec(-1.0)
 
 
-def _toy_finite_sum(n_records=5, dim=3, seed=0):
+def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None):
+    """Least-squares finite sum; ``seen`` collects every index batch."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_records, dim))
     b = rng.standard_normal(n_records)
 
     def value(x, idx):
-        return 0.5 * (A[idx] @ x - b[idx]) ** 2
+        if seen is not None:
+            seen.append(idx)
+        return np.mean(0.5 * (A[idx] @ x - b[idx]) ** 2)
 
     def gradient(x, idx):
-        return (A[idx] @ x - b[idx])[:, None] * A[idx]
+        return (A[idx] @ x - b[idx]) @ A[idx] / len(idx)
 
     def hessian(x, idx):
-        return np.einsum("ni,nj->nij", A[idx], A[idx])
+        return A[idx].T @ A[idx] / len(idx)
 
     return finite_sum_problem(
         dim=dim,
@@ -110,7 +178,7 @@ def _toy_finite_sum(n_records=5, dim=3, seed=0):
         hessian_fn=hessian,
         n_records=n_records,
         constraint=lambda x: np.array([x[0] - 1.0]),
-        jacobian=lambda x: np.array([[1.0, 0.0, 0.0]]),
+        jacobian=lambda x: np.eye(1, dim),
         constraint_hessians=lambda x: np.zeros((1, dim, dim)),
         num_constraints=1,
     )
@@ -128,15 +196,28 @@ class TestFiniteSum:
         assert prob.noiseless.value(x) == pytest.approx(expected, rel=1e-12)
 
     def test_batches_share_indices_across_points(self):
-        prob = _toy_finite_sum()
+        seen = []
+        prob = _toy_finite_sum(seen=seen)
         stream = RngStream(9).child("batch")
         x1 = np.array([0.0, 0.0, 0.0])
         x2 = np.array([1.0, 1.0, 1.0])
         v1 = prob.sampler.values(x1, 50, stream)
-        v2 = prob.sampler.values(x2, 50, stream)
-        # Same records: evaluating the same point again matches exactly.
-        assert np.array_equal(v1, prob.sampler.values(x1, 50, stream))
-        assert v1.shape == v2.shape == (50,)
+        prob.sampler.values(x2, 50, stream)
+        prob.sampler.values(x1, 50, stream.child("other"))
+        # Same key, same records at both points; another key, other records.
+        assert np.array_equal(seen[0], seen[1]) and seen[0].shape == (50,)
+        assert not np.array_equal(seen[0], seen[2])
+        assert v1 == prob.sampler.values(x1, 50, stream)
+
+    def test_batch_larger_than_dataset_draws_with_replacement(self):
+        seen = []
+        prob = _toy_finite_sum(n_records=6_000, seen=seen)
+        x = np.array([0.3, 0.1, -0.7])
+        mean = prob.sampler.values(x, 10_000, RngStream(5).child("big"))
+        (idx,) = seen
+        assert idx.shape == (10_000,) and 0 <= idx.min() and idx.max() < 6_000
+        assert len(np.unique(idx)) < 6_000
+        assert mean != prob.noiseless.value(x)
 
     def test_gradient_matches_finite_differences(self):
         prob = _toy_finite_sum()
@@ -148,9 +229,9 @@ class TestFiniteSum:
         with pytest.raises(EmptyDataset):
             finite_sum_problem(
                 dim=2,
-                value_fn=lambda x, i: np.zeros(len(i)),
-                gradient_fn=lambda x, i: np.zeros((len(i), 2)),
-                hessian_fn=lambda x, i: np.zeros((len(i), 2, 2)),
+                value_fn=lambda x, i: 0.0,
+                gradient_fn=lambda x, i: np.zeros(2),
+                hessian_fn=lambda x, i: np.zeros((2, 2)),
                 n_records=0,
                 constraint=lambda x: np.array([x[0]]),
                 jacobian=lambda x: np.array([[1.0, 0.0]]),
