@@ -35,7 +35,7 @@ for scale in (1e-3, 1.0, 1e3):
         steps.GRADIENT_STEP, delta, float(np.linalg.norm(c_rs)), float(np.linalg.norm(grad_l_rs))
     )
     v, gamma, w = steps.normal_step(c, J, split.normal)
-    u = steps.tangential_gradient(H, grad, w, Z, split.tangential)
+    u = steps.tangential_gradient(J.reduce(H), Z.T @ (grad + H @ w), split.tangential)
     dx = w + Z @ u
     print(
         f"objective x {scale:>6g}: normal/delta = {split.normal/delta:.6f}, "

@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +129,7 @@ def cmd_run(spec: ExperimentSpec) -> int:
         for seed in spec.seeds:
             config = dataclasses.replace(spec.config, seed=seed)
             x0 = _initial_point(spec.problem, problem, seed)
-            t0 = time.perf_counter()
             result = run(problem, x0, config)
-            elapsed = time.perf_counter() - t0
             name = _run_name(spec.problem, noise, seed)
             csv_path = spec.out_dir / f"{name}.csv"
             with open(csv_path, "w") as fh:
@@ -151,12 +148,12 @@ def cmd_run(spec: ExperimentSpec) -> int:
                     "final_tau": result.final_tau,
                     "final_x": [float(v) for v in result.state.x],
                     "invariant_violations": result.invariants.total_violations,
-                    "wall_time": elapsed,
+                    "wall_time": result.wall_time,
                 }
             )
             print(
                 f"{name}: {result.stop_reason} after {result.state.k} iterations "
-                f"(kkt={result.final_kkt:.3e}, {elapsed:.2f}s)"
+                f"(kkt={result.final_kkt:.3e}, {result.wall_time:.2f}s)"
             )
     with open(spec.out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

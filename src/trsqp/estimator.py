@@ -37,7 +37,6 @@ __all__ = [
     "make_hessian_strategy",
     "IdentityHessian",
     "SR1Hessian",
-    "SampledLagrangianHessian",
     "AveragedLagrangianHessian",
     "BatchedLagrangianHessian",
 ]
@@ -55,18 +54,18 @@ SR1_SKIP_TOL = 1e-8
 @dataclass
 class Estimates:
     """Estimation bundle opening one iteration: gradient, Lagrangian
-    gradient and its stacked KKT norm, Hessian approximation with
-    its operator norm (the iteration's only ||H||) and reduced-curvature
-    data, and the batch sizes spent."""
+    gradient and its stacked KKT norm, Hessian approximation with its
+    operator norm (the iteration's only ||H||), the decomposed reduced
+    Hessian and its negative curvature (None and 0 on first-order runs,
+    whose gradient steps decompose it themselves), and the batch sizes spent."""
 
     grad: np.ndarray
     grad_lagrangian: np.ndarray
     kkt_norm: float
     hessian: np.ndarray
     hessian_norm: float
-    tau: float | None
+    reduced: linalg.SymmetricEig | None
     tau_plus: float
-    eigvec: np.ndarray | None
     batch_grad: int
     batch_hess: int
 
@@ -183,17 +182,9 @@ class SR1Hessian:
         return self._H.copy()
 
 
-class SampledLagrangianHessian:
-    """Single-draw estimate of the Lagrangian Hessian (EstH)."""
-
-    last_batch = 1
-
-    def build(self, problem, x, lam, grad_l, delta, config, stream):
-        return problem.sampler.hessians(x, 1, stream) + _lagrangian_term(problem, x, lam)
-
-
 class AveragedLagrangianHessian:
-    """Mean of the last ``window`` single-draw Lagrangian Hessians (AveH)."""
+    """Mean of the last ``window`` single-draw Lagrangian Hessians (AveH);
+    ``window=1`` is the single-draw estimate (EstH)."""
 
     last_batch = 1
 
@@ -221,7 +212,7 @@ class BatchedLagrangianHessian:
 HESSIAN_STRATEGIES = {
     "identity": IdentityHessian,
     "sr1": SR1Hessian,
-    "esth": lambda dim: SampledLagrangianHessian(),
+    "esth": lambda dim: AveragedLagrangianHessian(window=1),
     "aveh": lambda dim: AveragedLagrangianHessian(),
 }
 
@@ -243,22 +234,23 @@ def build_hessian(
     x: np.ndarray,
     lam: np.ndarray,
     grad_l: np.ndarray,
-    Z: np.ndarray,
+    J: linalg.JacobianFactor,
     delta: float,
     config: SolverConfig,
     stream: RngStream,
-) -> tuple[np.ndarray, float | None, float, np.ndarray | None, int]:
+) -> tuple[np.ndarray, linalg.SymmetricEig | None, float, int]:
     """Hessian approximation plus reduced-curvature data.
 
-    Returns ``(H, tau, tau_plus, eigvec, batch)``. For first-order runs
-    ``tau_plus`` is pinned to zero and no eigenpair is computed.
+    Returns ``(H, reduced, tau_plus, batch)`` with ``reduced`` the one
+    eigendecomposition of Z^T H Z. For first-order runs ``tau_plus`` is
+    pinned to zero and nothing is decomposed.
     """
     H = strategy.build(problem, x, lam, grad_l, delta, config, stream)
     H = 0.5 * (H + H.T)
     if config.alpha == 1:
-        tau, zeta = linalg.smallest_eigpair(Z.T @ H @ Z)
-        return H, tau, abs(min(tau, 0.0)), zeta, strategy.last_batch
-    return H, None, 0.0, None, strategy.last_batch
+        reduced = J.reduce(H)
+        return H, reduced, abs(min(float(reduced.w[0]), 0.0)), strategy.last_batch
+    return H, None, 0.0, strategy.last_batch
 
 
 def estimate_models(
@@ -288,8 +280,8 @@ def estimate_models(
         grad, batch_grad = estimate_gradient(
             problem, x, delta, config, stream.child("grad", attempt)
         )
-    H, tau, tau_plus, eigvec, batch_hess = build_hessian(
-        strategy, problem, x, lam, grad_l, J.Z, delta, config, stream.child("hess")
+    H, reduced, tau_plus, batch_hess = build_hessian(
+        strategy, problem, x, lam, grad_l, J, delta, config, stream.child("hess")
     )
     return Estimates(
         grad=grad,
@@ -297,9 +289,8 @@ def estimate_models(
         kkt_norm=kkt,
         hessian=H,
         hessian_norm=linalg.spectral_norm(H),
-        tau=tau,
+        reduced=reduced,
         tau_plus=tau_plus,
-        eigvec=eigvec,
         batch_grad=batch_grad,
         batch_hess=batch_hess,
     )

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels shared by the step computations.
 
 One factorization per constraint Jacobian (null-space basis, least-norm
-solve and least-squares multiplier), symmetric eigenpairs, the exact
-trust-region subproblem solver and the Cauchy point. All routines work on small dense arrays,
-are deterministic for identical input bits, and raise rather than silently
+solve and least-squares multiplier), one eigendecomposition per symmetric
+matrix (smallest eigenpair, norm and the exact trust-region subproblem
+solve) and the Cauchy point. All routines work on small dense arrays, are
+deterministic for identical input bits, and raise rather than silently
 regularize when a Jacobian fails its rank tolerance.
 """
 
@@ -19,6 +20,7 @@ from .errors import NonFiniteInput, RankDeficient
 
 __all__ = [
     "JacobianFactor",
+    "SymmetricEig",
     "nullspace_basis",
     "min_norm_pull",
     "smallest_eigpair",
@@ -89,6 +91,10 @@ class JacobianFactor:
         """Least-squares multiplier ``-(G G^T)^{-1} G g``, minimizing ||g + G^T lam||."""
         return -self.U @ ((self.Vt @ g) / self.s)
 
+    def reduce(self, H: np.ndarray) -> "SymmetricEig":
+        """The reduced matrix Z^T H Z on ker(G), decomposed once."""
+        return SymmetricEig.of(self.Z.T @ H @ self.Z)
+
 
 def nullspace_basis(G: np.ndarray) -> JacobianFactor:
     """The factorization of G that ``solver.iterate`` takes once per iteration."""
@@ -101,15 +107,8 @@ def min_norm_pull(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def smallest_eigpair(S: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector of a symmetric matrix.
-
-    The matrix is symmetrized defensively as (S + S^T)/2 before the solve.
-    """
-    S = np.asarray(S, dtype=float)
-    _require_finite(S)
-    S = 0.5 * (S + S.T)
-    w, V = scipy.linalg.eigh(S)
-    return float(w[0]), V[:, 0].copy()
+    """Smallest eigenvalue and a unit eigenvector; see :meth:`SymmetricEig.smallest`."""
+    return SymmetricEig.of(S).smallest()
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -146,96 +145,123 @@ def cauchy_point(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
     return -step * g
 
 
-def _exact_trs(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
-    """The secular-equation solve behind :func:`trs_solve`."""
-    w, Q = scipy.linalg.eigh(0.5 * (H + H.T))
-    # eigh returns the zero eigenvalues of a singular H as roundoff of either
-    # sign. A roundoff-positive one would send a g orthogonal to the kernel
-    # down the positive-definite branch, which divides by it.
-    w[np.abs(w) <= 1e-12 * np.max(np.abs(w))] = 0.0
-    gq = Q.T @ g
-    lam_min = float(w[0])
+@dataclass(frozen=True)
+class SymmetricEig:
+    """One eigendecomposition S = Q diag(w) Q^T, w ascending, of the input
+    symmetrized as (S + S^T)/2. The smallest eigenpair, the norm and the
+    trust-region solve all read it."""
 
-    def shifted(lam: float) -> np.ndarray:
-        """-(H + lam I)^{-1} g in the eigenbasis, with exact poles punctured."""
-        denom = w + lam
-        u = np.zeros_like(gq)
-        nz = denom != 0.0
-        u[nz] = -gq[nz] / denom[nz]
+    S: np.ndarray
+    w: np.ndarray
+    Q: np.ndarray
+
+    @classmethod
+    def of(cls, S: np.ndarray) -> "SymmetricEig":
+        S = np.asarray(S, dtype=float)
+        _require_finite(S)
+        S = 0.5 * (S + S.T)
+        w, Q = scipy.linalg.eigh(S)
+        return cls(S=S, w=w, Q=Q)
+
+    def smallest(self) -> tuple[float, np.ndarray]:
+        """Smallest eigenvalue and a unit eigenvector."""
+        return float(self.w[0]), self.Q[:, 0].copy()
+
+    @property
+    def norm(self) -> float:
+        """Operator 2-norm, max |lambda|."""
+        return float(np.max(np.abs(self.w), initial=0.0))
+
+    def trs(self, g: np.ndarray, radius: float) -> np.ndarray:
+        """Global minimizer of 0.5 u^T S u + g^T u subject to ||u|| <= radius.
+
+        Safeguarded secular-equation root finding in the eigenbasis covers
+        the interior, boundary and hard cases of More and Sorensen (1983), so
+        the Cauchy-decrease fraction is 1. A root-finding overshoot is
+        scaled back onto the sphere.
+        """
+        g = np.asarray(g, dtype=float)
+        _require_finite(g)
+        if radius <= 0.0:
+            raise ValueError("radius must be positive")
+        u = self._secular_solve(g, radius)
+        nrm = np.linalg.norm(u)
+        if nrm > radius:
+            u *= radius / nrm
         return u
 
-    def radius_gap(lam: float) -> float:
-        return float(np.linalg.norm(shifted(lam)) - radius)
+    def _secular_solve(self, g: np.ndarray, radius: float) -> np.ndarray:
+        # eigh returns the zero eigenvalues of a singular S as roundoff of either
+        # sign. A roundoff-positive one would send a g orthogonal to the kernel
+        # down the positive-definite branch, which divides by it. The shared
+        # factor keeps its own eigenvalues, so the zeroing works on a copy.
+        w, Q = self.w.copy(), self.Q
+        w[np.abs(w) <= 1e-12 * self.norm] = 0.0
+        gq = Q.T @ g
+        lam_min = float(w[0])
 
-    def to_boundary(u: np.ndarray) -> np.ndarray:
-        """Move u along the bottom eigenvector e_0 onto the sphere if it falls
-        short by more than root-finding accuracy, to the root t of
-        ||u + t e_0|| = radius with the lower model value (More-Sorensen)."""
-        shortfall = radius**2 - float(u @ u)
-        if shortfall > 1e-12 * radius**2:
-            u[0] = -np.copysign(np.sqrt(u[0] ** 2 + shortfall), gq[0])
-        return Q @ u
+        def shifted(lam: float) -> np.ndarray:
+            """-(S + lam I)^{-1} g in the eigenbasis, with exact poles punctured."""
+            denom = w + lam
+            u = np.zeros_like(gq)
+            nz = denom != 0.0
+            u[nz] = -gq[nz] / denom[nz]
+            return u
 
-    if lam_min > 0.0:
-        u = -(gq / w)
-        if np.linalg.norm(u) <= radius:
-            return Q @ u
-        lo = 0.0  # Newton point outside: secular root in (0, hi].
-    else:
-        lam_lo = -lam_min
-        bottom = (w - lam_min) <= 1e-12 * max(1.0, abs(lam_min))
-        gap_norm = float(np.linalg.norm(gq[bottom]))
-        if gap_norm <= 1e-13 * max(1.0, float(np.linalg.norm(gq))):
-            # Hard case: g has no component on the bottom eigenspace, and the
-            # limit point at lam = -lam_min may already be interior. Fill the
-            # remaining radius along a bottom eigendirection.
-            u = shifted(lam_lo)
-            u[bottom] = 0.0
+        def radius_gap(lam: float) -> float:
+            return float(np.linalg.norm(shifted(lam)) - radius)
+
+        def to_boundary(u: np.ndarray) -> np.ndarray:
+            """Move u along the bottom eigenvector e_0 onto the sphere if it falls
+            short by more than root-finding accuracy, to the root t of
+            ||u + t e_0|| = radius with the lower model value (More-Sorensen)."""
             shortfall = radius**2 - float(u @ u)
-            if shortfall >= 0.0:
-                u[int(np.argmax(bottom))] = np.sqrt(shortfall)
-                return Q @ u
-        # Regular boundary case: pick lo above the pole where the norm still
-        # exceeds the radius (bottom term alone contributes ~gap_norm/(lo-pole)).
-        lo = lam_lo + max(gap_norm / (2.0 * radius), 1e-16 * max(1.0, lam_lo))
-        for _ in range(300):
-            if radius_gap(lo) > 0.0:
-                break
-            new_lo = lam_lo + 0.25 * (lo - lam_lo)
-            if new_lo <= lam_lo or new_lo == lo:
-                return to_boundary(shifted(lo))
-            lo = new_lo
-        else:
-            return to_boundary(shifted(lo))
+            if shortfall > 1e-12 * radius**2:
+                u[0] = -np.copysign(np.sqrt(u[0] ** 2 + shortfall), gq[0])
+            return Q @ u
 
-    hi = max(0.0, -lam_min) + float(np.linalg.norm(gq)) / radius + 1e-12
-    while radius_gap(hi) > 0.0:
-        hi = 2.0 * hi + 1.0
-    eps = float(np.finfo(float).eps)
-    u = shifted(brentq(radius_gap, lo, hi, xtol=1e-18, rtol=4 * eps, maxiter=200))
-    # Near the hard case the pole at -lam_min is too sharp for brentq to reach
-    # the sphere, though a minimizer lies on it whenever lam_min <= 0.
-    return Q @ u if lam_min > 0.0 else to_boundary(u)
+        if lam_min > 0.0:
+            u = -(gq / w)
+            if np.linalg.norm(u) <= radius:
+                return Q @ u
+            lo = 0.0  # Newton point outside: secular root in (0, hi].
+        else:
+            lam_lo = -lam_min
+            bottom = (w - lam_min) <= 1e-12 * max(1.0, abs(lam_min))
+            gap_norm = float(np.linalg.norm(gq[bottom]))
+            if gap_norm <= 1e-13 * max(1.0, float(np.linalg.norm(gq))):
+                # Hard case: g has no component on the bottom eigenspace, and the
+                # limit point at lam = -lam_min may already be interior. Fill the
+                # remaining radius along a bottom eigendirection.
+                u = shifted(lam_lo)
+                u[bottom] = 0.0
+                shortfall = radius**2 - float(u @ u)
+                if shortfall >= 0.0:
+                    u[int(np.argmax(bottom))] = np.sqrt(shortfall)
+                    return Q @ u
+            # Regular boundary case: pick lo above the pole where the norm still
+            # exceeds the radius (bottom term alone contributes ~gap_norm/(lo-pole)).
+            lo = lam_lo + max(gap_norm / (2.0 * radius), 1e-16 * max(1.0, lam_lo))
+            for _ in range(300):
+                if radius_gap(lo) > 0.0:
+                    break
+                new_lo = lam_lo + 0.25 * (lo - lam_lo)
+                if new_lo <= lam_lo or new_lo == lo:
+                    return to_boundary(shifted(lo))
+                lo = new_lo
+            else:
+                return to_boundary(shifted(lo))
+
+        hi = max(0.0, -lam_min) + float(np.linalg.norm(gq)) / radius + 1e-12
+        while radius_gap(hi) > 0.0:
+            hi = 2.0 * hi + 1.0
+        eps = float(np.finfo(float).eps)
+        u = shifted(brentq(radius_gap, lo, hi, xtol=1e-18, rtol=4 * eps, maxiter=200))
+        # Near the hard case the pole at -lam_min is too sharp for brentq to reach
+        # the sphere, though a minimizer lies on it whenever lam_min <= 0.
+        return Q @ u if lam_min > 0.0 else to_boundary(u)
 
 
 def trs_solve(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
-    """Global minimizer of 0.5 u^T H u + g^T u subject to ||u|| <= radius.
-
-    Safeguarded secular-equation root finding on the eigendecomposition of
-    H, covering the interior, boundary and hard cases of More and Sorensen
-    (1983). The minimizer's model value is at most the Cauchy point's, so
-    the fraction-of-Cauchy-decrease condition holds with constant 1.
-
-    Returns u with ||u|| <= radius; a root-finding overshoot is scaled back
-    onto the sphere.
-    """
-    H = np.asarray(H, dtype=float)
-    g = np.asarray(g, dtype=float)
-    _require_finite(H, g)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    u = _exact_trs(H, g, radius)
-    nrm = np.linalg.norm(u)
-    if nrm > radius:
-        u *= radius / nrm
-    return u
+    """Exact trust-region subproblem solve; see :meth:`SymmetricEig.trs`."""
+    return SymmetricEig.of(H).trs(g, radius)

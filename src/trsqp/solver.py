@@ -274,12 +274,11 @@ def check_step(report, step, c, J, grad, H, delta):
     H_r = Z.T @ H @ Z
     m_u = linalg.model_value(H_r, g_r, step.u)
     if step.kind == steps.GRADIENT_STEP:
-        g_r_norm = float(np.linalg.norm(g_r))
-        h_r_norm = linalg.spectral_norm(H_r)
-        curv = g_r_norm / h_r_norm if h_r_norm > 0.0 else math.inf
-        rhs = -0.5 * g_r_norm * min(split.tangential, curv)
-        margin = m_u - rhs
-        report.add("cauchy_fraction", margin <= 1e-10 * max(1.0, abs(rhs)), margin)
+        # Its own SVD norm, so the check does not lean on the step's factor.
+        rhs, slack = steps.cauchy_bound(
+            float(np.linalg.norm(g_r)), linalg.spectral_norm(H_r), split.tangential
+        )
+        report.add("cauchy_fraction", m_u - rhs <= slack, m_u - rhs)
     else:
         tau_plus = abs(min(linalg.smallest_eigpair(H_r)[0], 0.0))
         desc = float(g_r @ step.u)
@@ -352,17 +351,7 @@ def iterate(
 
     kind, decrease = steps.select_step_type(kkt_est, h_norm, tau_plus, c_norm, delta)
     step = steps.build_trial_step(
-        kind,
-        c,
-        J,
-        grad,
-        H,
-        h_norm,
-        est.grad_lagrangian,
-        delta,
-        tau=est.tau,
-        tau_plus=tau_plus,
-        eigvec=est.eigvec,
+        kind, c, J, grad, H, h_norm, est.grad_lagrangian, delta, est.reduced
     )
 
     # Step 3: merit loop, then shared-sample value estimates at both points.

@@ -32,6 +32,7 @@ __all__ = [
     "rescaled_residuals",
     "split_radius",
     "normal_step",
+    "cauchy_bound",
     "tangential_gradient",
     "tangential_eigen",
     "soc_step",
@@ -119,30 +120,30 @@ def normal_step(
     return v, gamma, gamma * v
 
 
+def cauchy_bound(g_r_norm: float, h_r_norm: float, radius: float) -> tuple[float, float]:
+    """Fraction-of-Cauchy-decrease bound ``(rhs, slack)``: a tangential step u
+    of a reduced model with these gradient and Hessian norms meets it when
+    m(u) <= rhs + slack."""
+    curv = g_r_norm / h_r_norm if h_r_norm > 0.0 else np.inf
+    rhs = -0.5 * g_r_norm * min(radius, curv)
+    return rhs, CHECK_SLACK * max(1.0, abs(rhs))
+
+
 def tangential_gradient(
-    H: np.ndarray,
-    grad: np.ndarray,
-    w: np.ndarray,
-    Z: np.ndarray,
-    tangential_radius: float,
+    reduced: linalg.SymmetricEig, g_r: np.ndarray, tangential_radius: float
 ) -> np.ndarray:
     """Reduced trust-region solve for the gradient-step tangential component.
 
-    Solves min 0.5 u^T (Z^T H Z) u + (Z^T (g + H w))^T u over the tangential
-    ball and verifies the fraction-of-Cauchy-decrease condition a
-    posteriori.
+    Solves min 0.5 u^T S u + g_r^T u over the tangential ball, where
+    ``reduced`` holds S = Z^T H Z and g_r = Z^T (g + H w), and verifies the
+    fraction-of-Cauchy-decrease condition a posteriori.
     """
     if tangential_radius <= 0.0:
-        return np.zeros(Z.shape[1])
-    g_r = Z.T @ (grad + H @ w)
-    H_r = Z.T @ H @ Z
-    u = linalg.trs_solve(H_r, g_r, tangential_radius)
-    m_u = linalg.model_value(H_r, g_r, u)
-    g_r_norm = np.linalg.norm(g_r)
-    h_r_norm = linalg.spectral_norm(H_r)
-    curv = g_r_norm / h_r_norm if h_r_norm > 0.0 else np.inf
-    rhs = -0.5 * g_r_norm * min(tangential_radius, curv)
-    if m_u > rhs + CHECK_SLACK * max(1.0, abs(rhs)):
+        return np.zeros_like(g_r)
+    u = reduced.trs(g_r, tangential_radius)
+    m_u = linalg.model_value(reduced.S, g_r, u)
+    rhs, slack = cauchy_bound(float(np.linalg.norm(g_r)), reduced.norm, tangential_radius)
+    if m_u > rhs + slack:
         raise SubsolverFailure(
             f"reduction {m_u:.6e} misses the Cauchy fraction bound {rhs:.6e}"
         )
@@ -150,26 +151,21 @@ def tangential_gradient(
 
 
 def tangential_eigen(
-    H: np.ndarray,
-    grad: np.ndarray,
-    w: np.ndarray,
-    Z: np.ndarray,
-    tangential_radius: float,
-    tau: float,
-    eigvec: np.ndarray,
+    reduced: linalg.SymmetricEig, g_r: np.ndarray, tangential_radius: float
 ) -> np.ndarray:
     """Negative-curvature tangential component.
 
-    Scales the reduced eigenvector to the tangential radius, with the sign
-    chosen to make the step a descent direction for the reduced gradient
-    (ties resolved to the positive sign).
+    Scales the bottom eigenvector of ``reduced`` (S = Z^T H Z) to the
+    tangential radius, with the sign chosen to make the step a descent
+    direction for the reduced gradient g_r (ties resolved to the positive
+    sign).
     """
+    tau, eigvec = reduced.smallest()
     if tau >= 0.0:
         raise NotNegativeCurvature(f"eigen step requested with curvature {tau:.3e}")
     if tangential_radius <= 0.0:
-        return np.zeros(Z.shape[1])
+        return np.zeros_like(g_r)
     u = eigvec * (tangential_radius / np.linalg.norm(eigvec))
-    g_r = Z.T @ (grad + H @ w)
     if float(g_r @ u) > 0.0:
         u = -u
     return u
@@ -229,28 +225,28 @@ def build_trial_step(
     h_norm: float,
     grad_l: np.ndarray,
     delta: float,
-    tau: float | None = None,
-    tau_plus: float = 0.0,
-    eigvec: np.ndarray | None = None,
+    reduced: linalg.SymmetricEig | None = None,
 ) -> TrialStep:
     """Assemble a full trial step of the requested kind.
 
-    ``J`` is the iteration's factorization of the constraint Jacobian and
-    ``h_norm`` = ||H||.
+    ``J`` is the iteration's factorization of the constraint Jacobian,
+    ``h_norm`` = ||H|| and ``reduced`` the decomposed reduced Hessian
+    ``J.reduce(H)``; it is built here when the caller has none.
     """
     c_rs, grad_l_rs, _ = rescaled_residuals(c, J.G, grad_l, h_norm)
     c_rs_norm = float(np.linalg.norm(c_rs))
+    if reduced is None:
+        reduced = J.reduce(H)
     if kind == GRADIENT_STEP:
         opt_rs = float(np.linalg.norm(grad_l_rs))
     elif kind == EIGEN_STEP:
-        opt_rs = tau_plus / h_norm
+        opt_rs = abs(min(float(reduced.w[0]), 0.0)) / h_norm
     else:
         raise ValueError(f"unknown step kind {kind!r}")
     split = split_radius(kind, delta, c_rs_norm, opt_rs)
     _, gamma, w = normal_step(c, J, split.normal)
-    if kind == GRADIENT_STEP:
-        u = tangential_gradient(H, grad, w, J.Z, split.tangential)
-    else:
-        u = tangential_eigen(H, grad, w, J.Z, split.tangential, tau, eigvec)
+    g_r = J.Z.T @ (grad + H @ w)
+    tangential = tangential_gradient if kind == GRADIENT_STEP else tangential_eigen
+    u = tangential(reduced, g_r, split.tangential)
     t = J.Z @ u
     return TrialStep(kind=kind, gamma=gamma, w=w, u=u, t=t, dx=w + t, split=split)

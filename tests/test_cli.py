@@ -35,6 +35,22 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["runs"][0]["iterations"] == 0
 
+    def test_reports_the_solver_wall_time(self, tmp_path, capsys, monkeypatch):
+        # The printed time and summary.json read RunResult.wall_time; the
+        # command takes no clock of its own.
+        import trsqp.cli
+
+        real_run = trsqp.cli.run
+        monkeypatch.setattr(
+            trsqp.cli, "run", lambda *a: dataclasses.replace(real_run(*a), wall_time=12.345)
+        )
+        out = tmp_path / "runs"
+        code = run_cli(["run", "--problem", "quadratic", "--max-iters", "3", "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["runs"][0]["wall_time"] == 12.345
+        assert "12.35s)" in capsys.readouterr().out
+
     def test_unknown_problem_exits_2(self, tmp_path, capsys):
         code = run_cli(["run", "--problem", "mystery", "--out", str(tmp_path)])
         assert code == 2

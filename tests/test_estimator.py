@@ -153,12 +153,12 @@ class TestHessianStrategies:
         strat = make_hessian_strategy("identity", 0, 2)
         x = np.array([0.5, 0.5])
         G = prob.jacobian(x)
-        Z = nullspace_basis(G).Z
-        H, tau, tau_plus, zeta, n = build_hessian(
-            strat, prob, x, np.zeros(1), np.zeros(2), Z, 1.0, config, RngStream(0).child(0)
+        J = nullspace_basis(G)
+        H, reduced, tau_plus, n = build_hessian(
+            strat, prob, x, np.zeros(1), np.zeros(2), J, 1.0, config, RngStream(0).child(0)
         )
         assert np.array_equal(H, np.eye(2))
-        assert tau is None and tau_plus == 0.0 and zeta is None
+        assert reduced is None and tau_plus == 0.0
 
     def test_lagrangian_at_saddle(self):
         # Exact oracles at the saddle point: multiplier -1, Lagrangian
@@ -169,13 +169,13 @@ class TestHessianStrategies:
         g = prob.noiseless.gradient(x)
         lam = estimate_multiplier(G, g)
         assert lam == pytest.approx([-1.0])
-        Z = nullspace_basis(G).Z
+        J = nullspace_basis(G)
         strat = make_hessian_strategy("lagrangian", 1, 2)
-        H, tau, tau_plus, zeta, n = build_hessian(
-            strat, prob, x, lam, g + G.T @ lam, Z, 1.0, config, RngStream(0).child(0)
+        H, reduced, tau_plus, n = build_hessian(
+            strat, prob, x, lam, g + G.T @ lam, J, 1.0, config, RngStream(0).child(0)
         )
         assert np.allclose(H, np.diag([-2.0, -1.0]), atol=1e-12)
-        assert tau == pytest.approx(-1.0, abs=1e-12)
+        assert reduced.smallest()[0] == pytest.approx(-1.0, abs=1e-12)
         assert tau_plus == pytest.approx(1.0, abs=1e-12)
 
     def test_lagrangian_at_minimum(self):
@@ -185,12 +185,12 @@ class TestHessianStrategies:
         g = prob.noiseless.gradient(x)
         lam = estimate_multiplier(G, g)
         assert lam == pytest.approx([1.0])
-        Z = nullspace_basis(G).Z
+        J = nullspace_basis(G)
         strat = make_hessian_strategy("lagrangian", 1, 2)
-        H, tau, tau_plus, _, _ = build_hessian(
-            strat, prob, x, lam, g + G.T @ lam, Z, 1.0, config, RngStream(0).child(0)
+        H, reduced, tau_plus, _ = build_hessian(
+            strat, prob, x, lam, g + G.T @ lam, J, 1.0, config, RngStream(0).child(0)
         )
-        assert Z.T @ H @ Z == pytest.approx(np.array([[3.0]]), abs=1e-12)
+        assert reduced.S == pytest.approx(np.array([[3.0]]), abs=1e-12)
         assert tau_plus == 0.0
 
     def test_sr1_secant_and_skip(self):
@@ -220,13 +220,17 @@ class TestHessianStrategies:
             assert np.allclose(H, expected, atol=1e-12)
 
     def test_esth_single_draw(self):
+        # EstH is the window-1 average: each build is this iteration's draw
+        # alone, bit for bit, with nothing carried over from earlier builds.
         prob, config = self._ctx(variance=1e-2, alpha=0)
         strat = make_hessian_strategy("esth", 0, 2)
+        assert isinstance(strat, AveragedLagrangianHessian) and strat.last_batch == 1
         x = np.array([0.3, -0.3])
         lam = np.array([0.5])
-        H = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(1).child(0))
-        sample = prob.sampler.hessians(x, 1, RngStream(1).child(0))
-        assert np.allclose(H, sample + 0.5 * 2.0 * np.eye(2), atol=1e-12)
+        for k in range(3):
+            H = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(1).child(k))
+            sample = prob.sampler.hessians(x, 1, RngStream(1).child(k))
+            assert np.array_equal(H, sample + 0.5 * 2.0 * np.eye(2))
 
     def test_alpha1_overrides_strategy_name(self):
         strat = make_hessian_strategy("identity", 1, 2)

@@ -3,6 +3,7 @@ import pytest
 
 from trsqp.errors import NonFiniteInput, RankDeficient
 from trsqp.linalg import (
+    SymmetricEig,
     cauchy_point,
     min_norm_pull,
     model_value,
@@ -272,6 +273,35 @@ class TestTrsSolve:
     def test_nonfinite_raises(self):
         with pytest.raises(NonFiniteInput):
             trs_solve(np.eye(2), np.array([np.inf, 0.0]), 1.0)
+
+
+class TestSymmetricEig:
+    def test_one_factor_serves_every_reader(self):
+        # Singular PSD draws exercise the eigenvalue zeroing, which must not
+        # leak into the shared factor that the eigen step and norm read.
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            A = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+            S = A @ A.T if rng.uniform() < 0.5 else rng.standard_normal((n, n))
+            g, radius = rng.standard_normal(n), float(rng.uniform(0.1, 2.0))
+            fac = SymmetricEig.of(S)
+            w = fac.w.copy()
+            u = fac.trs(g, radius)
+            assert np.array_equal(fac.w, w)
+            assert np.array_equal(u, trs_solve(S, g, radius))
+            tau, zeta = fac.smallest()
+            ref_tau, ref_zeta = smallest_eigpair(S)
+            assert tau == ref_tau and np.array_equal(zeta, ref_zeta)
+            assert fac.norm == pytest.approx(spectral_norm(fac.S), rel=1e-12, abs=1e-300)
+
+    def test_jacobian_reduce(self):
+        rng = np.random.default_rng(32)
+        G, H = rng.standard_normal((2, 5)), rng.standard_normal((5, 5))
+        J = nullspace_basis(G)
+        red = J.reduce(H)
+        assert np.array_equal(red.S, SymmetricEig.of(J.Z.T @ H @ J.Z).S)
+        assert np.allclose(red.S, red.Q @ np.diag(red.w) @ red.Q.T, atol=1e-12)
 
 
 class TestSpectralNorm:

@@ -108,6 +108,35 @@ class TestIterate:
         assert seen == {"line6", "gradient", "eigen", "soc"}
         assert report.total_checked > 0 and report.total_violations == 0
 
+    @pytest.mark.parametrize(
+        "alpha, x0, kind, eigh, svd",
+        [
+            # Estimate and step share one eigh of Z^T H Z; the SVDs are G,
+            # ||H|| and ||G||.
+            (1, [0.0, 1.0], "gradient", 1, 3),
+            # A first-order line-6 iteration reads no reduced curvature.
+            (0, [-1.0, 0.0], "none", 0, 2),
+        ],
+    )
+    def test_decompositions_per_iteration(self, monkeypatch, alpha, x0, kind, eigh, svd):
+        import scipy.linalg
+
+        counts = {"eigh": 0, "svd": 0}
+        for name in counts:
+            real = getattr(scipy.linalg, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counting)
+        prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        cfg = SolverConfig(alpha=alpha, kkt_tol=0.0, seed=0)
+        state = SolverState.initial(prob, np.array(x0), cfg)
+        _, rec = iterate(state, prob, cfg, report=None)
+        assert rec.step_kind == kind
+        assert counts == {"eigh": eigh, "svd": svd}
+
     def test_merit_parameter_monotone(self):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
         cfg = SolverConfig(alpha=1, kkt_tol=0.0, seed=3)

@@ -118,18 +118,18 @@ class TestTangentialGradient:
         Z = np.eye(4)[:, :2]
         H = np.eye(4)
         grad = np.array([3.0, 4.0, 0.0, 0.0])
-        u = tangential_gradient(H, grad, np.zeros(4), Z, 1.0)
+        u = tangential_gradient(linalg.SymmetricEig.of(Z.T @ H @ Z), Z.T @ grad, 1.0)
         m = linalg.model_value(Z.T @ H @ Z, Z.T @ grad, u)
         assert m == pytest.approx(-4.5, abs=1e-10)
 
     def test_zero_radius(self):
         Z = np.eye(3)[:, :1]
-        u = tangential_gradient(np.eye(3), np.ones(3), np.zeros(3), Z, 0.0)
+        u = tangential_gradient(linalg.SymmetricEig.of(np.eye(1)), Z.T @ np.ones(3), 0.0)
         assert np.array_equal(u, np.zeros(1))
 
     def test_zero_reduced_gradient_psd(self):
         Z = np.eye(3)[:, :2]
-        u = tangential_gradient(np.eye(3), np.zeros(3), np.zeros(3), Z, 1.0)
+        u = tangential_gradient(linalg.SymmetricEig.of(np.eye(2)), Z.T @ np.zeros(3), 1.0)
         assert np.linalg.norm(u) <= 1e-12
 
 
@@ -137,8 +137,8 @@ class TestTangentialEigen:
     def test_exact_eigenvector_conditions(self):
         H = np.diag([-2.0, 1.0, 3.0])
         Z = np.eye(3)[:, :2]
-        u = tangential_eigen(H, np.zeros(3), np.zeros(3), Z, 1.0, -2.0, np.array([1.0, 0.0]))
         H_r = Z.T @ H @ Z
+        u = tangential_eigen(linalg.SymmetricEig.of(H_r), np.zeros(2), 1.0)
         assert np.linalg.norm(u) == pytest.approx(1.0)
         assert u @ H_r @ u == pytest.approx(-2.0)
         assert u @ H_r @ u <= -1.0 * 2.0 * 1.0**2 + 1e-12
@@ -147,15 +147,13 @@ class TestTangentialEigen:
         H = np.diag([-1.0, 2.0])
         Z = np.eye(2)[:, :1]
         grad = np.array([3.0, 0.0])
-        u = tangential_eigen(H, grad, np.zeros(2), Z, 0.5, -1.0, np.array([1.0]))
         g_r = Z.T @ grad
+        u = tangential_eigen(linalg.SymmetricEig.of(Z.T @ H @ Z), g_r, 0.5)
         assert float(g_r @ u) <= 0.0
 
     def test_requires_negative_curvature(self):
         with pytest.raises(NotNegativeCurvature):
-            tangential_eigen(
-                np.eye(2), np.zeros(2), np.zeros(2), np.eye(2)[:, :1], 1.0, 0.0, np.array([1.0])
-            )
+            tangential_eigen(linalg.SymmetricEig.of(np.zeros((1, 1))), np.zeros(1), 1.0)
 
 
 class TestSocStep:
@@ -262,11 +260,9 @@ class TestBuildTrialStep:
         lam = J.multiplier(grad)
         H = prob.noiseless.hessian(x) + lam[0] * 2.0 * np.eye(2)
         grad_l = grad + G.T @ lam
-        tau, zeta = linalg.smallest_eigpair(Z.T @ H @ Z)
         delta = 0.4
         step = build_trial_step(
-            EIGEN_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, delta,
-            tau=tau, tau_plus=abs(min(tau, 0.0)), eigvec=zeta,
+            EIGEN_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, delta, J.reduce(H)
         )
         assert step.split.tangential == pytest.approx(delta)
         assert np.linalg.norm(step.u) == pytest.approx(delta)
