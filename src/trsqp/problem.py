@@ -101,9 +101,13 @@ class _GaussianSampler:
     whose covariance is sigma^2 (I + ones ones^T); Hessian noise fills the
     upper triangle (diagonal included) with i.i.d. N(0, sigma^2) and mirrors
     it. Draws are keyed by (stream, evaluation point), so identical points
-    see identical noise and distinct points are independent. A mean sums a
-    C-contiguous (n, ...) array of draws over axis 0, bitwise ``np.mean`` of
-    the per-draw tensor; at zero noise it is the exact oracle's value.
+    see identical noise and distinct points are independent. A mean is
+    bitwise ``np.mean`` of the old per-draw tensor; at zero noise it is the
+    exact oracle's value.
+
+    The draws live in one workspace array that the sampler reuses and grows
+    only for a larger batch, so a call allocates nothing that grows with n.
+    A sampler must therefore not be shared between threads.
     """
 
     def __init__(self, oracle: NoiselessOracle, dim: int, variance: float):
@@ -114,33 +118,63 @@ class _GaussianSampler:
         slot = np.empty((dim, dim), dtype=np.intp)
         slot[iu] = slot[iu[1], iu[0]] = np.arange(len(iu[0]))
         self._triu_slot = slot.ravel()  # draw column of entries (i, j) and (j, i)
+        self._work = np.empty(0)
+
+    def _workspace(self, size):
+        """The first ``size`` doubles of the reused workspace. The largest
+        request, n (d(d+1)/2 + d^2) from ``hessians``, is less than the
+        per-draw tensors it replaces held at once."""
+        if self._work.size < size:
+            self._work = np.empty(size)
+        return self._work[:size]
+
+    @staticmethod
+    def _draw_order_mean(rows, n):
+        """Row means of a (k, n) block of draws. ``cumsum`` adds the draws
+        one at a time in draw order, as ``np.mean`` over axis 0 of the
+        (n, k) tensor did, so the bits match; a row sum would be pairwise."""
+        return np.cumsum(rows, axis=1, out=rows)[:, -1] / n
 
     def values(self, x, n, stream):
         f = self._oracle.value(x)
         if self._sigma == 0.0:
             return f
-        rng = stream.point_generator(x)
-        return np.mean(f + self._sigma * rng.standard_normal(n))
+        draws = stream.point_generator(x).standard_normal(out=self._workspace(n))
+        draws *= self._sigma
+        draws += f
+        return np.mean(draws)
 
     def gradients(self, x, n, stream):
         g = self._oracle.gradient(x)
         if self._sigma == 0.0:
             return g
+        d = self._dim
+        work = self._workspace(2 * d * n)
+        drawn, rows = work[: d * n], work[d * n :].reshape(d, n)
         rng = stream.point_generator(x)
-        z = rng.standard_normal((n, self._dim))
-        z0 = rng.standard_normal((n, 1))
-        return np.mean(g[None, :] + self._sigma * (z + z0), axis=0)
+        rng.standard_normal(out=drawn)
+        rows[...] = drawn.reshape(n, d).T
+        rows += rng.standard_normal(out=drawn[:n])  # z0, drawn after z as before
+        rows *= self._sigma
+        rows += g[:, None]
+        return self._draw_order_mean(rows, n)
 
     def hessians(self, x, n, stream):
         H = self._oracle.hessian(x)
         if self._sigma == 0.0:
             return H
-        d = self._dim
-        rng = stream.point_generator(x)
-        draws = self._sigma * rng.standard_normal((n, d * (d + 1) // 2))
-        # take() keeps the gathered array C-contiguous; draws[:, slot] would
-        # come out in Fortran order and np.mean would sum it in another order.
-        return np.mean(H.ravel() + draws.take(self._triu_slot, axis=1), axis=0).reshape(d, d)
+        d, k = self._dim, self._dim * (self._dim + 1) // 2
+        work = self._workspace((k + d * d) * n)
+        cols, rows = work[: k * n].reshape(k, n), work[k * n :].reshape(d * d, n)
+        # The (n, k) draws sit in the gathered rows' space; they are dead once transposed.
+        drawn = work[k * n : 2 * k * n]
+        stream.point_generator(x).standard_normal(out=drawn)
+        cols[...] = drawn.reshape(n, k).T
+        cols *= self._sigma
+        # mode="raise" would buffer the whole output before writing it.
+        cols.take(self._triu_slot, axis=0, out=rows, mode="clip")
+        rows += H.reshape(-1, 1)
+        return self._draw_order_mean(rows, n).reshape(d, d)
 
 
 def exact_problem(
@@ -191,6 +225,8 @@ class _FiniteSumSampler:
     Record indices are a deterministic function of the stream key alone, so
     one sample set evaluated at two points reuses the same records. Batches
     larger than the dataset are drawn with replacement too, not swapped for the full mean.
+    The last index batch is cached, read-only, so the second point of a
+    shared-sample pair does not draw it again.
     """
 
     def __init__(self, value_fn, gradient_fn, hessian_fn, n_records):
@@ -198,9 +234,17 @@ class _FiniteSumSampler:
         self._gradient = gradient_fn
         self._hessian = hessian_fn
         self._n = n_records
+        self._last = (None, None)
 
     def _indices(self, n, stream):
-        return stream.generator().integers(0, self._n, size=n)
+        # repr, as RngStream keys by it: a path part 1 and np.int64(1) compare
+        # equal yet name different generators.
+        key = (stream.seed, repr(stream.path), n)
+        if self._last[0] != key:
+            idx = stream.generator().integers(0, self._n, size=n)
+            idx.flags.writeable = False
+            self._last = (key, idx)
+        return self._last[1]
 
     def values(self, x, n, stream):
         return self._value(x, self._indices(n, stream))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,11 @@ def noisy():
     return gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-2))
 
 
-def _smooth_problem(d):
-    """Exact d-dimensional problem with a dense, x-dependent Hessian."""
+def _smooth_problem(d, symmetric=True):
+    """Exact d-dimensional problem with a dense, x-dependent Hessian. With
+    ``symmetric=False`` the Hessian oracle's entries (i, j) and (j, i) differ."""
     M = np.random.default_rng(d).standard_normal((d, d))
-    Q = M + M.T
+    Q = M + M.T if symmetric else M
     oracle = NoiselessOracle(
         value=lambda x: float(0.5 * x @ Q @ x + np.sum(np.sin(x))),
         gradient=lambda x: Q @ x + np.cos(x),
@@ -62,18 +65,60 @@ def _means_over_streams(draw, x, n, count, stream):
     return np.array([draw(x, n, stream.child(i)) for i in range(count)])
 
 
+def _assert_means_match_reference(sampler, oracle, d, x, n, stream):
+    """Each mean equals the tensor reference in bytes and shares no memory
+    with the sampler's workspace, since callers such as ``aveh`` keep it."""
+    f, g, H = _tensor_means(oracle, d, np.sqrt(0.3), x, n, stream)
+    means = sampler.values(x, n, stream), sampler.gradients(x, n, stream), sampler.hessians(x, n, stream)
+    assert means[0] == f
+    assert means[1].tobytes() == g.tobytes()
+    assert means[2].tobytes() == H.tobytes()
+    for mean in means:
+        assert not np.shares_memory(mean, sampler._work)
+    return means, (f, g, H)
+
+
 class TestGaussianNoise:
     @pytest.mark.parametrize("d", [2, 5])
     @pytest.mark.parametrize("n", [1, 7, 10_000])
     def test_means_match_tensor_reference_bitwise(self, d, n):
-        base = _smooth_problem(d)
-        prob = gaussian_noisy(base, GaussianNoiseSpec(0.3))
-        stream = RngStream(d).child("ref", n)
+        # Entries (i, j) and (j, i) take one draw but keep their own H entry.
         x = np.random.default_rng(n).standard_normal(d)
-        f, g, H = _tensor_means(base.noiseless, d, np.sqrt(0.3), x, n, stream)
-        assert prob.sampler.values(x, n, stream) == f
-        assert prob.sampler.gradients(x, n, stream).tobytes() == g.tobytes()
-        assert prob.sampler.hessians(x, n, stream).tobytes() == H.tobytes()
+        for symmetric in (True, False):
+            base = _smooth_problem(d, symmetric)
+            prob = gaussian_noisy(base, GaussianNoiseSpec(0.3))
+            stream = RngStream(d).child("ref", n)
+            _assert_means_match_reference(prob.sampler, base.noiseless, d, x, n, stream)
+
+    def test_interleaved_calls_reuse_workspace_bitwise(self):
+        # One sampler grows its workspace, then serves smaller and larger
+        # batches; every mean, also one kept from an earlier call, stays exact.
+        d = 3
+        base = _smooth_problem(d, symmetric=False)
+        sampler = gaussian_noisy(base, GaussianNoiseSpec(0.3)).sampler
+        rng = np.random.default_rng(11)
+        kept = []
+        for i, n in enumerate((10_000, 7, 1, 10_000)):
+            x = rng.standard_normal(d)
+            stream = RngStream(7).child("interleaved", i)
+            kept.append(_assert_means_match_reference(sampler, base.noiseless, d, x, n, stream))
+        for means, reference in kept:
+            assert [np.asarray(m).tobytes() for m in means] == [np.asarray(r).tobytes() for r in reference]
+
+    @pytest.mark.parametrize("kind", ["values", "gradients", "hessians"])
+    def test_warm_call_allocates_nothing_that_grows_with_n(self, kind):
+        # The per-draw arrays of a 10^4 batch alone take 80-320 KB.
+        draw = getattr(gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2)).sampler, kind)
+        x = np.array([0.3, -0.2])
+        stream = RngStream(0).child("alloc")
+        draw(x, 10_000, stream)
+        tracemalloc.start()
+        try:
+            draw(x, 10_000, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
     def test_zero_variance_reproduces_oracle(self):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(0.0))
@@ -208,6 +253,31 @@ class TestFiniteSum:
         assert np.array_equal(seen[0], seen[1]) and seen[0].shape == (50,)
         assert not np.array_equal(seen[0], seen[2])
         assert v1 == prob.sampler.values(x1, 50, stream)
+
+    def test_value_pair_draws_indices_once(self, monkeypatch):
+        keys = []
+        generator = RngStream.generator
+
+        def counted(stream):
+            keys.append(stream.path)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "generator", counted)
+        seen = []
+        prob = _toy_finite_sum(n_records=6_000, seen=seen)
+        stream = RngStream(9).child("pair", 1)
+        prob.sampler.values(np.zeros(3), 10_000, stream)
+        prob.sampler.values(np.ones(3), 10_000, stream)
+        assert len(keys) == 1 and seen[0] is seen[1]
+        assert not seen[0].flags.writeable
+        # Another size, or a path part that compares equal but keys another
+        # generator, draws afresh.
+        prob.sampler.values(np.zeros(3), 9_999, stream)
+        prob.sampler.values(np.zeros(3), 10_000, RngStream(9).child("pair", np.int64(1)))
+        assert len(keys) == 3
+        fresh = _toy_finite_sum(n_records=6_000, seen=[]).sampler._indices
+        assert np.array_equal(seen[3], fresh(10_000, RngStream(9).child("pair", np.int64(1))))
+        assert not np.array_equal(seen[3], seen[0])
 
     def test_batch_larger_than_dataset_draws_with_replacement(self):
         seen = []
