@@ -15,7 +15,13 @@ import numpy as np
 from . import linalg
 from .errors import DatasetGenerationFailed
 from .estimator import estimate_multiplier
-from .problem import NoiselessOracle, Problem, exact_problem, finite_sum_problem
+from .problem import (
+    NoiselessOracle,
+    Problem,
+    check_labeled_data,
+    exact_problem,
+    finite_sum_problem,
+)
 
 __all__ = [
     "make_quadratic",
@@ -91,27 +97,39 @@ class SyntheticLogisticSpec:
 
 
 def _logistic_records(features: np.ndarray, labels: np.ndarray):
-    """Means of the loss log(1 + exp(-y z^T x)) and its derivatives over records ``idx``."""
+    """Means of the loss log(1 + exp(-y z^T x)) and its derivatives over records ``idx``.
+
+    A repeated index counts once per draw. A batch of at least as many draws
+    as there are records sums over the whole dataset, each record weighted
+    by its draw count over n, so no rows are copied; a smaller batch gathers
+    its drawn rows, each weighted 1/n. The counted sum does not depend on
+    the order of ``idx``.
+    """
     Zf = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
 
+    def batch(idx):
+        """Rows a batch sums over, their labels and their weights."""
+        n = len(idx)
+        if n >= len(y):
+            return Zf, y, np.bincount(idx, minlength=len(y)) / n
+        return Zf.take(idx, axis=0), y.take(idx), np.full(n, 1.0 / n)
+
     def value(x, idx):
-        margins = y[idx] * (Zf[idx] @ x)
-        return np.logaddexp(0.0, -margins).mean()
+        Z, yb, w = batch(idx)
+        return w @ np.logaddexp(0.0, -yb * (Z @ x))
 
     def gradient(x, idx):
-        Zi = Zf[idx]
-        margins = y[idx] * (Zi @ x)
+        Z, yb, w = batch(idx)
+        margins = yb * (Z @ x)
         # d/dm log(1+e^{-m}) = sigma(m) - 1
-        coef = (1.0 / (1.0 + np.exp(-margins)) - 1.0) * y[idx]
-        return coef @ Zi / len(idx)
+        coef = (1.0 / (1.0 + np.exp(-margins)) - 1.0) * yb
+        return (w * coef) @ Z
 
     def hessian(x, idx):
-        Zi = Zf[idx]
-        margins = y[idx] * (Zi @ x)
-        s = 1.0 / (1.0 + np.exp(-margins))
-        w = s * (1.0 - s)
-        return (Zi.T * w) @ Zi / len(idx)
+        Z, yb, w = batch(idx)
+        s = 1.0 / (1.0 + np.exp(-yb * (Z @ x)))
+        return (Z.T * (w * s * (1.0 - s))) @ Z
 
     return value, gradient, hessian
 
@@ -126,8 +144,11 @@ def make_logistic_from_data(
     """Equality-constrained logistic regression over a given dataset.
 
     The affine constraints A x = b have i.i.d. standard normal entries,
-    redrawn until A passes the full-row-rank tolerance.
+    redrawn until A passes the full-row-rank tolerance. Raises
+    ``ValueError`` unless ``features`` is 2-D with one label in {-1, +1}
+    per row.
     """
+    features, labels = check_labeled_data(features, labels)
     rng = rng if rng is not None else np.random.default_rng(0)
     n, d = features.shape
     for _ in range(MAX_RANK_RETRIES):

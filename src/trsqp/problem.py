@@ -296,11 +296,28 @@ def finite_sum_problem(
     )
 
 
+def check_labeled_data(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a classification dataset and return it as float arrays.
+
+    Raises ``ValueError`` unless ``features`` is 2-D, ``labels`` is 1-D with
+    one entry per feature row, and every label is -1 or +1.
+    """
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {features.shape}")
+    if labels.shape != (features.shape[0],):
+        raise ValueError(
+            f"need one label per feature row: {features.shape[0]} rows, "
+            f"labels of shape {labels.shape}"
+        )
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    return features, labels
+
+
 def load_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a dataset CSV: first column is the label in {-1, +1}, the rest
     are features. Returns ``(features, labels)``."""
     data = np.loadtxt(path, delimiter=",", ndmin=2)
-    labels = data[:, 0]
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1 in the first CSV column")
-    return data[:, 1:], labels
+    return check_labeled_data(data[:, 1:], data[:, 0])

@@ -12,6 +12,7 @@ from trsqp.benchmarks import (
 )
 from trsqp.diagnostics import finite_difference_gradient, finite_difference_hessian
 from trsqp.estimator import estimate_multiplier
+from trsqp.solver import SolverConfig, run
 
 
 class TestSaddle:
@@ -84,12 +85,18 @@ class TestLogistic:
 
     def test_record_means_match_einsum_reference(self):
         # The oracles return batch means without per-record tensors; the
-        # reference builds those tensors and averages them.
+        # reference builds those tensors and averages them. Batches of fewer
+        # than 6,000 draws gather their rows; the rest weight every record
+        # by its draw count, from exactly 6,000 draws with repeats on.
         rng = np.random.default_rng(11)
         labels = np.repeat([1.0, -1.0], 3_000)
         features = rng.normal(np.where(labels > 0, 0.0, 5.0)[:, None], 1.0, size=(6_000, 15))
         value, gradient, hessian = _logistic_records(features, labels)
-        for idx in (rng.integers(0, 6_000, size=10_000), np.arange(6_000)):
+        boundary = rng.integers(0, 6_000, size=6_000)
+        assert len(np.unique(boundary)) < 6_000
+        batches = [rng.integers(0, 6_000, size=n) for n in (1, 10, 5_999)]
+        batches += [boundary, rng.integers(0, 6_000, size=10_000), np.arange(6_000)]
+        for idx in batches:
             for _ in range(3):
                 x = 0.3 * rng.standard_normal(15)
                 Zi, yi = features[idx], labels[idx]
@@ -103,6 +110,47 @@ class TestLogistic:
                 for got, ref in zip((value(x, idx), gradient(x, idx), hessian(x, idx)), refs):
                     assert np.shape(got) == np.shape(ref)
                     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_counted_batch_ignores_index_order(self):
+        rng = np.random.default_rng(12)
+        features = rng.standard_normal((6_000, 15))
+        labels = np.where(rng.uniform(size=6_000) < 0.5, 1.0, -1.0)
+        idx = rng.integers(0, 6_000, size=10_000)
+        x = 0.3 * rng.standard_normal(15)
+        for fn in _logistic_records(features, labels):
+            assert np.array_equal(fn(x, idx), fn(x, rng.permutation(idx)))
+
+    @pytest.mark.parametrize(
+        "rows, labels, match",
+        [
+            (np.ones(40), np.ones(40), "2-D"),
+            (np.ones((40, 6, 1)), np.ones(40), "2-D"),
+            (np.ones((40, 6)), np.ones(30), "one label per feature row"),
+            (np.ones((40, 6)), np.ones((40, 1)), "one label per feature row"),
+            (np.ones((40, 6)), np.tile([3.0, -3.0], 20), "-1 or \\+1"),
+            (np.ones((40, 6)), np.tile([1.0, 0.0], 20), "-1 or \\+1"),
+        ],
+        ids=["features-1d", "features-3d", "labels-short", "labels-2d", "labels-scaled", "labels-01"],
+    )
+    def test_from_data_rejects_malformed_input(self, rows, labels, match):
+        with pytest.raises(ValueError, match=match):
+            make_logistic_from_data(rows, labels, rng=np.random.default_rng(1))
+
+    def test_solve_with_batches_beyond_dataset(self):
+        # 40 records: every batch above 40 draws weights records by counts,
+        # and the batch sizes reach the cap of 10^4.
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((40, 6))
+        labels = np.where(rng.uniform(size=40) < 0.5, 1.0, -1.0)
+        prob = make_logistic_from_data(features, labels, rng=np.random.default_rng(1))
+        cfg = SolverConfig(alpha=1, kkt_tol=1e-2, seed=0)
+        first, again = (run(prob, np.zeros(6), cfg) for _ in range(2))
+        assert first.converged
+        assert first.invariants.total_violations == 0
+        assert max(max(r.batch_g, r.batch_h) for r in first.records) == cfg.batch_cap
+        rows = [[r.csv_row() for r in res.records] for res in (first, again)]
+        assert rows[0] == rows[1]
+        assert np.array_equal(first.state.x, again.state.x)
 
     def test_balanced_labels_and_law(self):
         rng = np.random.default_rng(7)
