@@ -30,7 +30,7 @@ for scale in (1e-3, 1.0, 1e3):
     H = scale * problem.noiseless.hessian(x) + np.tensordot(
         lam, problem.constraint_hessians(x), axes=1
     )
-    c_rs, grad_l_rs, _ = steps.rescaled_residuals(c, G, grad_l, linalg.spectral_norm(H))
+    c_rs, grad_l_rs = steps.rescaled_residuals(c, J, grad_l, linalg.spectral_norm(H))
     split = steps.split_radius(
         steps.GRADIENT_STEP, delta, float(np.linalg.norm(c_rs)), float(np.linalg.norm(grad_l_rs))
     )

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import estimator, linalg
 from .errors import DatasetGenerationFailed
-from .estimator import estimate_multiplier
+from .estimator import estimate_multiplier  # noqa: F401 -- bench/tracing.py patches this name
 from .problem import (
     NoiselessOracle,
     Problem,
@@ -204,17 +204,13 @@ def true_kkt(problem: Problem, x: np.ndarray) -> tuple[float, float]:
 
     Returns ``(||(grad f + G^T lam, c)||, tau_plus)`` with the multiplier
     from an exact least-squares solve and ``tau_plus`` from the smallest
-    eigenvalue of the reduced Lagrangian Hessian.
+    eigenvalue of the reduced Lagrangian Hessian. One SVD of G and one
+    eigendecomposition of the reduced Hessian serve both; they are this
+    reference's own, independent of the solver's factors.
     """
     oracle = problem.require_noiseless()
     x = np.asarray(x, dtype=float)
-    g = oracle.gradient(x)
-    c = problem.constraint(x)
-    G = problem.jacobian(x)
-    lam = estimate_multiplier(G, g)
-    grad_l = g + G.T @ lam
-    kkt = float(np.sqrt(grad_l @ grad_l + c @ c))
-    H = oracle.hessian(x) + np.tensordot(lam, problem.constraint_hessians(x), axes=1)
-    Z = linalg.nullspace_basis(G).Z
-    tau, _ = linalg.smallest_eigpair(Z.T @ H @ Z)
-    return kkt, abs(min(tau, 0.0))
+    J = linalg.nullspace_basis(problem.jacobian(x))
+    lam, _, kkt = estimator.kkt_residual(J, oracle.gradient(x), problem.constraint(x))
+    H = oracle.hessian(x) + estimator._lagrangian_term(problem, x, lam)
+    return kkt, J.reduce(H).tau_plus

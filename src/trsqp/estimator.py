@@ -32,6 +32,7 @@ __all__ = [
     "estimate_values",
     "estimate_value",
     "estimate_multiplier",
+    "kkt_residual",
     "build_hessian",
     "estimate_models",
     "make_hessian_strategy",
@@ -98,12 +99,20 @@ def batch_size(kind: str, delta: float, eps: float, config: SolverConfig) -> int
     return int(min(max(math.ceil(raw), 1), config.batch_cap))
 
 
+def _sampled(problem: Problem, kind: str, x: np.ndarray, n: int, stream: RngStream):
+    """The sampler's batch mean of ``kind`` ("values", "gradients" or
+    "hessians"); raises NonFiniteInput when it holds a NaN or infinity."""
+    mean = getattr(problem.sampler, kind)(x, n, stream)
+    linalg._require_finite(mean, what=f"sampled {kind}")
+    return mean
+
+
 def estimate_gradient(
     problem: Problem, x: np.ndarray, delta: float, config: SolverConfig, stream: RngStream
 ) -> tuple[np.ndarray, int]:
     """Batch-mean gradient estimate at ``x``."""
     n = batch_size(GRADIENT, delta, math.inf, config)
-    return problem.sampler.gradients(x, n, stream), n
+    return _sampled(problem, "gradients", x, n, stream), n
 
 
 def estimate_values(
@@ -118,8 +127,8 @@ def estimate_values(
     """Batch-mean value estimates at the current and trial points, both
     from one sample set (the Step-3 estimate)."""
     n = batch_size(VALUE, delta, eps, config)
-    f_k = float(problem.sampler.values(x_k, n, stream))
-    f_s = float(problem.sampler.values(x_s, n, stream))
+    f_k = float(_sampled(problem, "values", x_k, n, stream))
+    f_s = float(_sampled(problem, "values", x_s, n, stream))
     return f_k, f_s, n
 
 
@@ -128,12 +137,22 @@ def estimate_value(
 ) -> tuple[float, int]:
     """Single-point value estimate on a fresh sample set (SOC re-estimation)."""
     n = batch_size(VALUE, delta, eps, config)
-    return float(problem.sampler.values(x, n, stream)), n
+    return float(_sampled(problem, "values", x, n, stream)), n
 
 
 def estimate_multiplier(G: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Least-squares multiplier; see :meth:`linalg.JacobianFactor.multiplier`."""
     return linalg.JacobianFactor.of(G).multiplier(grad)
+
+
+def kkt_residual(
+    J: linalg.JacobianFactor, grad: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least-squares multiplier lam, Lagrangian gradient grad + G^T lam and
+    the stacked KKT norm ||(grad_L, c)||, all from the factor ``J`` of G."""
+    lam = J.multiplier(grad)
+    grad_l = grad + J.G.T @ lam
+    return lam, grad_l, float(np.sqrt(grad_l @ grad_l + c @ c))
 
 
 def _lagrangian_term(problem: Problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -192,7 +211,7 @@ class AveragedLagrangianHessian:
         self._buffer: deque = deque(maxlen=window)
 
     def build(self, problem, x, lam, grad_l, delta, config, stream):
-        sample = problem.sampler.hessians(x, 1, stream)
+        sample = _sampled(problem, "hessians", x, 1, stream)
         self._buffer.append(sample + _lagrangian_term(problem, x, lam))
         return np.mean(self._buffer, axis=0)
 
@@ -206,7 +225,7 @@ class BatchedLagrangianHessian:
     def build(self, problem, x, lam, grad_l, delta, config, stream):
         n = batch_size(HESSIAN, delta, math.inf, config)
         self.last_batch = n
-        return problem.sampler.hessians(x, n, stream) + _lagrangian_term(problem, x, lam)
+        return _sampled(problem, "hessians", x, n, stream) + _lagrangian_term(problem, x, lam)
 
 
 HESSIAN_STRATEGIES = {
@@ -249,7 +268,7 @@ def build_hessian(
     H = 0.5 * (H + H.T)
     if config.alpha == 1:
         reduced = J.reduce(H)
-        return H, reduced, abs(min(float(reduced.w[0]), 0.0)), strategy.last_batch
+        return H, reduced, reduced.tau_plus, strategy.last_batch
     return H, None, 0.0, strategy.last_batch
 
 
@@ -272,9 +291,7 @@ def estimate_models(
     """
     grad, batch_grad = estimate_gradient(problem, x, delta, config, stream.child("grad"))
     for attempt in range(1, MAX_RESAMPLE + 2):
-        lam = J.multiplier(grad)
-        grad_l = grad + J.G.T @ lam
-        kkt = float(np.sqrt(grad_l @ grad_l + c @ c))
+        lam, grad_l, kkt = kkt_residual(J, grad, c)
         if kkt > 0.0 or attempt > MAX_RESAMPLE:
             break
         grad, batch_grad = estimate_gradient(

@@ -33,10 +33,10 @@ __all__ = [
 RANK_TOL = 1e-10
 
 
-def _require_finite(*arrays) -> None:
+def _require_finite(*arrays, what: str = "input") -> None:
     for a in arrays:
         if not np.all(np.isfinite(a)):
-            raise NonFiniteInput("input contains NaN or infinity")
+            raise NonFiniteInput(f"{what} contains NaN or infinity")
 
 
 def _checked_svd(G: np.ndarray):
@@ -60,8 +60,8 @@ class JacobianFactor:
 
     ``Z`` has shape (d, d - m) with Z^T Z = I, G Z = 0, and Z Z^T equal to
     the orthogonal projector onto ker(G). ``U``, ``s`` and ``Vt`` are the
-    leading m singular triplets; the least-norm solve and the least-squares
-    multiplier read them without refactorizing G.
+    leading m singular triplets; the least-norm solve, the least-squares
+    multiplier and the norm read them without refactorizing G.
     """
 
     G: np.ndarray
@@ -80,6 +80,11 @@ class JacobianFactor:
         # Right-singular vectors beyond the row rank span ker(G); LAPACK's SVD
         # is deterministic for identical input bits.
         return cls(G=G, Z=Vt[m:].T.copy(), U=U, s=s[:m], Vt=Vt[:m])
+
+    @property
+    def norm(self) -> float:
+        """Operator 2-norm, the largest singular value."""
+        return float(self.s[0])
 
     def pull(self, rhs: np.ndarray) -> np.ndarray:
         """Least-norm solution ``-G^T (G G^T)^{-1} rhs`` of G y = -rhs, in im(G^T)."""
@@ -171,6 +176,11 @@ class SymmetricEig:
     def norm(self) -> float:
         """Operator 2-norm, max |lambda|."""
         return float(np.max(np.abs(self.w), initial=0.0))
+
+    @property
+    def tau_plus(self) -> float:
+        """Negative curvature max(-lambda_min, 0)."""
+        return max(0.0, -float(self.w[0]))
 
     def trs(self, g: np.ndarray, radius: float) -> np.ndarray:
         """Global minimizer of 0.5 u^T S u + g^T u subject to ||u|| <= radius.

@@ -280,7 +280,7 @@ def check_step(report, step, c, J, grad, H, delta):
         )
         report.add("cauchy_fraction", m_u - rhs <= slack, m_u - rhs)
     else:
-        tau_plus = abs(min(linalg.smallest_eigpair(H_r)[0], 0.0))
+        tau_plus = linalg.SymmetricEig.of(H_r).tau_plus
         desc = float(g_r @ step.u)
         desc_scale = float(np.linalg.norm(g_r)) * float(np.linalg.norm(step.u))
         report.add("eigen_descent", desc <= 1e-12 * max(desc_scale, 1e-300), desc)
@@ -358,8 +358,13 @@ def iterate(
     threshold = -0.5 * decrease
     pred = steps.predicted_reduction(grad, H, state.mu, c, G, step.dx)
     dx_norm = float(np.linalg.norm(step.dx))
+    # Pred's roundoff scales with each of its terms. The constraint term
+    # mu (||c + G dx|| - ||c||) carries eps mu (||c|| + ||G|| ||dx||), which at
+    # c = 0 is the roundoff of G dx alone (docs/decisions.md).
     pred_scale = (
-        float(np.linalg.norm(grad)) * dx_norm + 0.5 * h_norm * dx_norm**2 + state.mu * c_norm
+        float(np.linalg.norm(grad)) * dx_norm
+        + 0.5 * h_norm * dx_norm**2
+        + state.mu * (c_norm + J.norm * dx_norm)
     )
     slack = PRED_SLACK * abs(threshold) + PRED_ABS_SLACK * pred_scale
     # The linearized constraint reduction is -gamma ||c||; when it vanishes
@@ -385,7 +390,12 @@ def iterate(
     f_k, f_s, batch_f = estimator.estimate_values(
         problem, x, x_trial, delta, state.eps, config, it_stream.child("value")
     )
-    ared = f_s - f_k + state.mu * (float(np.linalg.norm(problem.constraint(x_trial))) - c_norm)
+
+    def actual_reduction(x_new, f_new):
+        """Ared: the estimated merit change from x to ``x_new``."""
+        return f_new - f_k + state.mu * (float(np.linalg.norm(problem.constraint(x_new))) - c_norm)
+
+    ared = actual_reduction(x_trial, f_s)
 
     # Step 4: ratio test, with one second-order-correction retry for
     # second-order runs near the feasible manifold.
@@ -397,9 +407,7 @@ def iterate(
         f_s, _ = estimator.estimate_value(
             problem, x_trial, delta, state.eps, config, it_stream.child("soc-value")
         )
-        ared = f_s - f_k + state.mu * (
-            float(np.linalg.norm(problem.constraint(x_trial))) - c_norm
-        )
+        ared = actual_reduction(x_trial, f_s)
         accepted = ared / pred >= config.eta
 
     if accepted:

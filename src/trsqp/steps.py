@@ -71,22 +71,13 @@ class TrialStep:
 
 
 def rescaled_residuals(
-    c: np.ndarray, G: np.ndarray, grad_l: np.ndarray, h_norm: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Feasibility and optimality residuals rescaled by ||G|| and ``h_norm`` = ||H||.
-
-    Returns ``(c_rs, grad_l_rs, kkt_rs_norm)`` where the last entry is the
-    norm of the stacked rescaled residual.
-    """
-    g_norm = linalg.spectral_norm(G)
+    c: np.ndarray, J: linalg.JacobianFactor, grad_l: np.ndarray, h_norm: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feasibility and optimality residuals ``(c_rs, grad_l_rs)`` rescaled by
+    ||G|| = ``J.norm`` and ``h_norm`` = ||H||."""
     if h_norm == 0.0:
         raise ZeroHessianNorm("Hessian approximation has zero operator norm")
-    if g_norm == 0.0:
-        raise ZeroHessianNorm("constraint Jacobian has zero operator norm")
-    c_rs = c / g_norm
-    grad_l_rs = grad_l / h_norm
-    stacked = float(np.hypot(np.linalg.norm(c_rs), np.linalg.norm(grad_l_rs)))
-    return c_rs, grad_l_rs, stacked
+    return c / J.norm, grad_l / h_norm
 
 
 def split_radius(mode: str, delta: float, c_rs_norm: float, opt_rs: float) -> RadiusSplit:
@@ -233,14 +224,14 @@ def build_trial_step(
     ``h_norm`` = ||H|| and ``reduced`` the decomposed reduced Hessian
     ``J.reduce(H)``; it is built here when the caller has none.
     """
-    c_rs, grad_l_rs, _ = rescaled_residuals(c, J.G, grad_l, h_norm)
+    c_rs, grad_l_rs = rescaled_residuals(c, J, grad_l, h_norm)
     c_rs_norm = float(np.linalg.norm(c_rs))
     if reduced is None:
         reduced = J.reduce(H)
     if kind == GRADIENT_STEP:
         opt_rs = float(np.linalg.norm(grad_l_rs))
     elif kind == EIGEN_STEP:
-        opt_rs = abs(min(float(reduced.w[0]), 0.0)) / h_norm
+        opt_rs = reduced.tau_plus / h_norm
     else:
         raise ValueError(f"unknown step kind {kind!r}")
     split = split_radius(kind, delta, c_rs_norm, opt_rs)

@@ -345,7 +345,7 @@ class ScaledModel:
     """Exact models of the saddle problem with its objective scaled."""
 
     c: np.ndarray
-    G: np.ndarray
+    J: linalg.JacobianFactor
     grad_l: np.ndarray
     h_norm: float
     tau_plus: float
@@ -357,7 +357,8 @@ def _scaled_saddle(scale: float, x: np.ndarray) -> ScaledModel:
     oracle = base.noiseless
     c = base.constraint(x)
     G = base.jacobian(x)
-    Z = linalg.nullspace_basis(G).Z
+    J = linalg.nullspace_basis(G)
+    Z = J.Z
     grad = scale * oracle.gradient(x)
     lam = estimator.estimate_multiplier(G, grad)
     grad_l = grad + G.T @ lam
@@ -365,7 +366,7 @@ def _scaled_saddle(scale: float, x: np.ndarray) -> ScaledModel:
     tau, _ = linalg.smallest_eigpair(Z.T @ H @ Z)
     return ScaledModel(
         c=c,
-        G=G,
+        J=J,
         grad_l=grad_l,
         h_norm=linalg.spectral_norm(H),
         tau_plus=abs(min(tau, 0.0)),
@@ -381,13 +382,13 @@ def _selected_kind(model: ScaledModel, delta: float) -> str:
 
 def _decomposition_snapshot(model: ScaledModel, kind: str, delta: float) -> np.ndarray:
     """gamma, normal/delta and tangential/delta of a step of type ``kind``."""
-    c_rs, grad_l_rs, _ = steps.rescaled_residuals(model.c, model.G, model.grad_l, model.h_norm)
+    c_rs, grad_l_rs = steps.rescaled_residuals(model.c, model.J, model.grad_l, model.h_norm)
     if kind == steps.GRADIENT_STEP:
         opt = float(np.linalg.norm(grad_l_rs))
     else:
         opt = model.tau_plus / model.h_norm
     split = steps.split_radius(kind, delta, float(np.linalg.norm(c_rs)), opt)
-    _, gamma, _ = steps.normal_step(model.c, linalg.nullspace_basis(model.G), split.normal)
+    _, gamma, _ = steps.normal_step(model.c, model.J, split.normal)
     return np.array([gamma, split.normal / delta, split.tangential / delta])
 
 

@@ -12,6 +12,7 @@ from trsqp.benchmarks import (
 )
 from trsqp.diagnostics import finite_difference_gradient, finite_difference_hessian
 from trsqp.estimator import estimate_multiplier
+from trsqp.linalg import nullspace_basis, smallest_eigpair
 from trsqp.solver import SolverConfig, run
 
 
@@ -44,6 +45,51 @@ class TestSaddle:
         # c = 0, grad f = (2, 1), G = (0, 2), lambda = -1/2, KKT norm 2.
         kkt, _ = true_kkt(make_saddle(), np.array([0.0, 1.0]))
         assert kkt == pytest.approx(2.0, abs=1e-12)
+
+
+def _two_factor_kkt(problem, x):
+    """The exact KKT residual and negative curvature, with G factored twice:
+    once for the multiplier and once for the null-space basis."""
+    oracle = problem.noiseless
+    g = oracle.gradient(x)
+    c = problem.constraint(x)
+    G = problem.jacobian(x)
+    lam = estimate_multiplier(G, g)
+    grad_l = g + G.T @ lam
+    kkt = float(np.sqrt(grad_l @ grad_l + c @ c))
+    H = oracle.hessian(x) + np.tensordot(lam, problem.constraint_hessians(x), axes=1)
+    Z = nullspace_basis(G).Z
+    tau, _ = smallest_eigpair(Z.T @ H @ Z)
+    return kkt, abs(min(tau, 0.0))
+
+
+class TestTrueKKT:
+    def test_one_svd_and_one_eigh_per_call(self, monkeypatch):
+        import scipy.linalg
+
+        counts = {"eigh": 0, "svd": 0}
+        for name in counts:
+            real = getattr(scipy.linalg, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counting)
+        true_kkt(make_saddle(), np.array([0.6, 0.9]))
+        assert counts == {"eigh": 1, "svd": 1}
+
+    def test_bitwise_equal_to_two_factor_formula(self):
+        rng = np.random.default_rng(12)
+        logistic = make_logistic(
+            SyntheticLogisticSpec(dim=5, n_records=50, num_constraints=2), rng
+        )
+        cases = [(make_saddle(), 2), (make_quadratic(), 2), (logistic, 5)]
+        for problem, d in cases:
+            for _ in range(20):
+                x = rng.uniform(-1.5, 1.5, size=d)
+                got = np.array(true_kkt(problem, x))
+                assert got.tobytes() == np.array(_two_factor_kkt(problem, x)).tobytes()
 
 
 class TestQuadratic:

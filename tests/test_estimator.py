@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trsqp import estimator
 from trsqp.benchmarks import make_quadratic, make_saddle
-from trsqp.errors import RankDeficient
+from trsqp.errors import NonFiniteInput, RankDeficient
 from trsqp.estimator import (
     GRADIENT,
     HESSIAN,
@@ -23,7 +24,7 @@ from trsqp.estimator import (
 from trsqp.linalg import nullspace_basis
 from trsqp.problem import GaussianNoiseSpec, gaussian_noisy
 from trsqp.rng import RngStream
-from trsqp.solver import SolverConfig
+from trsqp.solver import SolverConfig, run
 
 
 class TestBatchSize:
@@ -278,3 +279,32 @@ class TestEstimateModels:
             1.0, SolverConfig(alpha=0), RngStream(0).child(0),
         )
         assert est.kkt_norm == 0.0
+
+
+class _NaNSampler:
+    """Sampler proxy whose means of one kind are NaN."""
+
+    def __init__(self, inner, kind):
+        self._inner, self._kind = inner, kind
+
+    def __getattr__(self, name):
+        draw = getattr(self._inner, name)
+        if name != self._kind:
+            return draw
+        return lambda x, n, stream: draw(x, n, stream) * np.nan
+
+
+class TestNonFiniteSamples:
+    # Without the check a NaN gradient made the KKT norm NaN, which picked an
+    # eigen step on a first-order run (NotNegativeCurvature), and a NaN value
+    # made Ared NaN, which rejected every step until the radius floor.
+    @pytest.mark.parametrize(
+        "make, alpha, kind",
+        [(make_quadratic, 0, "gradients"), (make_saddle, 1, "values")],
+    )
+    def test_nan_mean_raises(self, make, alpha, kind):
+        noisy = gaussian_noisy(make(), GaussianNoiseSpec(1e-2))
+        prob = replace(noisy, sampler=_NaNSampler(noisy.sampler, kind))
+        config = SolverConfig(alpha=alpha, max_iters=50, seed=0)
+        with pytest.raises(NonFiniteInput, match=f"sampled {kind}"):
+            run(prob, np.array([0.6, 0.9]), config)

@@ -3,6 +3,7 @@ import pytest
 
 from trsqp.errors import NonFiniteInput, RankDeficient
 from trsqp.linalg import (
+    JacobianFactor,
     SymmetricEig,
     cauchy_point,
     min_norm_pull,
@@ -293,6 +294,7 @@ class TestSymmetricEig:
             tau, zeta = fac.smallest()
             ref_tau, ref_zeta = smallest_eigpair(S)
             assert tau == ref_tau and np.array_equal(zeta, ref_zeta)
+            assert fac.tau_plus == abs(min(ref_tau, 0.0))
             assert fac.norm == pytest.approx(spectral_norm(fac.S), rel=1e-12, abs=1e-300)
 
     def test_jacobian_reduce(self):
@@ -308,7 +310,9 @@ class TestSpectralNorm:
     def test_matches_svd(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((4, 6))
-        assert spectral_norm(A) == pytest.approx(np.linalg.svd(A, compute_uv=False)[0])
+        ref = np.linalg.svd(A, compute_uv=False)[0]
+        assert spectral_norm(A) == pytest.approx(ref)
+        assert JacobianFactor.of(A).norm == pytest.approx(ref)
 
     def test_vector_row(self):
         assert spectral_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)

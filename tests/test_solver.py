@@ -111,9 +111,9 @@ class TestIterate:
     @pytest.mark.parametrize(
         "alpha, x0, kind, eigh, svd",
         [
-            # Estimate and step share one eigh of Z^T H Z; the SVDs are G,
-            # ||H|| and ||G||.
-            (1, [0.0, 1.0], "gradient", 1, 3),
+            # Estimate and step share one eigh of Z^T H Z; the SVDs are G
+            # (which also gives ||G||) and ||H||.
+            (1, [0.0, 1.0], "gradient", 1, 2),
             # A first-order line-6 iteration reads no reduced curvature.
             (0, [-1.0, 0.0], "none", 0, 2),
         ],
@@ -168,7 +168,40 @@ class TestIterate:
                     assert state.eps == max(e0 / cfg.gamma, EPS_FLOOR)
 
 
+def make_hs28():
+    """Hock and Schittkowski problem 28: min (x1 + x2)^2 + (x2 + x3)^2 subject
+    to x1 + 2 x2 + 3 x3 = 1; x* = (0.5, -0.5, 0.5), f* = 0."""
+    A = np.array([[1.0, 2.0, 3.0]])
+    oracle = NoiselessOracle(
+        value=lambda x: float((x[0] + x[1]) ** 2 + (x[1] + x[2]) ** 2),
+        gradient=lambda x: np.array(
+            [2.0 * (x[0] + x[1]), 2.0 * (x[0] + x[1]) + 2.0 * (x[1] + x[2]), 2.0 * (x[1] + x[2])]
+        ),
+        hessian=lambda x: np.array([[2.0, 2.0, 0.0], [2.0, 4.0, 2.0], [0.0, 2.0, 2.0]]),
+    )
+    return exact_problem(
+        3, 1, oracle,
+        constraint=lambda x: A @ x - 1.0,
+        jacobian=lambda x: A.copy(),
+        constraint_hessians=lambda x: np.zeros((1, 3, 3)),
+        name="hs28",
+    )
+
+
 class TestRun:
+    @pytest.mark.parametrize("variance", [0.0, 1e-2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pred_threshold_holds_on_feasible_affine_steps(self, variance, seed):
+        # x0 = (-4, 1, 1) is feasible, so every step stays at c = 0 up to the
+        # roundoff of G dx, which Pred's slack must cover (docs/decisions.md).
+        prob = gaussian_noisy(make_hs28(), GaussianNoiseSpec(variance))
+        cfg = SolverConfig(alpha=0, max_iters=2000, seed=seed)
+        res = run(prob, np.array([-4.0, 1.0, 1.0]), cfg)
+        assert res.converged
+        assert res.invariants.checked["pred_threshold"] > 0
+        assert res.invariants.violations == {}
+        assert np.allclose(res.state.x, [0.5, -0.5, 0.5], atol=1e-3)
+
     def test_quadratic_converges(self):
         prob = make_quadratic()
         cfg = SolverConfig(alpha=0, hessian="identity", kkt_tol=1e-6, max_iters=200, seed=0)
