@@ -160,8 +160,8 @@ def cmd_run(spec: ExperimentSpec) -> int:
     return 0
 
 
-def cmd_check(module_filter: str | None, fault: str | None) -> int:
-    results = diagnostics.run_checks(module_filter, fault)
+def cmd_check(module_filter: str | None) -> int:
+    results = diagnostics.run_checks(module_filter)
     width = max(len(f"{r.module}: {r.name}") for r in results)
     failures = 0
     for r in results:
@@ -199,12 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     checkp = sub.add_parser("check", help="run the diagnostic suite")
     checkp.add_argument("--filter", default=None, help="restrict checks to one module")
-    checkp.add_argument(
-        "--inject-fault",
-        default=None,
-        choices=("pred-sign",),
-        help="test hook: corrupt a known quantity to confirm the suite catches it",
-    )
     return parser
 
 
@@ -213,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "check":
         try:
-            return cmd_check(args.filter, args.inject_fault)
+            return cmd_check(args.filter)
         except ValueError as exc:
             parser.error(str(exc))
     if args.problem not in PROBLEM_CHOICES and not args.problem.startswith("csv:"):

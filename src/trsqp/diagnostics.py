@@ -204,7 +204,7 @@ def _reference_solves():
     ]
 
 
-def _check_steps(rng, fault: str | None) -> list[CheckResult]:
+def _check_steps(rng) -> list[CheckResult]:
     report = InvariantReport()
     for _ in range(100):
         d = int(rng.integers(3, 7))
@@ -224,16 +224,13 @@ def _check_steps(rng, fault: str | None) -> list[CheckResult]:
     detail = f"{viol} violations in {report.total_checked} checks"
     return [
         CheckResult("steps", "split/orthogonality/feasibility invariants", viol == 0, detail),
-        _check_merit_loop(fault),
+        _check_merit_loop(),
     ]
 
 
-def _check_merit_loop(fault: str | None) -> CheckResult:
+def _check_merit_loop() -> CheckResult:
     """The solver's own merit loop must push Pred to its threshold in real
-    solves; the ``pred-sign`` fault negates ``steps.predicted_reduction``."""
-    original = steps.predicted_reduction
-    if fault == "pred-sign":
-        steps.predicted_reduction = lambda *args: -original(*args)
+    solves."""
     try:
         violations = sum(
             run(problem, x0, cfg).invariants.violations.get("pred_threshold", 0)
@@ -242,8 +239,6 @@ def _check_merit_loop(fault: str | None) -> CheckResult:
         passed, detail = violations == 0, f"{violations} pred_threshold violations"
     except MeritLoopDiverged as exc:
         passed, detail = False, f"MeritLoopDiverged: {exc}"
-    finally:
-        steps.predicted_reduction = original
     return CheckResult("steps", "merit loop reaches reduction threshold", passed, detail)
 
 
@@ -277,18 +272,14 @@ def _check_solver(rng) -> list[CheckResult]:
     return out
 
 
-def run_checks(module_filter: str | None = None, fault: str | None = None) -> list[CheckResult]:
-    """Run the diagnostic suite, optionally restricted to one module.
-
-    ``fault`` is a test hook that corrupts a known quantity so the suite's
-    ability to detect regressions can itself be verified.
-    """
+def run_checks(module_filter: str | None = None) -> list[CheckResult]:
+    """Run the diagnostic suite, optionally restricted to one module."""
     rng = np.random.default_rng(20240)
     groups = {
         "linalg": lambda: _check_linalg(rng),
         "problem": lambda: _check_problem(rng),
         "estimator": lambda: _check_estimator(rng),
-        "steps": lambda: _check_steps(rng, fault),
+        "steps": lambda: _check_steps(rng),
         "solver": lambda: _check_solver(rng),
     }
     if module_filter is not None:

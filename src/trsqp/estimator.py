@@ -72,28 +72,33 @@ class Estimates:
 
 
 def batch_size(kind: str, delta: float, eps: float, config: SolverConfig) -> int:
-    """Chebyshev lower bound on the sample count, clamped to [1, batch_cap].
+    """Chebyshev lower bound c / (p accuracy) on the sample count, clamped
+    to [1, batch_cap].
 
-    Value batches scale with min{(kappa_f delta^(alpha+2))^2, eps^2};
-    gradient batches with (kappa_g delta^(alpha+1))^2; Hessian batches with
-    (kappa_h delta)^2.
+    The accuracy is (kappa delta^e)^2 with (c, p, kappa, e) =
+    (c_f, p_f, kappa_f, alpha+2) for values, (c_g, p_g, kappa_g, alpha+1)
+    for gradients and (c_h, p_h, kappa_h, 1) for Hessians; a value batch
+    takes the smaller of it and eps^2. An accuracy that underflows to 0
+    gives ``batch_cap``.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     a = config.alpha
-    if kind == HESSIAN:
-        denom = config.p_h * (config.kappa_h * delta) ** 2
-        raw = config.c_h / denom if denom > 0 else math.inf
-    elif kind == GRADIENT:
-        denom = config.p_g * (config.kappa_g * delta ** (a + 1)) ** 2
-        raw = config.c_g / denom if denom > 0 else math.inf
-    elif kind == VALUE:
+    rules = {
+        VALUE: (config.c_f, config.p_f, config.kappa_f, a + 2),
+        GRADIENT: (config.c_g, config.p_g, config.kappa_g, a + 1),
+        HESSIAN: (config.c_h, config.p_h, config.kappa_h, 1),
+    }
+    if kind not in rules:
+        raise ValueError(f"unknown batch kind {kind!r}")
+    c, p, kappa, e = rules[kind]
+    accuracy = (kappa * delta**e) ** 2
+    if kind == VALUE:
         if eps <= 0.0:
             raise ValueError("eps must be positive for value batches")
-        denom = config.p_f * min((config.kappa_f * delta ** (a + 2)) ** 2, eps**2)
-        raw = config.c_f / denom if denom > 0 else math.inf
-    else:
-        raise ValueError(f"unknown batch kind {kind!r}")
+        accuracy = min(accuracy, eps**2)
+    denom = p * accuracy
+    raw = c / denom if denom > 0 else math.inf
     if not math.isfinite(raw):
         return config.batch_cap
     return int(min(max(math.ceil(raw), 1), config.batch_cap))
@@ -161,15 +166,16 @@ def _lagrangian_term(problem: Problem, x: np.ndarray, lam: np.ndarray) -> np.nda
 
 
 class IdentityHessian:
-    """H = I; the cheapest bounded approximation."""
+    """H = I; the cheapest bounded approximation.
 
-    last_batch = 0
+    Every strategy's ``build`` returns ``(H, batch)``, with ``batch`` the
+    number of Hessian samples it drew."""
 
     def __init__(self, dim: int):
         self._eye = np.eye(dim)
 
     def build(self, problem, x, lam, grad_l, delta, config, stream):
-        return self._eye.copy()
+        return self._eye.copy(), 0
 
 
 class SR1Hessian:
@@ -179,8 +185,6 @@ class SR1Hessian:
     it is skipped when the denominator fails the standard safeguard
     |z^T s| >= SR1_SKIP_TOL ||z|| ||s|| (or when the iterate did not move).
     """
-
-    last_batch = 0
 
     def __init__(self, dim: int):
         self._H = np.eye(dim)
@@ -198,14 +202,12 @@ class SR1Hessian:
                 self._H = self._H + np.outer(z, z) / denom
         self._prev_x = x.copy()
         self._prev_grad_l = grad_l.copy()
-        return self._H.copy()
+        return self._H.copy(), 0
 
 
 class AveragedLagrangianHessian:
     """Mean of the last ``window`` single-draw Lagrangian Hessians (AveH);
     ``window=1`` is the single-draw estimate (EstH)."""
-
-    last_batch = 1
 
     def __init__(self, window: int = 50):
         self._buffer: deque = deque(maxlen=window)
@@ -213,19 +215,15 @@ class AveragedLagrangianHessian:
     def build(self, problem, x, lam, grad_l, delta, config, stream):
         sample = _sampled(problem, "hessians", x, 1, stream)
         self._buffer.append(sample + _lagrangian_term(problem, x, lam))
-        return np.mean(self._buffer, axis=0)
+        return np.mean(self._buffer, axis=0), 1
 
 
 class BatchedLagrangianHessian:
     """Radius-accurate Lagrangian Hessian estimate for second-order runs."""
 
-    def __init__(self):
-        self.last_batch = 0
-
     def build(self, problem, x, lam, grad_l, delta, config, stream):
         n = batch_size(HESSIAN, delta, math.inf, config)
-        self.last_batch = n
-        return _sampled(problem, "hessians", x, n, stream) + _lagrangian_term(problem, x, lam)
+        return _sampled(problem, "hessians", x, n, stream) + _lagrangian_term(problem, x, lam), n
 
 
 HESSIAN_STRATEGIES = {
@@ -264,12 +262,12 @@ def build_hessian(
     eigendecomposition of Z^T H Z. For first-order runs ``tau_plus`` is
     pinned to zero and nothing is decomposed.
     """
-    H = strategy.build(problem, x, lam, grad_l, delta, config, stream)
+    H, batch = strategy.build(problem, x, lam, grad_l, delta, config, stream)
     H = 0.5 * (H + H.T)
     if config.alpha == 1:
         reduced = J.reduce(H)
-        return H, reduced, reduced.tau_plus, strategy.last_batch
-    return H, None, 0.0, strategy.last_batch
+        return H, reduced, reduced.tau_plus, batch
+    return H, None, 0.0, batch
 
 
 def estimate_models(

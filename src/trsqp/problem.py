@@ -10,7 +10,7 @@ and finite-sum subsampling over a dataset of per-record oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
 import numpy as np
@@ -205,18 +205,8 @@ def gaussian_noisy(base: Problem, spec: GaussianNoiseSpec) -> Problem:
     Constraints are never perturbed. The wrapped problem keeps the exact
     oracle attached, so true residuals remain available for benchmarking.
     """
-    oracle = base.require_noiseless()
-    sampler = _GaussianSampler(oracle, base.dim, spec.variance)
-    return Problem(
-        dim=base.dim,
-        num_constraints=base.num_constraints,
-        constraint=base.constraint,
-        jacobian=base.jacobian,
-        constraint_hessians=base.constraint_hessians,
-        sampler=sampler,
-        noiseless=oracle,
-        name=f"{base.name}+noise{spec.variance:g}",
-    )
+    sampler = _GaussianSampler(base.require_noiseless(), base.dim, spec.variance)
+    return replace(base, sampler=sampler, name=f"{base.name}+noise{spec.variance:g}")
 
 
 class _FiniteSumSampler:
@@ -299,13 +289,18 @@ def finite_sum_problem(
 def check_labeled_data(features, labels) -> tuple[np.ndarray, np.ndarray]:
     """Validate a classification dataset and return it as float arrays.
 
-    Raises ``ValueError`` unless ``features`` is 2-D, ``labels`` is 1-D with
-    one entry per feature row, and every label is -1 or +1.
+    Raises ``ValueError`` unless ``features`` is 2-D with at least one
+    column and only finite entries, ``labels`` is 1-D with one entry per
+    feature row, and every label is -1 or +1.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {features.shape}")
+    if features.ndim != 2 or features.shape[1] == 0:
+        raise ValueError(
+            f"features must be 2-D with at least one column, got shape {features.shape}"
+        )
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features contain NaN or infinity")
     if labels.shape != (features.shape[0],):
         raise ValueError(
             f"need one label per feature row: {features.shape[0]} rows, "

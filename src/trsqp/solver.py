@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -183,24 +184,23 @@ class IterationRecord:
     batch_g: int
     batch_h: int
 
-    CSV_FIELDS = (
-        "k,outcome,step_kind,soc,delta,eps,mu,pred,ared,"
-        "kkt_est,tau_est,kkt_true,tau_true,batch_f,batch_g,batch_h"
-    )
+    CSV_FIELDS: ClassVar[str]  # the header: field names, in declaration order
 
     def csv_row(self) -> str:
-        vals = [
-            str(self.k),
-            self.outcome,
-            self.step_kind,
-            str(int(self.soc)),
-            *(format(v, ".17g") for v in (self.delta, self.eps, self.mu, self.pred, self.ared)),
-            *(format(v, ".17g") for v in (self.kkt_est, self.tau_est, self.kkt_true, self.tau_true)),
-            str(self.batch_f),
-            str(self.batch_g),
-            str(self.batch_h),
-        ]
-        return ",".join(vals)
+        return ",".join(_csv_cell(getattr(self, name)) for name in _CSV_COLUMNS)
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: a bool as 0/1, a float round-trippable (17 digits)."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+_CSV_COLUMNS = tuple(f.name for f in fields(IterationRecord))
+IterationRecord.CSV_FIELDS = ",".join(_CSV_COLUMNS)
 
 
 @dataclass
@@ -243,6 +243,19 @@ class RunResult:
 def _shrink_eps(eps: float, config: SolverConfig) -> float:
     """The reliability parameter after an unreliable or failed iteration."""
     return max(eps / config.gamma, EPS_FLOOR)
+
+
+def _fail(state: SolverState, config: SolverConfig) -> None:
+    """A failed iteration (line 6 or a rejected step) shrinks the radius and
+    the reliability parameter and leaves the iterate where it is."""
+    state.delta = state.delta / config.gamma
+    state.eps = _shrink_eps(state.eps, config)
+
+
+def _stop_measure(kkt: float, tau_plus: float, config: SolverConfig) -> float:
+    """The stopping measure: the KKT residual, or for second-order runs the
+    larger of it and the negative curvature."""
+    return kkt if config.alpha == 0 else max(kkt, tau_plus)
 
 
 def check_step(report, step, c, J, grad, H, delta):
@@ -343,8 +356,7 @@ def iterate(
     # Step 2: progress criterion. Failure shrinks the radius and the
     # reliability parameter without touching the iterate.
     if max(kkt_est / max(1.0, h_norm), tau_plus) < config.eta * delta:
-        state.delta = delta / config.gamma
-        state.eps = _shrink_eps(state.eps, config)
+        _fail(state, config)
         state.k = k + 1
         record = make_record(UNSUCCESSFUL_LINE6, "none", False, math.nan, math.nan, 0)
         return state, record
@@ -391,11 +403,13 @@ def iterate(
         problem, x, x_trial, delta, state.eps, config, it_stream.child("value")
     )
 
-    def actual_reduction(x_new, f_new):
-        """Ared: the estimated merit change from x to ``x_new``."""
-        return f_new - f_k + state.mu * (float(np.linalg.norm(problem.constraint(x_new))) - c_norm)
+    c_trial = problem.constraint(x_trial)
 
-    ared = actual_reduction(x_trial, f_s)
+    def actual_reduction(c_new, f_new):
+        """Ared: the estimated merit change from x to a point where c = ``c_new``."""
+        return f_new - f_k + state.mu * (float(np.linalg.norm(c_new)) - c_norm)
+
+    ared = actual_reduction(c_trial, f_s)
 
     # Step 4: ratio test, with one second-order-correction retry for
     # second-order runs near the feasible manifold.
@@ -403,11 +417,11 @@ def iterate(
     accepted = ared / pred >= config.eta
     if not accepted and config.alpha == 1 and c_norm <= config.r:
         soc_performed = True
-        x_trial = x + step.dx + steps.soc_step(problem, x, step.dx, J)
+        x_trial = x + step.dx + steps.soc_step(c, c_trial, step.dx, J)
         f_s, _ = estimator.estimate_value(
             problem, x_trial, delta, state.eps, config, it_stream.child("soc-value")
         )
-        ared = actual_reduction(x_trial, f_s)
+        ared = actual_reduction(problem.constraint(x_trial), f_s)
         accepted = ared / pred >= config.eta
 
     if accepted:
@@ -421,8 +435,7 @@ def iterate(
             state.eps = _shrink_eps(state.eps, config)
     else:
         outcome = UNSUCCESSFUL_REJECTED
-        state.delta = delta / config.gamma
-        state.eps = _shrink_eps(state.eps, config)
+        _fail(state, config)
 
     state.k = k + 1
     record = make_record(outcome, kind, soc_performed, pred, ared, batch_f)
@@ -463,12 +476,10 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
 
     while True:
         kkt_true, tau_true = exact_kkt(state.x)
-        if use_true:
-            crit = kkt_true if config.alpha == 0 else max(kkt_true, tau_true)
-            if crit <= config.kkt_tol:
-                converged = True
-                stop_reason = "converged"
-                break
+        if use_true and _stop_measure(kkt_true, tau_true, config) <= config.kkt_tol:
+            converged = True
+            stop_reason = "converged"
+            break
         if state.k >= config.max_iters:
             stop_reason = "max-iters"
             break
@@ -479,7 +490,7 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
         record.kkt_true, record.tau_true = kkt_true, tau_true
         records.append(record)
         if not use_true:
-            crit = record.kkt_est if config.alpha == 0 else max(record.kkt_est, record.tau_est)
+            crit = _stop_measure(record.kkt_est, record.tau_est, config)
             hits = hits + 1 if crit <= config.kkt_tol else 0
             if hits >= STOP_PATIENCE:
                 converged = True

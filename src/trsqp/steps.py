@@ -22,7 +22,6 @@ from .errors import (
     SubsolverFailure,
     ZeroHessianNorm,
 )
-from .problem import Problem
 
 __all__ = [
     "GRADIENT_STEP",
@@ -32,6 +31,7 @@ __all__ = [
     "rescaled_residuals",
     "split_radius",
     "normal_step",
+    "cauchy_decrease",
     "cauchy_bound",
     "tangential_gradient",
     "tangential_eigen",
@@ -111,12 +111,18 @@ def normal_step(
     return v, gamma, gamma * v
 
 
+def cauchy_decrease(g_norm: float, h_norm: float, radius: float) -> float:
+    """The Cauchy-decrease term ||g|| min{radius, ||g||/||H||} of a model
+    with these gradient and Hessian norms; ||g||/0 reads as infinity."""
+    curv = g_norm / h_norm if h_norm > 0.0 else np.inf
+    return g_norm * min(radius, curv)
+
+
 def cauchy_bound(g_r_norm: float, h_r_norm: float, radius: float) -> tuple[float, float]:
     """Fraction-of-Cauchy-decrease bound ``(rhs, slack)``: a tangential step u
     of a reduced model with these gradient and Hessian norms meets it when
     m(u) <= rhs + slack."""
-    curv = g_r_norm / h_r_norm if h_r_norm > 0.0 else np.inf
-    rhs = -0.5 * g_r_norm * min(radius, curv)
+    rhs = -0.5 * cauchy_decrease(g_r_norm, h_r_norm, radius)
     return rhs, CHECK_SLACK * max(1.0, abs(rhs))
 
 
@@ -163,15 +169,15 @@ def tangential_eigen(
 
 
 def soc_step(
-    problem: Problem, x: np.ndarray, dx: np.ndarray, J: linalg.JacobianFactor
+    c: np.ndarray, c_trial: np.ndarray, dx: np.ndarray, J: linalg.JacobianFactor
 ) -> np.ndarray:
     """Second-order correction cancelling the quadratic constraint remainder.
 
-    Pulls back the remainder c(x + dx) - c(x) - G dx through the least-norm
+    Pulls back the remainder c(x + dx) - c(x) - G dx, from the constraint
+    values ``c_trial`` = c(x + dx) and ``c`` = c(x), through the least-norm
     solve; identically zero for affine constraints.
     """
-    remainder = problem.constraint(x + dx) - problem.constraint(x) - J.G @ dx
-    return J.pull(remainder)
+    return J.pull(c_trial - c - J.G @ dx)
 
 
 def select_step_type(
@@ -188,8 +194,7 @@ def select_step_type(
     which mixes objective and constraint units, so the choice is invariant
     to a rescaling of the objective only at c = 0 (see docs/decisions.md).
     """
-    curv = kkt_norm / h_norm if h_norm > 0.0 else np.inf
-    lhs = kkt_norm * min(delta, curv)
+    lhs = cauchy_decrease(kkt_norm, h_norm, delta)
     rhs = tau_plus * delta * (delta + c_norm)
     return (GRADIENT_STEP, lhs) if lhs >= rhs else (EIGEN_STEP, rhs)
 

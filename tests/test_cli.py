@@ -148,6 +148,24 @@ class TestRunCommand:
         assert code == 0
         assert len(list(out.glob("*.csv"))) == 1
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1\n-1\n1\n-1\n", "at least one column"),
+            ("1,0.5,-1.0\n-1,nan,3.0\n1,0.1,0.2\n-1,2.0,1.0\n", "NaN or infinity"),
+        ],
+        ids=["label-only", "nan-feature"],
+    )
+    def test_malformed_csv_is_an_error(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(rows)
+        code = run_cli(
+            ["run", "--problem", f"csv:{data}", "--max-iters", "5", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestCheckCommand:
     def test_default_suite_passes(self, capsys):
@@ -155,15 +173,19 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
-    def test_fault_injection_detected(self, capsys):
-        # The fault reaches the solver's own merit loop, and only that row
-        # fails; the patched Pred is restored afterwards.
+    def test_fault_injection_detected(self, capsys, monkeypatch):
+        # A negated Pred reaches the solver's own merit loop, and only that
+        # row of the steps checks fails.
         original = steps.predicted_reduction
-        assert run_cli(["check", "--inject-fault", "pred-sign"]) == 1
+        monkeypatch.setattr(steps, "predicted_reduction", lambda *args: -original(*args))
+        assert run_cli(["check", "--filter", "steps"]) == 1
         failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
         assert len(failed) == 1
         assert "merit loop" in failed[0] and "MeritLoopDiverged" in failed[0]
-        assert steps.predicted_reduction is original
+
+    def test_inject_fault_option_is_gone(self, capsys):
+        assert run_cli(["check", "--inject-fault", "pred-sign"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_filter_restricts_modules(self, capsys):
         assert run_cli(["check", "--filter", "steps"]) == 0

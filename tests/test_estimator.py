@@ -57,6 +57,29 @@ class TestBatchSize:
         config = SolverConfig(alpha=0, c_g=1e-12)
         assert batch_size(GRADIENT, 5.0, 1.0, config) == 1
 
+    @pytest.mark.parametrize(
+        "alpha, n_f, n_g, n_h, n_f_eps",
+        [(0, 343, 62, 28, 1372), (1, 153, 28, 28, 610)],
+    )
+    def test_each_kind_matches_hand_computed_rule(self, alpha, n_f, n_g, n_h, n_f_eps):
+        # ceil(c / (p (kappa delta^e)^2)) at delta = 1.5, p = 0.9, with
+        # e = alpha+2 and kappa_f = 0.4^3/80, c = 1e-3 (value); e = alpha+1,
+        # kappa = 0.2, c = 5 (gradient); e = 1, kappa = 0.3, c = 5 (Hessian).
+        # An eps at half the value accuracy takes over and quadruples n_f.
+        config = SolverConfig(alpha=alpha, kappa_g=0.2, kappa_h=0.3, c_f=1e-3)
+        assert batch_size(VALUE, 1.5, 1.0, config) == n_f
+        assert batch_size(GRADIENT, 1.5, 1.0, config) == n_g
+        assert batch_size(HESSIAN, 1.5, 1.0, config) == n_h
+        eps = 0.5 * config.kappa_f * 1.5 ** (alpha + 2)
+        assert batch_size(VALUE, 1.5, eps, config) == n_f_eps
+
+    @pytest.mark.parametrize("kind", [VALUE, GRADIENT, HESSIAN])
+    def test_underflowing_accuracy_gives_cap(self, kind):
+        # (kappa delta^e)^2 underflows to 0 at delta = 1e-200, so p times it
+        # is 0 and the guard returns batch_cap rather than dividing by it.
+        config = SolverConfig(alpha=1)
+        assert batch_size(kind, 1e-200, 1e-200, config) == config.batch_cap
+
 
 class TestGradientEstimate:
     def test_exact_at_zero_noise(self):
@@ -200,11 +223,12 @@ class TestHessianStrategies:
         x0, g0 = np.array([0.0, 0.0]), np.array([1.0, 0.0])
         x1, g1 = np.array([1.0, 0.5]), np.array([0.0, 2.0])
         strat.build(prob, x0, None, g0, 1.0, config, RngStream(0).child(0))
-        H = strat.build(prob, x1, None, g1, 1.0, config, RngStream(0).child(1))
+        H, n = strat.build(prob, x1, None, g1, 1.0, config, RngStream(0).child(1))
+        assert n == 0
         s, y = x1 - x0, g1 - g0
         assert np.allclose(H @ s, y, atol=1e-12)  # secant equation
         # Unchanged iterate: the update is skipped, H carries over.
-        H2 = strat.build(prob, x1, None, g1 + 1.0, 1.0, config, RngStream(0).child(2))
+        H2, _ = strat.build(prob, x1, None, g1 + 1.0, 1.0, config, RngStream(0).child(2))
         assert np.array_equal(H2, H)
 
     def test_aveh_is_window_mean(self):
@@ -214,7 +238,8 @@ class TestHessianStrategies:
         lam = np.array([0.0])
         seen = []
         for k in range(5):
-            H = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(0).child(k))
+            H, n = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(0).child(k))
+            assert n == 1
             sample = prob.sampler.hessians(x, 1, RngStream(0).child(k))
             seen.append(sample)  # lam = 0 so the constraint term vanishes
             expected = np.mean(seen[-3:], axis=0)
@@ -225,11 +250,12 @@ class TestHessianStrategies:
         # alone, bit for bit, with nothing carried over from earlier builds.
         prob, config = self._ctx(variance=1e-2, alpha=0)
         strat = make_hessian_strategy("esth", 0, 2)
-        assert isinstance(strat, AveragedLagrangianHessian) and strat.last_batch == 1
+        assert isinstance(strat, AveragedLagrangianHessian)
         x = np.array([0.3, -0.3])
         lam = np.array([0.5])
         for k in range(3):
-            H = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(1).child(k))
+            H, n = strat.build(prob, x, lam, np.zeros(2), 1.0, config, RngStream(1).child(k))
+            assert n == 1
             sample = prob.sampler.hessians(x, 1, RngStream(1).child(k))
             assert np.array_equal(H, sample + 0.5 * 2.0 * np.eye(2))
 

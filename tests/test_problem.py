@@ -323,3 +323,16 @@ class TestCsvLoader:
         path.write_text("2,0.5\n")
         with pytest.raises(ValueError):
             load_labeled_csv(path)
+
+    def test_label_column_alone_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("1\n-1\n1\n")
+        with pytest.raises(ValueError, match="at least one column"):
+            load_labeled_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1,0.5,-1.0\n-1,{bad},3.0\n")
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            load_labeled_csv(path)

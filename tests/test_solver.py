@@ -1,3 +1,7 @@
+import dataclasses
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from trsqp.solver import (
     UNSUCCESSFUL_LINE6,
     UNSUCCESSFUL_REJECTED,
     InvariantReport,
+    IterationRecord,
     SolverConfig,
     SolverState,
     iterate,
@@ -52,6 +57,46 @@ class TestConfigValidation:
             SolverConfig(p_f=1.0)
         with pytest.raises(ValueError, match="batch_cap"):
             SolverConfig(batch_cap=0)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _hand_written_row(rec):
+    """The trajectory row written column by column: the reference that the
+    derived ``csv_row`` must reproduce."""
+    vals = [
+        str(rec.k),
+        rec.outcome,
+        rec.step_kind,
+        str(int(rec.soc)),
+        *(format(v, ".17g") for v in (rec.delta, rec.eps, rec.mu, rec.pred, rec.ared)),
+        *(format(v, ".17g") for v in (rec.kkt_est, rec.tau_est, rec.kkt_true, rec.tau_true)),
+        str(rec.batch_f),
+        str(rec.batch_g),
+        str(rec.batch_h),
+    ]
+    return ",".join(vals)
+
+
+class TestIterationRecord:
+    def test_header_matches_readme(self):
+        assert IterationRecord.CSV_FIELDS in README.read_text().splitlines()
+
+    def test_row_formats_like_the_hand_written_row(self):
+        # A bool, ints, a NaN, an inf, floats that are not exactly
+        # representable (0.1, 1/3) and the numpy scalars a solve can log.
+        rec = IterationRecord(
+            k=7, outcome=SUCCESSFUL_RELIABLE, step_kind="eigen", soc=True,
+            delta=0.1, eps=1.0 / 3.0, mu=np.float64(1.2), pred=-2.5e-17, ared=math.nan,
+            kkt_est=1e300, tau_est=0.0, kkt_true=math.nan, tau_true=-math.inf,
+            batch_f=10_000, batch_g=np.int64(1), batch_h=0,
+        )
+        assert rec.csv_row() == _hand_written_row(rec)
+        assert rec.csv_row().split(",")[3:6] == ["1", "0.10000000000000001", "0.33333333333333331"]
+        assert "nan" in rec.csv_row().split(",")
+        off = dataclasses.replace(rec, soc=False)
+        assert off.csv_row().split(",")[3] == "0" and off.csv_row() == _hand_written_row(off)
 
 
 class TestIterate:
@@ -107,6 +152,30 @@ class TestIterate:
                 seen.add("soc")
         assert seen == {"line6", "gradient", "eigen", "soc"}
         assert report.total_checked > 0 and report.total_violations == 0
+
+    def test_soc_evaluates_the_constraint_once(self):
+        # c(x) and c(x + dx) are evaluated once each per trial iteration;
+        # the SOC reads them and evaluates c only at its own trial point.
+        base = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return base.constraint(x)
+
+        prob = dataclasses.replace(base, constraint=counting)
+        cfg = SolverConfig(alpha=1, kkt_tol=0.0, seed=0)
+        state = SolverState.initial(prob, np.array([1.0, 0.005]), cfg)
+        socs = 0
+        for _ in range(20):
+            calls.clear()
+            state, rec = iterate(state, prob, cfg)
+            if rec.outcome == UNSUCCESSFUL_LINE6:
+                assert len(calls) == 1
+            else:
+                assert len(calls) == 2 + rec.soc
+                socs += rec.soc
+        assert socs > 0
 
     @pytest.mark.parametrize(
         "alpha, x0, kind, eigh, svd",

@@ -162,13 +162,15 @@ class TestSocStep:
         prob = _affine_problem()
         x = np.array([0.3, -0.2, 0.9])
         dx = np.array([0.1, 0.2, -0.1])
-        d = soc_step(prob, x, dx, linalg.nullspace_basis(prob.jacobian(x)))
+        J = linalg.nullspace_basis(prob.jacobian(x))
+        d = soc_step(prob.constraint(x), prob.constraint(x + dx), dx, J)
         assert np.max(np.abs(d)) <= 1e-14
 
     def test_zero_step_gives_zero(self):
         prob = make_saddle()
         x = np.array([1.0, 0.0])
-        d = soc_step(prob, x, np.zeros(2), linalg.nullspace_basis(prob.jacobian(x)))
+        c = prob.constraint(x)
+        d = soc_step(c, c, np.zeros(2), linalg.nullspace_basis(prob.jacobian(x)))
         assert np.array_equal(d, np.zeros(2))
 
     def test_saddle_hand_expansion(self):
@@ -177,7 +179,9 @@ class TestSocStep:
         prob = make_saddle()
         x = np.array([1.0, 0.0])
         t = 0.3
-        d = soc_step(prob, x, np.array([0.0, t]), linalg.nullspace_basis(prob.jacobian(x)))
+        dx = np.array([0.0, t])
+        J = linalg.nullspace_basis(prob.jacobian(x))
+        d = soc_step(prob.constraint(x), prob.constraint(x + dx), dx, J)
         assert np.allclose(d, [-(t**2) / 2.0, 0.0], atol=1e-14)
 
 
