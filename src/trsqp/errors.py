@@ -22,7 +22,8 @@ class DegenerateResiduals(TrsqpError):
 
 
 class SubsolverFailure(TrsqpError):
-    """A trust-region subsolver missed its fraction-of-Cauchy guarantee."""
+    """A trust-region subsolver failed: its secular-equation root was not
+    found, or its step missed the fraction-of-Cauchy guarantee."""
 
 
 class NotNegativeCurvature(TrsqpError):

@@ -10,13 +10,12 @@ regularize when a Jacobian fails its rank tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import brentq
 
-from .errors import NonFiniteInput, RankDeficient
+from .errors import NonFiniteInput, RankDeficient, SubsolverFailure
 
 __all__ = [
     "JacobianFactor",
@@ -45,7 +44,7 @@ def _checked_svd(G: np.ndarray):
     if G.ndim != 2 or G.shape[0] > G.shape[1]:
         raise ValueError(f"expected an m-by-d Jacobian with m <= d, got shape {G.shape}")
     m = G.shape[0]
-    U, s, Vt = scipy.linalg.svd(G, full_matrices=True)
+    U, s, Vt = np.linalg.svd(G, full_matrices=True)
     if m == 0 or s[m - 1] <= RANK_TOL * s[0]:
         raise RankDeficient(
             f"smallest singular value {s[-1] if m else 0.0:.3e} below "
@@ -122,7 +121,7 @@ def spectral_norm(A: np.ndarray) -> float:
     _require_finite(A)
     if A.size == 0:
         return 0.0
-    return float(scipy.linalg.svd(A, compute_uv=False)[0])
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def model_value(H: np.ndarray, g: np.ndarray, u: np.ndarray) -> float:
@@ -165,7 +164,7 @@ class SymmetricEig:
         S = np.asarray(S, dtype=float)
         _require_finite(S)
         S = 0.5 * (S + S.T)
-        w, Q = scipy.linalg.eigh(S)
+        w, Q = np.linalg.eigh(S)
         return cls(S=S, w=w, Q=Q)
 
     def smallest(self) -> tuple[float, np.ndarray]:
@@ -265,11 +264,72 @@ class SymmetricEig:
         hi = max(0.0, -lam_min) + float(np.linalg.norm(gq)) / radius + 1e-12
         while radius_gap(hi) > 0.0:
             hi = 2.0 * hi + 1.0
-        eps = float(np.finfo(float).eps)
-        u = shifted(brentq(radius_gap, lo, hi, xtol=1e-18, rtol=4 * eps, maxiter=200))
-        # Near the hard case the pole at -lam_min is too sharp for brentq to reach
+        u = shifted(_brentq(radius_gap, lo, hi))
+        # Near the hard case the pole at -lam_min is too sharp for Brent to reach
         # the sphere, though a minimizer lies on it whenever lam_min <= 0.
         return Q @ u if lam_min > 0.0 else to_boundary(u)
+
+
+def _brentq(f, xa: float, xb: float, xtol=1e-18, rtol=4 * np.finfo(float).eps, maxiter=200):
+    """A root of f in the sign-changing bracket [xa, xb] by Brent's method
+    (Brent, 1973, ch. 4).
+
+    A line-for-line port of SciPy's ``brentq.c``, so it returns SciPy's bits
+    for the same f, bracket and tolerances. No sign change, a NaN value and
+    no convergence within ``maxiter`` steps raise SubsolverFailure.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise SubsolverFailure(f"secular equation is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SubsolverFailure(f"secular equation has no sign change on [{xa!r}, {xb!r}]")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise SubsolverFailure(f"secular equation root not found in {maxiter} iterations")
 
 
 def trs_solve(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:

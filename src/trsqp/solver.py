@@ -138,6 +138,9 @@ class SolverState:
     k: int
     strategy: object
     stream: RngStream
+    # c at the iterate, keyed by the bits of x: an x assigned or changed from
+    # outside gets a fresh evaluation.
+    c_cache: tuple[bytes, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, problem: Problem, x0: np.ndarray, config: SolverConfig) -> "SolverState":
@@ -154,6 +157,13 @@ class SolverState:
             strategy=strategy,
             stream=RngStream(config.seed),
         )
+
+    def constraint(self, problem: Problem) -> np.ndarray:
+        """c(x) at the iterate, evaluated once per distinct iterate."""
+        key = self.x.tobytes()
+        if self.c_cache is None or self.c_cache[0] != key:
+            self.c_cache = (key, problem.constraint(self.x))
+        return self.c_cache[1]
 
 
 @dataclass
@@ -319,7 +329,7 @@ def iterate(
     x = state.x
     delta = state.delta
 
-    c = problem.constraint(x)
+    c = state.constraint(problem)
     c_norm = float(np.linalg.norm(c))
     # The iteration's one factorization of the Jacobian.
     J = linalg.nullspace_basis(problem.jacobian(x))
@@ -421,11 +431,13 @@ def iterate(
         f_s, _ = estimator.estimate_value(
             problem, x_trial, delta, state.eps, config, it_stream.child("soc-value")
         )
-        ared = actual_reduction(problem.constraint(x_trial), f_s)
+        c_trial = problem.constraint(x_trial)
+        ared = actual_reduction(c_trial, f_s)
         accepted = ared / pred >= config.eta
 
     if accepted:
         state.x = x_trial
+        state.c_cache = (x_trial.tobytes(), c_trial)
         state.delta = min(config.gamma * delta, config.delta_max)
         if -pred >= state.eps:
             outcome = SUCCESSFUL_RELIABLE

@@ -1,10 +1,17 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from trsqp.errors import NonFiniteInput, RankDeficient
+from trsqp.errors import NonFiniteInput, RankDeficient, SubsolverFailure
 from trsqp.linalg import (
     JacobianFactor,
     SymmetricEig,
+    _brentq,
     cauchy_point,
     min_norm_pull,
     model_value,
@@ -316,3 +323,102 @@ class TestSpectralNorm:
 
     def test_vector_row(self):
         assert spectral_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
+
+
+def secular_equations(rng, count):
+    """Random secular equations ||(W + lam I)^{-1} g|| = radius with a
+    sign-changing bracket above the pole, as ``SymmetricEig.trs`` builds them."""
+    while count:
+        d = int(rng.integers(1, 11))
+        w = np.sort(rng.standard_normal(d) * 10 ** rng.uniform(-3, 3))
+        g = rng.standard_normal(d) * 10 ** rng.uniform(-3, 3)
+        radius = 10 ** rng.uniform(-4, 2)
+        pole = max(0.0, -float(w[0]))
+
+        def gap(lam, w=w, g=g, radius=radius):
+            return float(np.linalg.norm(g / (w + lam)) - radius)
+
+        lo = pole + 10 ** rng.uniform(-12, 0)
+        hi = pole + float(np.linalg.norm(g)) / radius + 1e-12
+        while gap(hi) > 0.0:
+            hi = 2.0 * hi + 1.0
+        if gap(lo) > 0.0:
+            count -= 1
+            yield gap, lo, hi
+
+
+class TestBrentq:
+    def test_bitwise_equal_to_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        eps = float(np.finfo(float).eps)
+        rng = np.random.default_rng(41)
+        mismatches = 0
+        for f, lo, hi in secular_equations(rng, 10_000):
+            ref = optimize.brentq(f, lo, hi, xtol=1e-18, rtol=4 * eps, maxiter=200)
+            mismatches += _brentq(f, lo, hi) != ref
+        assert mismatches == 0
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(SubsolverFailure, match="sign change"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_value_raises(self):
+        def f(x):
+            return x - 0.75 if x < 0.5 else math.nan
+
+        with pytest.raises(SubsolverFailure, match="NaN"):
+            _brentq(f, 0.0, 1.0)
+
+    def test_no_convergence_raises(self):
+        with pytest.raises(SubsolverFailure, match="3 iterations"):
+            _brentq(lambda x: x**3 - 2.0, 0.0, 2.0, maxiter=3)
+
+    def test_endpoint_root_returned(self):
+        assert _brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert _brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+
+class TestAgainstScipyDecompositions:
+    """The saddle's shapes: a 1x2 Jacobian, a 2x2 Hessian and a 1x1 reduced
+    Hessian, on which numpy's LAPACK drivers give scipy's bits."""
+
+    def test_jacobian_factor(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(42)
+        for _ in range(500):
+            G = rng.standard_normal((1, 2)) * 10 ** rng.uniform(-3, 3)
+            J = JacobianFactor.of(G)
+            U, s, Vt = scipy_linalg.svd(G, full_matrices=True)
+            assert J.U.tobytes() == U.tobytes() and J.s.tobytes() == s.tobytes()
+            assert J.Vt.tobytes() == Vt[:1].tobytes()
+            assert J.Z.tobytes() == Vt[1:].T.copy().tobytes()
+
+    def test_spectral_norm(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(43)
+        for _ in range(500):
+            H = rng.standard_normal((2, 2)) * 10 ** rng.uniform(-3, 3)
+            H = H + H.T
+            assert spectral_norm(H) == float(scipy_linalg.svd(H, compute_uv=False)[0])
+
+    def test_symmetric_eig(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(44)
+        for _ in range(500):
+            S = rng.standard_normal((1, 1)) * 10 ** rng.uniform(-3, 3)
+            fac = SymmetricEig.of(S)
+            w, Q = scipy_linalg.eigh(S)
+            assert fac.w.tobytes() == w.tobytes() and fac.Q.tobytes() == Q.tobytes()
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, trsqp, trsqp.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["[]"]

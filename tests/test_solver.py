@@ -154,8 +154,9 @@ class TestIterate:
         assert report.total_checked > 0 and report.total_violations == 0
 
     def test_soc_evaluates_the_constraint_once(self):
-        # c(x) and c(x + dx) are evaluated once each per trial iteration;
-        # the SOC reads them and evaluates c only at its own trial point.
+        # c(x + dx) is evaluated once per trial iteration and c(x) only at the
+        # first iterate: later iterates reuse the accepted trial point's c.
+        # The SOC reads both and evaluates c only at its own trial point.
         base = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
         calls = []
 
@@ -167,15 +168,58 @@ class TestIterate:
         cfg = SolverConfig(alpha=1, kkt_tol=0.0, seed=0)
         state = SolverState.initial(prob, np.array([1.0, 0.005]), cfg)
         socs = 0
-        for _ in range(20):
+        for k in range(20):
             calls.clear()
             state, rec = iterate(state, prob, cfg)
-            if rec.outcome == UNSUCCESSFUL_LINE6:
-                assert len(calls) == 1
-            else:
-                assert len(calls) == 2 + rec.soc
-                socs += rec.soc
+            trial = rec.outcome != UNSUCCESSFUL_LINE6
+            assert len(calls) == (k == 0) + trial + rec.soc
+            socs += rec.soc
         assert socs > 0
+
+    def test_run_evaluates_the_constraint_once_per_point(self):
+        # Over a run, c is evaluated at x0, at each trial point and at each
+        # SOC trial point; line-6, rejected and accepted iterations add no
+        # evaluation at the start point.
+        base = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        calls = []
+
+        def counting(x):
+            calls.append(x.copy())
+            return base.constraint(x)
+
+        prob = dataclasses.replace(base, constraint=counting, noiseless=None)
+        cfg = SolverConfig(alpha=1, kkt_tol=0.0, max_iters=60, seed=0)
+        result = run(prob, np.array([1.0, 0.005]), cfg)
+        trials = sum(r.outcome != UNSUCCESSFUL_LINE6 for r in result.records)
+        socs = sum(r.soc for r in result.records)
+        accepted = (SUCCESSFUL_RELIABLE, SUCCESSFUL_UNRELIABLE)
+        assert any(r.outcome in accepted for r in result.records)
+        assert socs > 0
+        assert len(calls) == 1 + trials + socs
+
+    def test_assigned_iterate_gets_a_fresh_constraint(self):
+        base = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        calls = []
+
+        def counting(x):
+            calls.append(x.copy())
+            return base.constraint(x)
+
+        prob = dataclasses.replace(base, constraint=counting)
+        cfg = SolverConfig(alpha=1, kkt_tol=0.0, seed=0)
+        state = SolverState.initial(prob, np.array([1.0, 0.005]), cfg)
+        state, _ = iterate(state, prob, cfg)
+
+        def assert_fresh():
+            calls.clear()
+            c = state.constraint(prob)
+            assert len(calls) == 1 and np.array_equal(calls[0], state.x)
+            assert c.tobytes() == base.constraint(state.x).tobytes()
+
+        state.x = np.array([0.3, 0.8])
+        assert_fresh()
+        state.x[0] += 0.25  # changed in place
+        assert_fresh()
 
     @pytest.mark.parametrize(
         "alpha, x0, kind, eigh, svd",
@@ -188,17 +232,15 @@ class TestIterate:
         ],
     )
     def test_decompositions_per_iteration(self, monkeypatch, alpha, x0, kind, eigh, svd):
-        import scipy.linalg
-
         counts = {"eigh": 0, "svd": 0}
         for name in counts:
-            real = getattr(scipy.linalg, name)
+            real = getattr(np.linalg, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(scipy.linalg, name, counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
         cfg = SolverConfig(alpha=alpha, kkt_tol=0.0, seed=0)
         state = SolverState.initial(prob, np.array(x0), cfg)
