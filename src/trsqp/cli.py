@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks, diagnostics
+from . import benchmarks, diagnostics, estimator
 from .problem import GaussianNoiseSpec, gaussian_noisy, load_labeled_csv
 from .solver import IterationRecord, SolverConfig, run
 
@@ -26,19 +26,6 @@ PROBLEM_CHOICES = ("saddle", "logistic-normal", "logistic-exponential", "quadrat
 
 # Flat key=value names accepted in config files.
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
-
-
-@dataclasses.dataclass
-class ExperimentSpec:
-    """A resolved experiment: problem, solver settings, sweep lists, output."""
-
-    problem: str
-    config: SolverConfig
-    noise_levels: list
-    seeds: list
-    out_dir: Path
-    full_size: bool = False
-    data_seed: int = 0
 
 
 def _parse_value(raw: str, target_type):
@@ -94,7 +81,9 @@ def _initial_point(problem_name: str, problem, seed: int) -> np.ndarray:
     return np.zeros(problem.dim)
 
 
-def build_problem(spec: ExperimentSpec, noise: float):
+def build_problem(spec: argparse.Namespace, noise: float):
+    """The problem named by ``spec.problem`` at this noise level; logistic
+    datasets also read ``spec.full_size`` and ``spec.data_seed``."""
     name = spec.problem
     if name == "quadratic":
         return gaussian_noisy(benchmarks.make_quadratic(), GaussianNoiseSpec(noise))
@@ -121,17 +110,19 @@ def _run_name(problem: str, noise: float, seed: int) -> str:
     return f"{tag}_noise{noise:g}_seed{seed}"
 
 
-def cmd_run(spec: ExperimentSpec) -> int:
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"problem": spec.problem, "runs": []}
-    for noise in spec.noise_levels:
-        problem = build_problem(spec, noise)
-        for seed in spec.seeds:
-            config = dataclasses.replace(spec.config, seed=seed)
-            x0 = _initial_point(spec.problem, problem, seed)
-            result = run(problem, x0, config)
-            name = _run_name(spec.problem, noise, seed)
-            csv_path = spec.out_dir / f"{name}.csv"
+def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
+    """Solve every (noise level, seed) pair of ``args``; without ``--seeds``
+    the one seed is ``config.seed``."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = {"problem": args.problem, "runs": []}
+    for noise in args.noise:
+        problem = build_problem(args, noise)
+        for seed in args.seeds or [config.seed]:
+            x0 = _initial_point(args.problem, problem, seed)
+            result = run(problem, x0, dataclasses.replace(config, seed=seed))
+            name = _run_name(args.problem, noise, seed)
+            csv_path = out_dir / f"{name}.csv"
             with open(csv_path, "w") as fh:
                 fh.write(IterationRecord.CSV_FIELDS + "\n")
                 for rec in result.records:
@@ -155,7 +146,7 @@ def cmd_run(spec: ExperimentSpec) -> int:
                 f"{name}: {result.stop_reason} after {result.state.k} iterations "
                 f"(kkt={result.final_kkt:.3e}, {result.wall_time:.2f}s)"
             )
-    with open(spec.out_dir / "summary.json", "w") as fh:
+    with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
     return 0
 
@@ -191,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seeds", type=int, nargs="+", default=None)
     runp.add_argument("--max-iters", type=int, default=None)
     runp.add_argument("--kkt-tol", type=float, default=None)
-    runp.add_argument("--hessian", choices=("id", "sr1", "esth", "aveh"), default=None)
+    runp.add_argument("--hessian", choices=tuple(estimator.HESSIAN_STRATEGIES), default=None)
     runp.add_argument("--out", default="runs", help="output directory")
     runp.add_argument("--config", default=None, help="key=value config file")
     runp.add_argument("--full-size", action="store_true", help="full-size logistic datasets")
@@ -215,31 +206,21 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown problem {args.problem!r}; choose from "
             f"{', '.join(PROBLEM_CHOICES)} or csv:<path>"
         )
-    if args.seeds is None:
-        env_seed = os.environ.get("TRSQP_SEED")
-        try:
-            args.seeds = [int(env_seed)] if env_seed else [0]
-        except ValueError:
-            parser.error(f"TRSQP_SEED must be an integer, got {env_seed!r}")
+    env_seed = os.environ.get("TRSQP_SEED")
+    try:
+        seed = int(env_seed) if env_seed else None
+    except ValueError:
+        parser.error(f"TRSQP_SEED must be an integer, got {env_seed!r}")
     overrides = {
         "alpha": args.alpha,
         "max_iters": args.max_iters,
         "kkt_tol": args.kkt_tol,
-        "hessian": {"id": "identity"}.get(args.hessian, args.hessian),
+        "hessian": args.hessian,
+        "seed": seed,
     }
     try:
         file_values = read_config_file(args.config) if args.config else {}
-        config = build_config(file_values, overrides)
-        spec = ExperimentSpec(
-            problem=args.problem,
-            config=config,
-            noise_levels=list(args.noise),
-            seeds=list(args.seeds),
-            out_dir=Path(args.out),
-            full_size=args.full_size,
-            data_seed=args.data_seed,
-        )
-        return cmd_run(spec)
+        return cmd_run(args, build_config(file_values, overrides))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -218,7 +218,9 @@ def _check_steps(rng) -> list[CheckResult]:
         J = linalg.nullspace_basis(G)
         grad_l = grad + G.T @ J.multiplier(grad)
         h_norm = linalg.spectral_norm(H)
-        step = steps.build_trial_step(steps.GRADIENT_STEP, c, J, grad, H, h_norm, grad_l, delta)
+        step = steps.build_trial_step(
+            steps.GRADIENT_STEP, c, J, grad, H, h_norm, grad_l, delta, J.reduce(H)
+        )
         check_step(report, step, c, J, grad, H, delta)
     viol = report.total_violations
     detail = f"{viol} violations in {report.total_checked} checks"

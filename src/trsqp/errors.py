@@ -18,7 +18,7 @@ class ZeroHessianNorm(TrsqpError):
 
 
 class DegenerateResiduals(TrsqpError):
-    """Radius splitting received an all-zero residual after resampling."""
+    """Radius splitting received an all-zero residual."""
 
 
 class SubsolverFailure(TrsqpError):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,10 +45,6 @@ __all__ = [
 
 VALUE, GRADIENT, HESSIAN = "value", "gradient", "hessian"
 
-# Fresh gradient sample sets drawn when an estimated KKT residual is exactly
-# zero, before the zero is passed through to the progress criterion.
-MAX_RESAMPLE = 5
-
 # Relative tolerance of the SR1 skip rule.
 SR1_SKIP_TOL = 1e-8
 
@@ -56,19 +53,23 @@ SR1_SKIP_TOL = 1e-8
 class Estimates:
     """Estimation bundle opening one iteration: gradient, Lagrangian
     gradient and its stacked KKT norm, Hessian approximation with its
-    operator norm (the iteration's only ||H||), the decomposed reduced
-    Hessian and its negative curvature (None and 0 on first-order runs,
-    whose gradient steps decompose it themselves), and the batch sizes spent."""
+    operator norm (the iteration's only ||H||), the iteration's factor of
+    the constraint Jacobian, and the batch sizes spent."""
 
     grad: np.ndarray
     grad_lagrangian: np.ndarray
     kkt_norm: float
     hessian: np.ndarray
     hessian_norm: float
-    reduced: linalg.SymmetricEig | None
-    tau_plus: float
+    factor: linalg.JacobianFactor
     batch_grad: int
     batch_hess: int
+
+    @cached_property
+    def reduced(self) -> linalg.SymmetricEig:
+        """The one eigendecomposition of Z^T H Z, made at first read; an
+        iteration that fails the progress test on first-order data makes none."""
+        return self.factor.reduce(self.hessian)
 
 
 def batch_size(kind: str, delta: float, eps: float, config: SolverConfig) -> int:
@@ -251,23 +252,14 @@ def build_hessian(
     x: np.ndarray,
     lam: np.ndarray,
     grad_l: np.ndarray,
-    J: linalg.JacobianFactor,
     delta: float,
     config: SolverConfig,
     stream: RngStream,
-) -> tuple[np.ndarray, linalg.SymmetricEig | None, float, int]:
-    """Hessian approximation plus reduced-curvature data.
-
-    Returns ``(H, reduced, tau_plus, batch)`` with ``reduced`` the one
-    eigendecomposition of Z^T H Z. For first-order runs ``tau_plus`` is
-    pinned to zero and nothing is decomposed.
-    """
+) -> tuple[np.ndarray, int]:
+    """The strategy's Hessian approximation, symmetrized, and its batch:
+    ``(H, batch)``."""
     H, batch = strategy.build(problem, x, lam, grad_l, delta, config, stream)
-    H = 0.5 * (H + H.T)
-    if config.alpha == 1:
-        reduced = J.reduce(H)
-        return H, reduced, reduced.tau_plus, batch
-    return H, None, 0.0, batch
+    return 0.5 * (H + H.T), batch
 
 
 def estimate_models(
@@ -282,21 +274,13 @@ def estimate_models(
 ) -> Estimates:
     """Gradient, multiplier, and Hessian estimation opening an iteration.
 
-    Every attempt reads the multiplier off the one factorization ``J`` of
-    the constraint Jacobian. A zero estimated KKT residual is resampled up
-    to ``MAX_RESAMPLE`` times (fresh sample sets) before being passed
-    through; the caller's progress criterion then fails the iteration.
+    The multiplier is read off the one factorization ``J`` of the constraint
+    Jacobian.
     """
     grad, batch_grad = estimate_gradient(problem, x, delta, config, stream.child("grad"))
-    for attempt in range(1, MAX_RESAMPLE + 2):
-        lam, grad_l, kkt = kkt_residual(J, grad, c)
-        if kkt > 0.0 or attempt > MAX_RESAMPLE:
-            break
-        grad, batch_grad = estimate_gradient(
-            problem, x, delta, config, stream.child("grad", attempt)
-        )
-    H, reduced, tau_plus, batch_hess = build_hessian(
-        strategy, problem, x, lam, grad_l, J, delta, config, stream.child("hess")
+    lam, grad_l, kkt = kkt_residual(J, grad, c)
+    H, batch_hess = build_hessian(
+        strategy, problem, x, lam, grad_l, delta, config, stream.child("hess")
     )
     return Estimates(
         grad=grad,
@@ -304,8 +288,7 @@ def estimate_models(
         kkt_norm=kkt,
         hessian=H,
         hessian_norm=linalg.spectral_norm(H),
-        reduced=reduced,
-        tau_plus=tau_plus,
+        factor=J,
         batch_grad=batch_grad,
         batch_hess=batch_hess,
     )

@@ -340,8 +340,9 @@ def iterate(
         problem, x, c, J, state.strategy, delta, config, it_stream
     )
     grad, H = est.grad, est.hessian
-    kkt_est, tau_plus = est.kkt_norm, est.tau_plus
-    h_norm = est.hessian_norm
+    kkt_est, h_norm = est.kkt_norm, est.hessian_norm
+    # Negative curvature enters only second-order runs.
+    tau_plus = est.reduced.tau_plus if config.alpha == 1 else 0.0
 
     def make_record(outcome, step_kind, soc, pred, ared, batch_f):
         return IterationRecord(

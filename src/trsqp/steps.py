@@ -221,18 +221,16 @@ def build_trial_step(
     h_norm: float,
     grad_l: np.ndarray,
     delta: float,
-    reduced: linalg.SymmetricEig | None = None,
+    reduced: linalg.SymmetricEig,
 ) -> TrialStep:
     """Assemble a full trial step of the requested kind.
 
     ``J`` is the iteration's factorization of the constraint Jacobian,
     ``h_norm`` = ||H|| and ``reduced`` the decomposed reduced Hessian
-    ``J.reduce(H)``; it is built here when the caller has none.
+    ``J.reduce(H)``.
     """
     c_rs, grad_l_rs = rescaled_residuals(c, J, grad_l, h_norm)
     c_rs_norm = float(np.linalg.norm(c_rs))
-    if reduced is None:
-        reduced = J.reduce(H)
     if kind == GRADIENT_STEP:
         opt_rs = float(np.linalg.norm(grad_l_rs))
     elif kind == EIGEN_STEP:

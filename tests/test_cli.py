@@ -113,6 +113,39 @@ class TestRunCommand:
         assert code == 0
         assert (out / "quadratic_noise0_seed3.csv").exists()
 
+    @pytest.mark.parametrize(
+        "env, flag, want",
+        [(None, [], 5), ("3", [], 3), ("3", ["--seeds", "7"], 7)],
+        ids=["file", "env-over-file", "flag-over-env"],
+    )
+    def test_seed_precedence(self, tmp_path, monkeypatch, env, flag, want):
+        # --seeds, then TRSQP_SEED, then the config file's seed, then 0.
+        if env is None:
+            monkeypatch.delenv("TRSQP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TRSQP_SEED", env)
+        cfg_file = tmp_path / "solver.cfg"
+        cfg_file.write_text("seed = 5\n")
+        out = tmp_path / "s"
+        code = run_cli(
+            ["run", "--problem", "quadratic", "--max-iters", "0", "--config", str(cfg_file),
+             "--out", str(out), *flag]
+        )  # fmt: skip
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["seed"] for r in summary["runs"]] == [want]
+        assert (out / f"quadratic_noise0_seed{want}.csv").exists()
+
+    def test_hessian_names_match_config(self, tmp_path, capsys):
+        # The flag takes the config file's names, so "identity" runs and
+        # the old "id" spelling is an argparse error.
+        out = tmp_path / "h"
+        args = ["run", "--problem", "quadratic", "--max-iters", "3", "--out", str(out)]
+        assert run_cli(args + ["--hessian", "identity"]) == 0
+        assert (out / "quadratic_noise0_seed0.csv").exists()
+        assert run_cli(args + ["--hessian", "id"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_seed_env_must_be_integer(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TRSQP_SEED", "abc")
         code = run_cli(["run", "--problem", "quadratic", "--out", str(tmp_path)])

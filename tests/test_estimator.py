@@ -178,11 +178,11 @@ class TestHessianStrategies:
         x = np.array([0.5, 0.5])
         G = prob.jacobian(x)
         J = nullspace_basis(G)
-        H, reduced, tau_plus, n = build_hessian(
-            strat, prob, x, np.zeros(1), np.zeros(2), J, 1.0, config, RngStream(0).child(0)
+        H, n = build_hessian(
+            strat, prob, x, np.zeros(1), np.zeros(2), 1.0, config, RngStream(0).child(0)
         )
         assert np.array_equal(H, np.eye(2))
-        assert reduced is None and tau_plus == 0.0
+        assert n == 0
 
     def test_lagrangian_at_saddle(self):
         # Exact oracles at the saddle point: multiplier -1, Lagrangian
@@ -195,12 +195,13 @@ class TestHessianStrategies:
         assert lam == pytest.approx([-1.0])
         J = nullspace_basis(G)
         strat = make_hessian_strategy("lagrangian", 1, 2)
-        H, reduced, tau_plus, n = build_hessian(
-            strat, prob, x, lam, g + G.T @ lam, J, 1.0, config, RngStream(0).child(0)
+        H, n = build_hessian(
+            strat, prob, x, lam, g + G.T @ lam, 1.0, config, RngStream(0).child(0)
         )
         assert np.allclose(H, np.diag([-2.0, -1.0]), atol=1e-12)
+        reduced = J.reduce(H)
         assert reduced.smallest()[0] == pytest.approx(-1.0, abs=1e-12)
-        assert tau_plus == pytest.approx(1.0, abs=1e-12)
+        assert reduced.tau_plus == pytest.approx(1.0, abs=1e-12)
 
     def test_lagrangian_at_minimum(self):
         prob, config = self._ctx(alpha=1)
@@ -211,11 +212,12 @@ class TestHessianStrategies:
         assert lam == pytest.approx([1.0])
         J = nullspace_basis(G)
         strat = make_hessian_strategy("lagrangian", 1, 2)
-        H, reduced, tau_plus, _ = build_hessian(
-            strat, prob, x, lam, g + G.T @ lam, J, 1.0, config, RngStream(0).child(0)
+        H, _ = build_hessian(
+            strat, prob, x, lam, g + G.T @ lam, 1.0, config, RngStream(0).child(0)
         )
+        reduced = J.reduce(H)
         assert reduced.S == pytest.approx(np.array([[3.0]]), abs=1e-12)
-        assert tau_plus == 0.0
+        assert reduced.tau_plus == 0.0
 
     def test_sr1_secant_and_skip(self):
         strat = SR1Hessian(2)
@@ -278,13 +280,13 @@ class TestEstimateModels:
             1.0, SolverConfig(alpha=1), RngStream(0).child(0),
         )
         assert est.kkt_norm == pytest.approx(0.0, abs=1e-14)
-        assert est.tau_plus == pytest.approx(1.0, abs=1e-12)
+        assert est.reduced.tau_plus == pytest.approx(1.0, abs=1e-12)
         assert est.hessian_norm == pytest.approx(2.0, abs=1e-12)
         assert est.batch_grad > 0 and est.batch_hess > 0
 
-    def test_zero_kkt_resampled_then_passed_through(self):
+    def test_zero_kkt_passed_through(self):
         # A constant objective at a feasible point has an exactly zero KKT
-        # estimate; resampling cannot change it and the bundle reports it.
+        # estimate, and the bundle reports it for the progress test to fail.
         from trsqp.problem import NoiselessOracle, exact_problem
 
         prob = exact_problem(

@@ -229,6 +229,8 @@ class TestIterate:
             (1, [0.0, 1.0], "gradient", 1, 2),
             # A first-order line-6 iteration reads no reduced curvature.
             (0, [-1.0, 0.0], "none", 0, 2),
+            # A first-order step decomposes Z^T H Z once, for its tangential solve.
+            (0, [0.0, 1.0], "gradient", 1, 2),
         ],
     )
     def test_decompositions_per_iteration(self, monkeypatch, alpha, x0, kind, eigh, svd):

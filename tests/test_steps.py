@@ -228,7 +228,7 @@ class TestPredictedReduction:
         for _ in range(100):
             c, J, grad, H, grad_l = random_state(rng)
             step = build_trial_step(
-                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, 1.0
+                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, 1.0, J.reduce(H)
             )
             mu = float(rng.uniform(0.5, 20.0))
             pred = predicted_reduction(grad, H, mu, c, J.G, step.dx)
@@ -245,7 +245,7 @@ class TestBuildTrialStep:
             G = J.G
             delta = float(rng.uniform(0.05, 3.0))
             step = build_trial_step(
-                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, delta
+                GRADIENT_STEP, c, J, grad, H, linalg.spectral_norm(H), grad_l, delta, J.reduce(H)
             )
             w_norm, t_norm = np.linalg.norm(step.w), np.linalg.norm(step.t)
             assert abs(step.w @ step.t) <= 1e-10 * max(w_norm * t_norm, 1e-300)
