@@ -9,6 +9,7 @@ affine constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,30 @@ class SyntheticLogisticSpec:
             raise ValueError("need at least two records")
 
 
+class _RecordVectors:
+    """Per-record vectors of rows Z with labels y at one point x, each formed
+    at its first use: the margins m = y (Z x), the sigmoid s of m, the loss
+    log(1 + exp(-m)) and the gradient coefficient (s - 1) y."""
+
+    def __init__(self, Z, y, x):
+        self.margins = y * (Z @ x)
+        self._y = y
+
+    @cached_property
+    def sigmoid(self):
+        return 1.0 / (1.0 + np.exp(-self.margins))
+
+    @cached_property
+    def loss(self):
+        # -m is bitwise (-y)(Z x): rounding is symmetric in sign.
+        return np.logaddexp(0.0, -self.margins)
+
+    @cached_property
+    def coef(self):
+        # d/dm log(1+e^{-m}) = sigma(m) - 1
+        return (self.sigmoid - 1.0) * self._y
+
+
 def _logistic_records(features: np.ndarray, labels: np.ndarray):
     """Means of the loss log(1 + exp(-y z^T x)) and its derivatives over records ``idx``.
 
@@ -104,32 +129,61 @@ def _logistic_records(features: np.ndarray, labels: np.ndarray):
     by its draw count over n, so no rows are copied; a smaller batch gathers
     its drawn rows, each weighted 1/n. The counted sum does not depend on
     the order of ``idx``.
+
+    Counted batches reuse work between calls without moving a bit. The
+    whole-dataset vectors of the last point x are kept, keyed by the bits
+    of x, so the gradient, Hessian and value at one iterate and the exact
+    oracle there share one ``Z @ x`` and one sigmoid. The weights of a
+    read-only ``idx`` are kept by identity, one slot for batches of exactly
+    N draws (the noiseless oracle's ``arange(N)``) and one for the rest (the
+    value pair of one sample set); a writable ``idx`` is counted afresh on
+    every call. The three callables share this state, so they must not be
+    shared between threads.
     """
     Zf = np.asarray(features, dtype=float)
+    ZfT = np.ascontiguousarray(Zf.T)
     y = np.asarray(labels, dtype=float)
+    N = len(y)
+    point = [None, None]  # bits of x, _RecordVectors at x
+    counted = {}  # n == N -> (read-only idx, its weights)
 
-    def batch(idx):
-        """Rows a batch sums over, their labels and their weights."""
+    def full(x):
+        key = x.tobytes()
+        if point[0] != key:
+            point[:] = key, _RecordVectors(Zf, y, x)
+        return point[1]
+
+    def weights(idx):
+        slot = len(idx) == N
+        kept, w = counted.get(slot, (None, None))
+        if kept is not idx:
+            w = np.bincount(idx, minlength=N) / len(idx)
+            if not idx.flags.writeable:
+                counted[slot] = idx, w
+        return w
+
+    def batch(x, idx):
+        """Rows a batch sums over, their transpose, their vectors at x and
+        their weights."""
+        x, idx = np.asarray(x, dtype=float), np.asarray(idx)
         n = len(idx)
-        if n >= len(y):
-            return Zf, y, np.bincount(idx, minlength=len(y)) / n
-        return Zf.take(idx, axis=0), y.take(idx), np.full(n, 1.0 / n)
+        if n >= N:
+            return Zf, ZfT, full(x), weights(idx)
+        Z = Zf.take(idx, axis=0)
+        return Z, Z.T, _RecordVectors(Z, y.take(idx), x), np.full(n, 1.0 / n)
 
     def value(x, idx):
-        Z, yb, w = batch(idx)
-        return w @ np.logaddexp(0.0, -yb * (Z @ x))
+        _, _, at, w = batch(x, idx)
+        return w @ at.loss
 
     def gradient(x, idx):
-        Z, yb, w = batch(idx)
-        margins = yb * (Z @ x)
-        # d/dm log(1+e^{-m}) = sigma(m) - 1
-        coef = (1.0 / (1.0 + np.exp(-margins)) - 1.0) * yb
-        return (w * coef) @ Z
+        Z, _, at, w = batch(x, idx)
+        return (w * at.coef) @ Z
 
     def hessian(x, idx):
-        Z, yb, w = batch(idx)
-        s = 1.0 / (1.0 + np.exp(-yb * (Z @ x)))
-        return (Z.T * (w * s * (1.0 - s))) @ Z
+        Z, ZT, at, w = batch(x, idx)
+        s = at.sigmoid
+        return (ZT * (w * s * (1.0 - s))) @ Z
 
     return value, gradient, hessian
 

@@ -162,8 +162,11 @@ def kkt_residual(
 
 
 def _lagrangian_term(problem: Problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """sum_i lam_i * hess(c_i)(x)."""
-    return np.tensordot(lam, problem.constraint_hessians(x), axes=1)
+    """sum_i lam_i * hess(c_i)(x): the one ``np.dot`` that
+    ``np.tensordot(lam, Hc, axes=1)`` runs, without its argument handling."""
+    Hc = problem.constraint_hessians(x)
+    m = Hc.shape[0]
+    return np.dot(lam.reshape(1, m), Hc.reshape(m, -1)).reshape(Hc.shape[1:])
 
 
 class IdentityHessian:

@@ -34,7 +34,7 @@ RANK_TOL = 1e-10
 
 def _require_finite(*arrays, what: str = "input") -> None:
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NonFiniteInput(f"{what} contains NaN or infinity")
 
 

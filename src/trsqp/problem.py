@@ -263,11 +263,15 @@ def finite_sum_problem(
     ``value_fn(x, idx)``, ``gradient_fn`` and ``hessian_fn`` return the mean
     loss, gradient and Hessian of the records ``idx`` at ``x``, counting a
     repeated index once per occurrence. Batches are drawn uniformly with
-    replacement; the noiseless oracle passes every index once.
+    replacement; the noiseless oracle passes every index once, as one
+    read-only ``arange(n_records)``. The sampler's batches are read-only
+    too, and a callable may keep per-batch work by the identity of a
+    read-only ``idx``.
     """
     if n_records < 1:
         raise EmptyDataset("finite-sum problem needs at least one record")
     all_idx = np.arange(n_records)
+    all_idx.flags.writeable = False
     oracle = NoiselessOracle(
         value=lambda x: float(value_fn(x, all_idx)),
         gradient=lambda x: gradient_fn(x, all_idx),

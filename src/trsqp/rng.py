@@ -13,8 +13,11 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["RngStream"]
+
+_WORD = (1 << 64) - 1
 
 
 def _digest(parts: tuple) -> int:
@@ -23,6 +26,31 @@ def _digest(parts: tuple) -> int:
         h.update(repr(part).encode())
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
+
+
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence that hands ``Philox`` a fixed 128-bit key.
+
+    ``Philox`` asks its seed sequence for two 64-bit words and uses them as
+    its key, so its draws equal those of ``Philox(key=k)``, which splits
+    ``k`` low word first. Unlike ``key=``, this builds no entropy-seeded
+    ``SeedSequence`` only to override it. The object has no ``spawn``;
+    derive sub-streams with :meth:`RngStream.child`.
+    """
+
+    def __init__(self, key: int):
+        self.words = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 words of uint64, asked for {n_words} of {dtype}")
+        return self.words.copy()
+
+
+def _generator(key: int) -> np.random.Generator:
+    """A new generator for a 128-bit key; each call returns its own, whose
+    ``bit_generator.seed_seq`` is the key's :class:`_PhiloxKey`."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 class RngStream:
@@ -48,8 +76,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """A fresh generator for this key. Same key, same draws."""
-        key = _digest((self.seed,) + self.path)
-        return np.random.Generator(np.random.Philox(key=key))
+        return _generator(_digest((self.seed,) + self.path))
 
     def point_generator(self, x: np.ndarray) -> np.random.Generator:
         """A generator keyed by this stream *and* the evaluation point.
@@ -60,8 +87,7 @@ class RngStream:
         """
         x = np.ascontiguousarray(x, dtype=np.float64)
         xdig = hashlib.blake2b(x.tobytes(), digest_size=16).hexdigest()
-        key = _digest((self.seed,) + self.path + (xdig,))
-        return np.random.Generator(np.random.Philox(key=key))
+        return _generator(_digest((self.seed,) + self.path + (xdig,)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, path={self.path!r})"

@@ -164,6 +164,46 @@ class TestLogistic:
         for fn in _logistic_records(features, labels):
             assert np.array_equal(fn(x, idx), fn(x, rng.permutation(idx)))
 
+    def test_records_that_served_earlier_calls_match_fresh_ones(self):
+        # The callables keep the last point's vectors and the weights of a
+        # read-only idx. Whatever they served before, each result must equal
+        # that of a fresh set of records bit for bit.
+        rng = np.random.default_rng(13)
+        N, d = 300, 6
+        features = rng.standard_normal((N, d))
+        labels = np.where(rng.uniform(size=N) < 0.5, 1.0, -1.0)
+        served = _logistic_records(features, labels)
+
+        def read_only(a):
+            a.flags.writeable = False
+            return a
+
+        shared, other = (read_only(rng.integers(0, N, size=2 * N)) for _ in range(2))
+        exact, boundary = read_only(np.arange(N)), read_only(rng.integers(0, N, size=N))
+        writable = rng.integers(0, N, size=N + 7)
+        x, z = 0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d)
+        script = [
+            (x, shared), (x, shared), (z, shared), (x, shared),  # repeated and alternating points
+            (x, other), (x, shared),  # another sample set of the same size
+            (x, exact), (x, exact), (x, np.arange(N)),  # the exact oracle's arange(N), shared or not
+            (x, boundary), (x, exact),  # N draws with repeats
+            (x, rng.integers(0, N, size=10)), (x, shared),  # gathered, then counted at the same x
+            (z, writable), (z, exact),
+        ]
+        for k, fn in enumerate(served):
+
+            def fresh(x_at, idx):
+                return _logistic_records(features, labels)[k](x_at, idx)
+
+            for x_at, idx in script:
+                assert np.array_equal(fn(x_at, idx), fresh(x_at, idx))
+            fn(x, shared)
+            x += 0.125  # mutated in place: the bits of x are the key
+            assert np.array_equal(fn(x, shared), fresh(x, shared))
+            fn(x, writable)
+            writable[:5] = (writable[:5] + 1) % N  # mutated between calls
+            assert np.array_equal(fn(x, writable), fresh(x, writable))
+
     @pytest.mark.parametrize(
         "rows, labels, match",
         [
