@@ -1,10 +1,13 @@
-"""Command-line front end: run benchmark experiments and the diagnostic suite.
+"""Command-line front end: run benchmark experiments and check an installation.
 
 ``trsqp run`` sweeps (noise level, seed) pairs for a chosen problem,
 writing one trajectory CSV per run plus a JSON summary. ``trsqp check``
-runs the diagnostic suite and prints a pass/fail table. Configuration is
-plain key=value text with command-line overrides; re-running an identical
-spec reproduces the CSVs byte for byte.
+prints a pass/fail row for each of two checks that the installed numpy and
+LAPACK build can fail: a seeded noisy solve run twice must reproduce bit for
+bit, and the exact trust-region solve must beat the Cauchy point on
+near-hard instances. Configuration is plain key=value text with
+command-line overrides; re-running an identical spec reproduces the CSVs
+byte for byte.
 """
 
 from __future__ import annotations
@@ -151,14 +154,14 @@ def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
     return 0
 
 
-def cmd_check(module_filter: str | None) -> int:
-    results = diagnostics.run_checks(module_filter)
-    width = max(len(f"{r.module}: {r.name}") for r in results)
+def cmd_check() -> int:
+    results = diagnostics.run_checks()
+    width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         failures += not r.passed
-        print(f"[{status}] {f'{r.module}: {r.name}':<{width}}  {r.detail}")
+        print(f"[{status}] {r.name:<{width}}  {r.detail}")
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
@@ -188,8 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--full-size", action="store_true", help="full-size logistic datasets")
     runp.add_argument("--data-seed", type=int, default=0, help="dataset generation seed")
 
-    checkp = sub.add_parser("check", help="run the diagnostic suite")
-    checkp.add_argument("--filter", default=None, help="restrict checks to one module")
+    sub.add_parser("check", help="check this installation's reproducibility and TRS solve")
     return parser
 
 
@@ -197,10 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "check":
-        try:
-            return cmd_check(args.filter)
-        except ValueError as exc:
-            parser.error(str(exc))
+        return cmd_check()
     if args.problem not in PROBLEM_CHOICES and not args.problem.startswith("csv:"):
         parser.error(
             f"unknown problem {args.problem!r}; choose from "

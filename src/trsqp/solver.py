@@ -228,10 +228,6 @@ class InvariantReport:
         self.worst[name] = max(self.worst.get(name, -math.inf), margin)
 
     @property
-    def total_checked(self) -> int:
-        return sum(self.checked.values())
-
-    @property
     def total_violations(self) -> int:
         return sum(self.violations.values())
 

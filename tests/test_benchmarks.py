@@ -10,7 +10,7 @@ from trsqp.benchmarks import (
     make_saddle,
     true_kkt,
 )
-from trsqp.diagnostics import finite_difference_gradient, finite_difference_hessian
+from finite_differences import finite_difference_gradient, finite_difference_hessian
 from trsqp.estimator import estimate_multiplier
 from trsqp.linalg import nullspace_basis, smallest_eigpair
 from trsqp.solver import SolverConfig, run

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trsqp import steps
+import trsqp.rng
 from trsqp.cli import build_config, main, read_config_file
+from trsqp.linalg import SymmetricEig
 from trsqp.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -201,29 +203,52 @@ class TestRunCommand:
 
 
 class TestCheckCommand:
+    ROWS = ("seeded runs reproduce bitwise", "exact TRS beats Cauchy point")
+
+    @staticmethod
+    def rows(out, status):
+        return [ln for ln in out.splitlines() if ln.startswith(f"[{status}]")]
+
     def test_default_suite_passes(self, capsys):
         assert run_cli(["check"]) == 0
         out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+        passed = self.rows(out, "PASS")
+        assert len(passed) == 2 and not self.rows(out, "FAIL")
+        assert all(name in row for name, row in zip(self.ROWS, passed))
+        assert out.splitlines()[-1] == "2/2 checks passed"
 
-    def test_fault_injection_detected(self, capsys, monkeypatch):
-        # A negated Pred reaches the solver's own merit loop, and only that
-        # row of the steps checks fails.
-        original = steps.predicted_reduction
-        monkeypatch.setattr(steps, "predicted_reduction", lambda *args: -original(*args))
-        assert run_cli(["check", "--filter", "steps"]) == 1
-        failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
-        assert len(failed) == 1
-        assert "merit loop" in failed[0] and "MeritLoopDiverged" in failed[0]
+    def test_short_trs_fails_only_the_trs_row(self, capsys, monkeypatch):
+        # A boundary solution pulled 0.1% inside the sphere loses to the
+        # Cauchy point on the near-hard instances. It still meets the solver's
+        # fraction-of-Cauchy bound, so the seeded solves run and reproduce.
+        original = SymmetricEig.trs
+
+        def short_of_sphere(self, g, radius):
+            u = original(self, g, radius)
+            return 0.999 * u if np.linalg.norm(u) >= 0.999 * radius else u
+
+        monkeypatch.setattr(SymmetricEig, "trs", short_of_sphere)
+        assert run_cli(["check"]) == 1
+        failed = self.rows(capsys.readouterr().out, "FAIL")
+        assert len(failed) == 1 and "exact TRS beats Cauchy point" in failed[0]
+
+    def test_irreproducible_rerun_fails_only_the_rerun_row(self, capsys, monkeypatch):
+        # Generators keyed by a call counter draw other numbers on the rerun.
+        calls = itertools.count()
+        monkeypatch.setattr(
+            trsqp.rng, "_generator", lambda key: np.random.Generator(np.random.Philox(next(calls)))
+        )
+        assert run_cli(["check"]) == 1
+        failed = self.rows(capsys.readouterr().out, "FAIL")
+        assert len(failed) == 1 and "seeded runs reproduce bitwise" in failed[0]
 
     def test_inject_fault_option_is_gone(self, capsys):
         assert run_cli(["check", "--inject-fault", "pred-sign"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_filter_restricts_modules(self, capsys):
-        assert run_cli(["check", "--filter", "steps"]) == 0
-        out = capsys.readouterr().out
-        assert "steps:" in out and "linalg:" not in out
+    def test_filter_option_is_gone(self, capsys):
+        assert run_cli(["check", "--filter", "steps"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trsqp.benchmarks import make_quadratic, make_saddle
-from trsqp.diagnostics import finite_difference_gradient
+from finite_differences import finite_difference_gradient
 from trsqp.errors import EmptyDataset, MissingNoiselessOracle
 from trsqp.problem import (
     GaussianNoiseSpec,
