@@ -31,20 +31,6 @@ PROBLEM_CHOICES = ("saddle", "logistic-normal", "logistic-exponential", "quadrat
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
-def _parse_value(raw: str, target_type):
-    if target_type is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
-    return raw
-
-
 def read_config_file(path) -> dict:
     """Parse key=value lines; '#' starts a comment."""
     values = {}
@@ -66,8 +52,7 @@ def build_config(file_values: dict, cli_overrides: dict) -> SolverConfig:
     for key, raw in file_values.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        target = bool if key == "use_true_kkt" else type(getattr(defaults, key))
-        kwargs[key] = _parse_value(raw, target)
+        kwargs[key] = type(getattr(defaults, key))(raw)
     kwargs.update({k: v for k, v in cli_overrides.items() if v is not None})
     return SolverConfig(**kwargs)
 

@@ -3,6 +3,7 @@ and LAPACK build where the package is installed, which the test suite
 exercises only on the build it ran on. A seeded noisy solve must reproduce
 bit for bit, and the exact trust-region solve must reach the sphere on
 near-hard instances, where the answer rests on ``eigh``'s bottom eigenpairs.
+A package error raised inside a check fails that check alone.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import benchmarks, linalg
+from .errors import TrsqpError
 from .problem import GaussianNoiseSpec, gaussian_noisy
 from .solver import SolverConfig, run
 
@@ -25,7 +27,7 @@ class CheckResult:
     detail: str
 
 
-def _check_rerun() -> CheckResult:
+def _check_rerun() -> tuple[bool, str]:
     """Two runs of one seeded noisy saddle solve must write equal CSV rows,
     and the first must record no invariant violation."""
     problem = gaussian_noisy(benchmarks.make_saddle(), GaussianNoiseSpec(1e-4))
@@ -33,14 +35,13 @@ def _check_rerun() -> CheckResult:
     runs = [run(problem, np.array([1.0, 0.005]), config) for _ in range(2)]
     rows = [[rec.csv_row() for rec in r.records] for r in runs]
     violations = runs[0].invariants.total_violations
-    return CheckResult(
-        "seeded runs reproduce bitwise",
+    return (
         rows[0] == rows[1] and violations == 0,
         f"{len(rows[0])} iterations compared, {violations} invariant violations",
     )
 
 
-def _check_trs() -> CheckResult:
+def _check_trs() -> tuple[bool, str]:
     """The exact solve must not lose to the Cauchy point on instances of
     dimension at most 6 with a repeated negative bottom eigenvalue and g's
     components on its eigenspace scaled by 10^-U(4, 14), where the secular
@@ -60,13 +61,22 @@ def _check_trs() -> CheckResult:
         H = 0.5 * (H + H.T)
         u, uc = linalg.trs_solve(H, g, radius), linalg.cauchy_point(H, g, radius)
         worst = max(worst, linalg.model_value(H, g, u) - linalg.model_value(H, g, uc))
-    return CheckResult(
-        "exact TRS beats Cauchy point",
-        worst <= 1e-10,
-        f"worst reduction gap {worst:.2e} on 200 near-hard instances",
-    )
+    return worst <= 1e-10, f"worst reduction gap {worst:.2e} on 200 near-hard instances"
+
+
+_CHECKS = (
+    ("seeded runs reproduce bitwise", _check_rerun),
+    ("exact TRS beats Cauchy point", _check_trs),
+)
 
 
 def run_checks() -> list[CheckResult]:
-    """Run both checks."""
-    return [_check_rerun(), _check_trs()]
+    """Run both checks; a package error fails its own check only."""
+    results = []
+    for name, check in _CHECKS:
+        try:
+            passed, detail = check()
+        except TrsqpError as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail))
+    return results

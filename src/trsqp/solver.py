@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import benchmarks, estimator, linalg, steps
-from .errors import MeritLoopDiverged, MissingNoiselessOracle
+from .errors import MeritLoopDiverged
 from .problem import Problem
 from .rng import RngStream
 
@@ -50,6 +50,8 @@ PRED_ABS_SLACK = 1e-13
 EPS_FLOOR = 1e-300
 # Consecutive estimate-based KKT hits needed to stop without an exact oracle.
 STOP_PATIENCE = 5
+# Radius below which a run stops at "radius-floor".
+DELTA_MIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,6 @@ class SolverConfig:
     hessian: str = "identity"
     kkt_tol: float = 1e-4
     max_iters: int = 10_000
-    delta_min: float = 1e-12
-    use_true_kkt: bool | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -129,7 +129,7 @@ class SolverConfig:
 @dataclass
 class SolverState:
     """Mutable per-run state: iterate, radius, reliability and merit
-    parameters, iteration counter, Hessian-strategy memory, random stream."""
+    parameters, iteration counter, Hessian-strategy memory."""
 
     x: np.ndarray
     delta: float
@@ -137,7 +137,6 @@ class SolverState:
     mu: float
     k: int
     strategy: object
-    stream: RngStream
     # c at the iterate, keyed by the bits of x: an x assigned or changed from
     # outside gets a fresh evaluation.
     c_cache: tuple[bytes, np.ndarray] | None = field(default=None, repr=False)
@@ -155,7 +154,6 @@ class SolverState:
             mu=config.mu0,
             k=0,
             strategy=strategy,
-            stream=RngStream(config.seed),
         )
 
     def constraint(self, problem: Problem) -> np.ndarray:
@@ -238,12 +236,15 @@ class RunResult:
 
     state: SolverState
     records: list
-    converged: bool
     stop_reason: str
     final_kkt: float
     final_tau: float
     invariants: InvariantReport
     wall_time: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _shrink_eps(eps: float, config: SolverConfig) -> float:
@@ -321,7 +322,7 @@ def iterate(
 ) -> tuple[SolverState, IterationRecord]:
     """Run exactly one outer iteration, mutating and returning the state."""
     k = state.k
-    it_stream = state.stream.child(k)
+    it_stream = RngStream(config.seed).child(k)
     x = state.x
     delta = state.delta
 
@@ -456,22 +457,17 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
 
     Stopping tests the KKT residual (first order) or the maximum of the KKT
     residual and the negative curvature (second order) against
-    ``config.kkt_tol``, measured on exact oracles when available and
-    requested, otherwise on the running estimates with a consecutive-hit
-    debounce. The radius floor and the iteration cap are liveness stops.
+    ``config.kkt_tol``. The problem decides where it is measured: on the
+    exact oracle when the problem has a noiseless one, otherwise on the
+    running estimates with a consecutive-hit debounce. The radius floor
+    :data:`DELTA_MIN` and the iteration cap are liveness stops.
     """
     t0 = time.perf_counter()
     state = SolverState.initial(problem, x0, config)
-    use_true = config.use_true_kkt
-    if use_true is None:
-        use_true = problem.noiseless is not None
-    if use_true and problem.noiseless is None:
-        raise MissingNoiselessOracle("use_true_kkt requires a noiseless oracle")
+    exact_stop = problem.noiseless is not None
 
     records: list[IterationRecord] = []
     report = InvariantReport()
-    converged = False
-    stop_reason = "max-iters"
     hits = 0
     exact_key, exact = None, (math.nan, math.nan)
 
@@ -479,30 +475,28 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
         # The iterate stays put on line-6 and rejected iterations, so the
         # exact oracle is evaluated once per distinct iterate.
         nonlocal exact_key, exact
-        if problem.noiseless is not None and x.tobytes() != exact_key:
+        if exact_stop and x.tobytes() != exact_key:
             exact_key, exact = x.tobytes(), benchmarks.true_kkt(problem, x)
         return exact
 
     while True:
         kkt_true, tau_true = exact_kkt(state.x)
-        if use_true and _stop_measure(kkt_true, tau_true, config) <= config.kkt_tol:
-            converged = True
+        if exact_stop and _stop_measure(kkt_true, tau_true, config) <= config.kkt_tol:
             stop_reason = "converged"
             break
         if state.k >= config.max_iters:
             stop_reason = "max-iters"
             break
-        if state.delta < config.delta_min:
+        if state.delta < DELTA_MIN:
             stop_reason = "radius-floor"
             break
         state, record = iterate(state, problem, config, report)
         record.kkt_true, record.tau_true = kkt_true, tau_true
         records.append(record)
-        if not use_true:
+        if not exact_stop:
             crit = _stop_measure(record.kkt_est, record.tau_est, config)
             hits = hits + 1 if crit <= config.kkt_tol else 0
             if hits >= STOP_PATIENCE:
-                converged = True
                 stop_reason = "converged"
                 break
 
@@ -510,7 +504,6 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
     return RunResult(
         state=state,
         records=records,
-        converged=converged,
         stop_reason=stop_reason,
         final_kkt=kkt_true,
         final_tau=tau_true,

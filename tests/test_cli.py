@@ -9,7 +9,8 @@ import pytest
 
 import trsqp.rng
 from trsqp.cli import build_config, main, read_config_file
-from trsqp.linalg import SymmetricEig
+from trsqp.errors import RankDeficient
+from trsqp.linalg import JacobianFactor, SymmetricEig
 from trsqp.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -242,6 +243,21 @@ class TestCheckCommand:
         failed = self.rows(capsys.readouterr().out, "FAIL")
         assert len(failed) == 1 and "seeded runs reproduce bitwise" in failed[0]
 
+    def test_kernel_error_fails_only_its_row(self, capsys, monkeypatch):
+        # A package error inside the rerun's solve is that row's failure; the
+        # TRS row still runs.
+        def rank_deficient(G):
+            raise RankDeficient("injected")
+
+        monkeypatch.setattr(JacobianFactor, "of", staticmethod(rank_deficient))
+        assert run_cli(["check"]) == 1
+        out = capsys.readouterr().out
+        failed, passed = self.rows(out, "FAIL"), self.rows(out, "PASS")
+        assert len(failed) == 1 and "seeded runs reproduce bitwise" in failed[0]
+        assert "RankDeficient: injected" in failed[0]
+        assert len(passed) == 1 and "exact TRS beats Cauchy point" in passed[0]
+        assert out.splitlines()[-1] == "1/2 checks passed"
+
     def test_inject_fault_option_is_gone(self, capsys):
         assert run_cli(["check", "--inject-fault", "pred-sign"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -280,6 +296,8 @@ class TestConfigFile:
             "kappa_f",
             "kappa_fcd",
             "accuracy",
+            "use_true_kkt",
+            "delta_min",
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, key):

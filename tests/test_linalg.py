@@ -230,22 +230,26 @@ class TestTrsSolve:
             g = rng.standard_normal(n)
             radius = float(rng.uniform(0.05, 3.0))
             beats_cauchy(H, g, radius)
-        # Near the hard case: a repeated negative bottom eigenvalue with g's
-        # bottom components nearly, but not exactly, zero.
-        rng = np.random.default_rng(29)
-        for _ in range(300):
-            n = int(rng.integers(1, 7))
-            k = int(rng.integers(1, n + 1))
-            lam = -float(rng.uniform(0.1, 3.0))
-            w = np.concatenate([np.full(k, lam), lam + rng.uniform(0.1, 3.0, n - k)])
-            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            H = (Q * w) @ Q.T
-            H = 0.5 * (H + H.T)
-            gq = rng.standard_normal(n)
-            gq[:k] *= 10.0 ** -rng.uniform(4.0, 14.0)
-            g = Q @ gq
-            radius = float(rng.uniform(0.05, 3.0))
-            beats_cauchy(H, g, radius)
+        # Near the hard case: a repeated bottom eigenvalue, negative or
+        # exactly 0, with g's bottom components nearly, but not exactly, zero.
+        # At 0, H is singular positive semidefinite and the minimizer may lie
+        # on the sphere.
+        negative, zero = (lambda rng: -float(rng.uniform(0.1, 3.0))), (lambda rng: 0.0)
+        for seed, bottom in ((29, negative), (37, zero)):
+            rng = np.random.default_rng(seed)
+            for _ in range(300):
+                n = int(rng.integers(1, 7))
+                k = int(rng.integers(1, n + 1))
+                lam = bottom(rng)
+                w = np.concatenate([np.full(k, lam), lam + rng.uniform(0.1, 3.0, n - k)])
+                Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                H = (Q * w) @ Q.T
+                H = 0.5 * (H + H.T)
+                gq = rng.standard_normal(n)
+                gq[:k] *= 10.0 ** -rng.uniform(4.0, 14.0)
+                g = Q @ gq
+                radius = float(rng.uniform(0.05, 3.0))
+                beats_cauchy(H, g, radius)
         # Singular positive semidefinite H with g orthogonal to its kernel:
         # eigh returns the zero eigenvalues as roundoff of either sign, and
         # the minimizer is the interior point -H^+ g.

@@ -3,10 +3,15 @@
 Each example is an affine-constrained quadratic with d <= 6 and m < d: a
 Jacobian of controlled condition number, a convex or indefinite Hessian,
 an objective scale of 10^U(-8, 8), Gaussian noise of variance 0, 1e-4 or
-1e-2, either alpha and every first-order Hessian strategy. Every solve must
-stop for a known reason, break no per-iteration invariant, and repeat bit
-for bit. The examples are drawn deterministically, so a failure reproduces.
+1e-2, either alpha and every first-order Hessian strategy, with or without
+the noiseless oracle (without it the run stops on its estimates). Every
+solve must stop for a known reason, break no per-iteration invariant, and
+repeat bit for bit. The examples are drawn deterministically, so a failure
+reproduces.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -73,11 +78,15 @@ def instances(draw):
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(instances())
-def test_random_solves_stop_cleanly_and_repeat(instance):
+@given(instances(), st.booleans())
+def test_random_solves_stop_cleanly_and_repeat(instance, with_oracle):
     problem, x0, config = instance
+    if not with_oracle:
+        problem = dataclasses.replace(problem, noiseless=None)
     first, second = run(problem, x0, config), run(problem, x0, config)
     assert first.stop_reason in STOP_REASONS
     assert first.invariants.total_violations == 0, first.invariants.violations
     assert [r.csv_row() for r in first.records] == [r.csv_row() for r in second.records]
     assert first.state.x.tobytes() == second.state.x.tobytes()
+    if not with_oracle:
+        assert all(math.isnan(r.kkt_true) for r in first.records)

@@ -7,9 +7,9 @@ import pytest
 
 from trsqp.benchmarks import make_quadratic, make_saddle, true_kkt
 from trsqp.cli import _initial_point
-from trsqp.errors import MissingNoiselessOracle
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
+    DELTA_MIN,
     EPS_FLOOR,
     STOP_PATIENCE,
     SUCCESSFUL_RELIABLE,
@@ -340,15 +340,15 @@ class TestRun:
         assert rows[0] == rows[1]
 
     def test_estimate_based_stopping_with_debounce(self):
-        prob = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-8))
-        cfg = SolverConfig(
-            alpha=0, hessian="identity", kkt_tol=1e-3, max_iters=300, seed=2,
-            use_true_kkt=False,
-        )
+        # Without a noiseless oracle the run stops on the estimates.
+        noisy = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-8))
+        prob = dataclasses.replace(noisy, noiseless=None)
+        cfg = SolverConfig(alpha=0, hessian="identity", kkt_tol=1e-3, max_iters=300, seed=2)
         res = run(prob, np.array([2.0, 0.0]), cfg)
         assert res.converged
         tail = [r.kkt_est for r in res.records[-STOP_PATIENCE:]]
         assert all(v <= cfg.kkt_tol for v in tail)
+        assert all(math.isnan(r.kkt_true) for r in res.records)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_objective_scaled_by_1e8(self, seed):
@@ -369,25 +369,14 @@ class TestRun:
         assert res.invariants.total_violations == 0
         assert np.linalg.norm(res.state.x - np.array([-1.0, 0.0])) <= 1e-9
 
-    def test_true_kkt_needs_oracle(self):
-        from trsqp.problem import Problem
-
-        noisy = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-2))
-        stripped = Problem(
-            dim=2, num_constraints=1,
-            constraint=noisy.constraint, jacobian=noisy.jacobian,
-            constraint_hessians=noisy.constraint_hessians,
-            sampler=noisy.sampler, noiseless=None,
-        )
-        with pytest.raises(MissingNoiselessOracle):
-            run(stripped, np.zeros(2), SolverConfig(alpha=0, use_true_kkt=True))
-
     def test_radius_floor_stops(self):
         prob = make_quadratic()
-        cfg = SolverConfig(alpha=0, kkt_tol=0.0, max_iters=1000, delta_min=1e-6, seed=0)
+        cfg = SolverConfig(alpha=0, kkt_tol=0.0, max_iters=1000, seed=0)
         res = run(prob, np.array([0.5, 0.5]), cfg)
-        assert res.stop_reason == "radius-floor"
-        assert res.state.delta < 1e-6
+        assert res.stop_reason == "radius-floor" and not res.converged
+        assert res.state.delta < DELTA_MIN
+        # The start is the solution, so every iteration fails line 6.
+        assert all(r.outcome == UNSUCCESSFUL_LINE6 for r in res.records)
 
     def test_invariants_clean_on_noisy_run(self):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
@@ -405,14 +394,11 @@ class TestRun:
         kkt, tau_plus = true_kkt(prob, res.state.x)
         assert max(kkt, tau_plus) <= 1e-4
 
-    @pytest.mark.parametrize("use_true_kkt", [None, False])
-    def test_exact_oracle_once_per_distinct_iterate(self, monkeypatch, use_true_kkt):
+    def test_exact_oracle_once_per_distinct_iterate(self, monkeypatch):
         import trsqp.benchmarks
 
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
-        cfg = SolverConfig(
-            alpha=1, kkt_tol=1e-4, max_iters=150, seed=3, use_true_kkt=use_true_kkt
-        )
+        cfg = SolverConfig(alpha=1, kkt_tol=1e-4, max_iters=150, seed=3)
         x0 = np.array([1.0, 0.003])
         calls = []
 
