@@ -394,10 +394,16 @@ class TestRun:
         kkt, tau_plus = true_kkt(prob, res.state.x)
         assert max(kkt, tau_plus) <= 1e-4
 
-    def test_exact_oracle_once_per_distinct_iterate(self, monkeypatch):
+    # None leaves the problem's noiseless oracle attached, so the run stops
+    # on the exact measure; False strips it, so the run stops on the
+    # estimates and never calls the exact oracle.
+    @pytest.mark.parametrize("exact_stop", [None, False])
+    def test_exact_oracle_once_per_distinct_iterate(self, monkeypatch, exact_stop):
         import trsqp.benchmarks
 
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        if exact_stop is False:
+            prob = dataclasses.replace(prob, noiseless=None)
         cfg = SolverConfig(alpha=1, kkt_tol=1e-4, max_iters=150, seed=3)
         x0 = np.array([1.0, 0.003])
         calls = []
@@ -412,17 +418,23 @@ class TestRun:
             r.outcome in (SUCCESSFUL_RELIABLE, SUCCESSFUL_UNRELIABLE) for r in res.records
         )
         assert 0 < accepted < len(res.records)
-        assert len(calls) == 1 + accepted
+        assert len(calls) == (0 if exact_stop is False else 1 + accepted)
 
         # Replaying through iterate leaves the exact columns NaN; run stamps
-        # them with the exact values at each iteration's start point.
+        # them with the exact values at each iteration's start point, when
+        # the problem has a noiseless oracle.
+        def exact(x):
+            if exact_stop is False:
+                return math.nan, math.nan
+            return true_kkt(prob, x)
+
         state = SolverState.initial(prob, x0, cfg)
         for rec in res.records:
-            kkt, tau = true_kkt(prob, state.x)
+            kkt, tau = exact(state.x)
             state, replayed = iterate(state, prob, cfg)
             assert np.isnan(replayed.kkt_true) and np.isnan(replayed.tau_true)
             assert (rec.kkt_true.hex(), rec.tau_true.hex()) == (kkt.hex(), tau.hex())
             assert (replayed.k, replayed.outcome, replayed.ared) == (rec.k, rec.outcome, rec.ared)
         assert np.array_equal(state.x, res.state.x)
-        final = true_kkt(prob, state.x)
+        final = exact(state.x)
         assert (res.final_kkt.hex(), res.final_tau.hex()) == (final[0].hex(), final[1].hex())
