@@ -35,6 +35,10 @@ __all__ = [
 
 # Constraint matrices drawn before a logistic problem gives up on full row rank.
 MAX_RANK_RETRIES = 100
+# Records per block of the logistic Hessian's Gram product. OpenBLAS keeps a
+# product on its faster small-matrix path while m n k <= 10^6, which a
+# d x GRAM_BLOCK x d block meets up to d = 22 (docs/decisions.md).
+GRAM_BLOCK = 2048
 
 
 def _analytic_problem(dim, m, f, g, h, c, G, c_hess, name):
@@ -121,6 +125,17 @@ class _RecordVectors:
         return (self.sigmoid - 1.0) * self._y
 
 
+def _gram(ZT: np.ndarray, Z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ZT diag(v) Z, summed block by block over ``GRAM_BLOCK`` rows of Z in
+    order. At most one block is bitwise the single product (ZT * v) @ Z."""
+    A = ZT * v
+    H = A[:, :GRAM_BLOCK] @ Z[:GRAM_BLOCK]
+    for start in range(GRAM_BLOCK, len(v), GRAM_BLOCK):
+        block = slice(start, start + GRAM_BLOCK)
+        H += A[:, block] @ Z[block]
+    return H
+
+
 def _logistic_records(features: np.ndarray, labels: np.ndarray):
     """Means of the loss log(1 + exp(-y z^T x)) and its derivatives over records ``idx``.
 
@@ -183,7 +198,7 @@ def _logistic_records(features: np.ndarray, labels: np.ndarray):
     def hessian(x, idx):
         Z, ZT, at, w = batch(x, idx)
         s = at.sigmoid
-        return (ZT * (w * s * (1.0 - s))) @ Z
+        return _gram(ZT, Z, w * s * (1.0 - s))
 
     return value, gradient, hessian
 

@@ -101,7 +101,7 @@ class JacobianFactor:
 
 
 def nullspace_basis(G: np.ndarray) -> JacobianFactor:
-    """The factorization of G that ``solver.iterate`` takes once per iteration."""
+    """The factorization of G that ``solver.iterate`` takes once per distinct iterate."""
     return JacobianFactor.of(G)
 
 

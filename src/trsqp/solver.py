@@ -116,6 +116,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if self.batch_cap < 1:
             raise ValueError("batch_cap must be at least 1")
+        if not self.kkt_tol >= 0.0:
+            raise ValueError("kkt_tol must be a nonnegative number")
+        if not self.max_iters >= 0:
+            raise ValueError("max_iters must be nonnegative")
 
     @property
     def kappa_f(self) -> float:
@@ -137,9 +141,9 @@ class SolverState:
     mu: float
     k: int
     strategy: object
-    # c at the iterate, keyed by the bits of x: an x assigned or changed from
-    # outside gets a fresh evaluation.
-    c_cache: tuple[bytes, np.ndarray] | None = field(default=None, repr=False)
+    # c and the factor of G at the iterate, keyed by the bits of x: an x
+    # assigned or changed from outside gets fresh evaluations.
+    at_x: tuple[bytes, dict] | None = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, problem: Problem, x0: np.ndarray, config: SolverConfig) -> "SolverState":
@@ -156,12 +160,23 @@ class SolverState:
             strategy=strategy,
         )
 
+    def _at_iterate(self, name: str, evaluate):
+        """``evaluate(x)``, stored as ``name`` until the bits of x change."""
+        key = self.x.tobytes()
+        if self.at_x is None or self.at_x[0] != key:
+            self.at_x = (key, {})
+        values = self.at_x[1]
+        if name not in values:
+            values[name] = evaluate(self.x)
+        return values[name]
+
     def constraint(self, problem: Problem) -> np.ndarray:
         """c(x) at the iterate, evaluated once per distinct iterate."""
-        key = self.x.tobytes()
-        if self.c_cache is None or self.c_cache[0] != key:
-            self.c_cache = (key, problem.constraint(self.x))
-        return self.c_cache[1]
+        return self._at_iterate("c", problem.constraint)
+
+    def jacobian_factor(self, problem: Problem) -> linalg.JacobianFactor:
+        """The factor of G(x) at the iterate, built once per distinct iterate."""
+        return self._at_iterate("J", lambda x: linalg.nullspace_basis(problem.jacobian(x)))
 
 
 @dataclass
@@ -328,8 +343,8 @@ def iterate(
 
     c = state.constraint(problem)
     c_norm = float(np.linalg.norm(c))
-    # The iteration's one factorization of the Jacobian.
-    J = linalg.nullspace_basis(problem.jacobian(x))
+    # The iterate's one factorization of the Jacobian.
+    J = state.jacobian_factor(problem)
     G = J.G
 
     # Step 1: gradient, multiplier, KKT residual, Hessian approximation.
@@ -435,7 +450,7 @@ def iterate(
 
     if accepted:
         state.x = x_trial
-        state.c_cache = (x_trial.tobytes(), c_trial)
+        state.at_x = (x_trial.tobytes(), {"c": c_trial})
         state.delta = min(config.gamma * delta, config.delta_max)
         if -pred >= state.eps:
             outcome = SUCCESSFUL_RELIABLE

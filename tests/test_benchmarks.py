@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from trsqp.benchmarks import (
+    GRAM_BLOCK,
     SyntheticLogisticSpec,
+    _gram,
     _logistic_records,
     make_logistic,
     make_logistic_from_data,
@@ -154,6 +156,32 @@ class TestLogistic:
                 for got, ref in zip((value(x, idx), gradient(x, idx), hessian(x, idx)), refs):
                     assert np.shape(got) == np.shape(ref)
                     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_blocked_hessian_matches_einsum_reference(self):
+        # 2 blocks and a last block of one row. Counted batches sum all of
+        # them; gathered ones between one block and N draws span two.
+        rng = np.random.default_rng(14)
+        N, d = 2 * GRAM_BLOCK + 1, 6
+        features = rng.standard_normal((N, d))
+        labels = np.where(rng.uniform(size=N) < 0.5, 1.0, -1.0)
+        _, _, hessian = _logistic_records(features, labels)
+        sizes = (GRAM_BLOCK + 1, 2 * GRAM_BLOCK, N, 3 * N)
+        batches = [np.arange(N)] + [rng.integers(0, N, size=n) for n in sizes]
+        for idx in batches:
+            x = 0.3 * rng.standard_normal(d)
+            Zi = features[idx]
+            s = 1.0 / (1.0 + np.exp(-labels[idx] * (Zi @ x)))
+            ref = np.mean(np.einsum("n,ni,nj->nij", s * (1.0 - s), Zi, Zi), axis=0)
+            got = hessian(x, idx)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 100, GRAM_BLOCK])
+    def test_one_block_is_the_single_product(self, n):
+        rng = np.random.default_rng(n)
+        Z = rng.standard_normal((n, 15))
+        v = rng.uniform(size=n)
+        for ZT in (np.ascontiguousarray(Z.T), Z.T):  # counted and gathered layouts
+            assert _gram(ZT, Z, v).tobytes() == ((ZT * v) @ Z).tobytes()
 
     def test_counted_batch_ignores_index_order(self):
         rng = np.random.default_rng(12)

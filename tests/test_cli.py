@@ -203,6 +203,27 @@ class TestRunCommand:
         assert err.startswith("error:") and message in err
 
 
+    @pytest.mark.parametrize(
+        "config, flags, key",
+        [
+            ("kkt_tol = nan\nmax_iters = 30\n", [], "kkt_tol"),
+            ("max_iters = -5\n", [], "max_iters"),
+            ("", ["--kkt-tol", "-1"], "kkt_tol"),
+            ("", ["--max-iters", "-5"], "max_iters"),
+        ],
+        ids=["file-kkt-tol-nan", "file-max-iters-negative", "flag-kkt-tol", "flag-max-iters"],
+    )
+    def test_invalid_stop_setting_is_an_error(self, tmp_path, capsys, config, flags, key):
+        cfg_file = tmp_path / "stop.cfg"
+        cfg_file.write_text(config)
+        out = tmp_path / "o"
+        args = ["run", "--problem", "quadratic", "--config", str(cfg_file), "--out", str(out)]
+        assert run_cli(args + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+
 class TestCheckCommand:
     ROWS = ("seeded runs reproduce bitwise", "exact TRS beats Cauchy point")
 

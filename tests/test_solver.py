@@ -58,6 +58,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="batch_cap"):
             SolverConfig(batch_cap=0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("kkt_tol", math.nan), ("kkt_tol", -1e-4), ("max_iters", -5), ("max_iters", math.nan)],
+    )
+    def test_stop_settings_must_be_nonnegative(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: bad})
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -128,7 +136,8 @@ class TestIterate:
 
     def test_one_jacobian_factorization_per_iteration(self, monkeypatch):
         # The null-space basis, multiplier, normal step, SOC pull and the
-        # invariant checks all read off one SVD of G per iteration.
+        # invariant checks all read off one SVD of G per distinct iterate:
+        # line-6 and rejected iterations, which leave x where it is, reuse it.
         import trsqp.linalg
 
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
@@ -144,13 +153,16 @@ class TestIterate:
         monkeypatch.setattr(trsqp.linalg, "_checked_svd", counting)
         report = InvariantReport()
         seen = set()
-        for k in range(20):
+        iterates = set()
+        for _ in range(20):
+            iterates.add(state.x.tobytes())
             state, rec = iterate(state, prob, cfg, report)
-            assert len(calls) == k + 1
+            assert len(calls) == len(iterates)
             seen.add("line6" if rec.outcome == UNSUCCESSFUL_LINE6 else rec.step_kind)
             if rec.soc:
                 seen.add("soc")
         assert seen == {"line6", "gradient", "eigen", "soc"}
+        assert len(calls) < 20
         assert sum(report.checked.values()) > 0 and report.total_violations == 0
 
     def test_soc_evaluates_the_constraint_once(self):
