@@ -158,7 +158,7 @@ def kkt_residual(
     the stacked KKT norm ||(grad_L, c)||, all from the factor ``J`` of G."""
     lam = J.multiplier(grad)
     grad_l = grad + J.G.T @ lam
-    return lam, grad_l, float(np.sqrt(grad_l @ grad_l + c @ c))
+    return lam, grad_l, math.sqrt(grad_l @ grad_l + c @ c)
 
 
 def _lagrangian_term(problem: Problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -200,7 +200,7 @@ class SR1Hessian:
             s = x - self._prev_x
             y = grad_l - self._prev_grad_l
             z = y - self._H @ s
-            norms = np.linalg.norm(z) * np.linalg.norm(s)
+            norms = linalg.vector_norm(z) * linalg.vector_norm(s)
             denom = float(z @ s)
             if norms > 0.0 and abs(denom) >= SR1_SKIP_TOL * norms:
                 self._H = self._H + np.outer(z, z) / denom

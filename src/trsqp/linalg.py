@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NonFiniteInput, RankDeficient, SubsolverFailure
 
 __all__ = [
+    "vector_norm",
     "JacobianFactor",
     "SymmetricEig",
     "nullspace_basis",
@@ -30,6 +31,18 @@ __all__ = [
 
 # Relative rank tolerance on singular values of constraint Jacobians.
 RANK_TOL = 1e-10
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, bit for bit ``np.linalg.norm(v)``.
+
+    numpy computes a real vector's 2-norm as ``sqrt(x.dot(x))`` on
+    ``x = v.ravel(order="K")``; this is that formula without the argument
+    handling. The ravel matters: BLAS sums a strided view in another order
+    than a contiguous copy.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _require_finite(*arrays, what: str = "input") -> None:
@@ -101,7 +114,7 @@ class JacobianFactor:
 
 
 def nullspace_basis(G: np.ndarray) -> JacobianFactor:
-    """The factorization of G that ``solver.iterate`` takes once per distinct iterate."""
+    """The factorization of G that ``solver.iterate`` takes once per distinct G."""
     return JacobianFactor.of(G)
 
 
@@ -138,7 +151,7 @@ def cauchy_point(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     _require_finite(H, g)
-    gnorm = np.linalg.norm(g)
+    gnorm = vector_norm(g)
     if gnorm == 0.0 or radius == 0.0:
         return np.zeros_like(g)
     gHg = float(g @ (H @ g))
@@ -194,7 +207,7 @@ class SymmetricEig:
         if radius <= 0.0:
             raise ValueError("radius must be positive")
         u = self._secular_solve(g, radius)
-        nrm = np.linalg.norm(u)
+        nrm = vector_norm(u)
         if nrm > radius:
             u *= radius / nrm
         return u
@@ -207,18 +220,16 @@ class SymmetricEig:
         w, Q = self.w.copy(), self.Q
         w[np.abs(w) <= 1e-12 * self.norm] = 0.0
         gq = Q.T @ g
+        neg_gq = -gq
         lam_min = float(w[0])
 
         def shifted(lam: float) -> np.ndarray:
             """-(S + lam I)^{-1} g in the eigenbasis, with exact poles punctured."""
             denom = w + lam
-            u = np.zeros_like(gq)
-            nz = denom != 0.0
-            u[nz] = -gq[nz] / denom[nz]
-            return u
+            return np.divide(neg_gq, denom, out=np.zeros_like(gq), where=denom != 0.0)
 
         def radius_gap(lam: float) -> float:
-            return float(np.linalg.norm(shifted(lam)) - radius)
+            return vector_norm(shifted(lam)) - radius
 
         def to_boundary(u: np.ndarray) -> np.ndarray:
             """Move u along the bottom eigenvector e_0 onto the sphere if it falls
@@ -231,14 +242,14 @@ class SymmetricEig:
 
         if lam_min > 0.0:
             u = -(gq / w)
-            if np.linalg.norm(u) <= radius:
+            if vector_norm(u) <= radius:
                 return Q @ u
             lo = 0.0  # Newton point outside: secular root in (0, hi].
         else:
             lam_lo = -lam_min
             bottom = (w - lam_min) <= 1e-12 * max(1.0, abs(lam_min))
-            gap_norm = float(np.linalg.norm(gq[bottom]))
-            if gap_norm <= 1e-13 * max(1.0, float(np.linalg.norm(gq))):
+            gap_norm = vector_norm(gq[bottom])
+            if gap_norm <= 1e-13 * max(1.0, vector_norm(gq)):
                 # Hard case: g has no component on the bottom eigenspace, and the
                 # limit point at lam = -lam_min may already be interior. Fill the
                 # remaining radius along a bottom eigendirection.
@@ -261,7 +272,7 @@ class SymmetricEig:
             else:
                 return to_boundary(shifted(lo))
 
-        hi = max(0.0, -lam_min) + float(np.linalg.norm(gq)) / radius + 1e-12
+        hi = max(0.0, -lam_min) + vector_norm(gq) / radius + 1e-12
         while radius_gap(hi) > 0.0:
             hi = 2.0 * hi + 1.0
         u = shifted(_brentq(radius_gap, lo, hi))

@@ -102,19 +102,21 @@ class SolverConfig:
             raise ValueError(f"hessian must be one of {', '.join(estimator.HESSIAN_STRATEGIES)}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
-        if self.gamma <= 1.0 or self.rho <= 1.0:
-            raise ValueError("gamma and rho must exceed 1")
-        if not 0.0 < self.delta0 < self.delta_max:
-            raise ValueError("need 0 < delta0 < delta_max")
-        if self.mu0 <= 0.0 or self.eps0 <= 0.0 or self.r <= 0.0:
-            raise ValueError("mu0, eps0, and r must be positive")
-        for name in ("kappa_g", "kappa_h", "c_f", "c_g", "c_h"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        # Written so that NaN fails every test. Only r and kkt_tol may be +inf.
+        for name in ("gamma", "rho"):
+            if not 1.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number above 1")
+        if not 0.0 < self.delta0 < self.delta_max < math.inf:
+            raise ValueError("need 0 < delta0 < delta_max, with delta_max finite")
+        for name in ("mu0", "eps0", "kappa_g", "kappa_h", "c_f", "c_g", "c_h"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite positive number")
+        if not self.r > 0.0:
+            raise ValueError("r must be positive")
         for name in ("p_f", "p_g", "p_h"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if self.batch_cap < 1:
+        if not self.batch_cap >= 1:
             raise ValueError("batch_cap must be at least 1")
         if not self.kkt_tol >= 0.0:
             raise ValueError("kkt_tol must be a nonnegative number")
@@ -141,9 +143,12 @@ class SolverState:
     mu: float
     k: int
     strategy: object
-    # c and the factor of G at the iterate, keyed by the bits of x: an x
-    # assigned or changed from outside gets fresh evaluations.
+    # c, the factor of G and the exact KKT pair at the iterate, keyed by the
+    # bits of x: an x assigned or changed from outside gets fresh evaluations.
     at_x: tuple[bytes, dict] | None = field(default=None, repr=False)
+    # The last factor of G, keyed by the bits of G, so a constant Jacobian
+    # is factored once per run.
+    at_g: tuple[tuple, linalg.JacobianFactor] | None = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, problem: Problem, x0: np.ndarray, config: SolverConfig) -> "SolverState":
@@ -175,8 +180,23 @@ class SolverState:
         return self._at_iterate("c", problem.constraint)
 
     def jacobian_factor(self, problem: Problem) -> linalg.JacobianFactor:
-        """The factor of G(x) at the iterate, built once per distinct iterate."""
-        return self._at_iterate("J", lambda x: linalg.nullspace_basis(problem.jacobian(x)))
+        """The factor of G(x) at the iterate. G is evaluated once per distinct
+        iterate and factored once per distinct G."""
+        return self._at_iterate("J", lambda x: self._factor(problem.jacobian(x)))
+
+    def _factor(self, G: np.ndarray) -> linalg.JacobianFactor:
+        G = np.asarray(G, dtype=float)
+        key = (G.shape, G.tobytes())
+        if self.at_g is None or self.at_g[0] != key:
+            self.at_g = (key, linalg.nullspace_basis(G))
+        return self.at_g[1]
+
+    def exact_kkt(self, problem: Problem) -> tuple[float, float]:
+        """:func:`benchmarks.true_kkt` at the iterate, evaluated once per
+        distinct iterate; NaNs when the problem has no noiseless oracle."""
+        if problem.noiseless is None:
+            return math.nan, math.nan
+        return self._at_iterate("kkt", lambda x: benchmarks.true_kkt(problem, x))
 
 
 @dataclass
@@ -288,18 +308,18 @@ def check_step(report, step, c, J, grad, H, delta):
     pyth = abs(split.normal**2 + split.tangential**2 - delta**2)
     report.add("radius_split_pythagorean", pyth <= 1e-10 * delta**2, pyth / delta**2)
 
-    dx_norm = float(np.linalg.norm(step.dx))
+    dx_norm = linalg.vector_norm(step.dx)
     excess = (dx_norm - delta) / delta
     report.add("step_within_radius", excess <= 1e-10, excess)
 
-    w_norm = float(np.linalg.norm(step.w))
-    t_norm = float(np.linalg.norm(step.t))
+    w_norm = linalg.vector_norm(step.w)
+    t_norm = linalg.vector_norm(step.t)
     ortho = abs(float(step.w @ step.t))
     scale = w_norm * t_norm
     report.add("normal_tangential_orthogonal", ortho <= 1e-10 * max(scale, 1e-300), ortho)
 
-    c_norm = float(np.linalg.norm(c))
-    lin = float(np.linalg.norm(c + G @ step.dx))
+    c_norm = linalg.vector_norm(c)
+    lin = linalg.vector_norm(c + G @ step.dx)
     target = (1.0 - step.gamma) * c_norm
     denom = max(c_norm, float(np.linalg.norm(G.ravel())) * dx_norm, 1e-300)
     gap = abs(lin - target)
@@ -311,15 +331,15 @@ def check_step(report, step, c, J, grad, H, delta):
     if step.kind == steps.GRADIENT_STEP:
         # Its own SVD norm, so the check does not lean on the step's factor.
         rhs, slack = steps.cauchy_bound(
-            float(np.linalg.norm(g_r)), linalg.spectral_norm(H_r), split.tangential
+            linalg.vector_norm(g_r), linalg.spectral_norm(H_r), split.tangential
         )
         report.add("cauchy_fraction", m_u - rhs <= slack, m_u - rhs)
     else:
         tau_plus = linalg.SymmetricEig.of(H_r).tau_plus
         desc = float(g_r @ step.u)
-        desc_scale = float(np.linalg.norm(g_r)) * float(np.linalg.norm(step.u))
+        desc_scale = linalg.vector_norm(g_r) * linalg.vector_norm(step.u)
         report.add("eigen_descent", desc <= 1e-12 * max(desc_scale, 1e-300), desc)
-        u_excess = float(np.linalg.norm(step.u)) - split.tangential
+        u_excess = linalg.vector_norm(step.u) - split.tangential
         report.add(
             "eigen_within_radius", u_excess <= 1e-12 * max(split.tangential, 1e-300), u_excess
         )
@@ -342,7 +362,7 @@ def iterate(
     delta = state.delta
 
     c = state.constraint(problem)
-    c_norm = float(np.linalg.norm(c))
+    c_norm = linalg.vector_norm(c)
     # The iterate's one factorization of the Jacobian.
     J = state.jacobian_factor(problem)
     G = J.G
@@ -392,12 +412,12 @@ def iterate(
     # Step 3: merit loop, then shared-sample value estimates at both points.
     threshold = -0.5 * decrease
     pred = steps.predicted_reduction(grad, H, state.mu, c, G, step.dx)
-    dx_norm = float(np.linalg.norm(step.dx))
+    dx_norm = linalg.vector_norm(step.dx)
     # Pred's roundoff scales with each of its terms. The constraint term
     # mu (||c + G dx|| - ||c||) carries eps mu (||c|| + ||G|| ||dx||), which at
     # c = 0 is the roundoff of G dx alone (docs/decisions.md).
     pred_scale = (
-        float(np.linalg.norm(grad)) * dx_norm
+        linalg.vector_norm(grad) * dx_norm
         + 0.5 * h_norm * dx_norm**2
         + state.mu * (c_norm + J.norm * dx_norm)
     )
@@ -408,7 +428,7 @@ def iterate(
     # steps), so the loop only runs while escalation makes progress. Pred is
     # then affine in mu with negative slope, so mu overflows only when no
     # finite mu clears the threshold.
-    constraint_drop = float(np.linalg.norm(c + G @ step.dx)) - c_norm
+    constraint_drop = linalg.vector_norm(c + G @ step.dx) - c_norm
     while pred > threshold + slack and constraint_drop < 0.0:
         state.mu *= config.rho
         if state.mu == math.inf:
@@ -430,7 +450,7 @@ def iterate(
 
     def actual_reduction(c_new, f_new):
         """Ared: the estimated merit change from x to a point where c = ``c_new``."""
-        return f_new - f_k + state.mu * (float(np.linalg.norm(c_new)) - c_norm)
+        return f_new - f_k + state.mu * (linalg.vector_norm(c_new) - c_norm)
 
     ared = actual_reduction(c_trial, f_s)
 
@@ -484,18 +504,9 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
     records: list[IterationRecord] = []
     report = InvariantReport()
     hits = 0
-    exact_key, exact = None, (math.nan, math.nan)
-
-    def exact_kkt(x):
-        # The iterate stays put on line-6 and rejected iterations, so the
-        # exact oracle is evaluated once per distinct iterate.
-        nonlocal exact_key, exact
-        if exact_stop and x.tobytes() != exact_key:
-            exact_key, exact = x.tobytes(), benchmarks.true_kkt(problem, x)
-        return exact
 
     while True:
-        kkt_true, tau_true = exact_kkt(state.x)
+        kkt_true, tau_true = state.exact_kkt(problem)
         if exact_stop and _stop_measure(kkt_true, tau_true, config) <= config.kkt_tol:
             stop_reason = "converged"
             break
@@ -515,7 +526,7 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
                 stop_reason = "converged"
                 break
 
-    kkt_true, tau_true = exact_kkt(state.x)
+    kkt_true, tau_true = state.exact_kkt(problem)
     return RunResult(
         state=state,
         records=records,

@@ -104,7 +104,7 @@ def normal_step(
     gamma = 1 when the pull-back vanishes.
     """
     v = J.pull(c)
-    v_norm = np.linalg.norm(v)
+    v_norm = linalg.vector_norm(v)
     if v_norm == 0.0:
         return v, 1.0, np.zeros_like(v)
     gamma = min(normal_radius / v_norm, 1.0)
@@ -139,7 +139,7 @@ def tangential_gradient(
         return np.zeros_like(g_r)
     u = reduced.trs(g_r, tangential_radius)
     m_u = linalg.model_value(reduced.S, g_r, u)
-    rhs, slack = cauchy_bound(float(np.linalg.norm(g_r)), reduced.norm, tangential_radius)
+    rhs, slack = cauchy_bound(linalg.vector_norm(g_r), reduced.norm, tangential_radius)
     if m_u > rhs + slack:
         raise SubsolverFailure(
             f"reduction {m_u:.6e} misses the Cauchy fraction bound {rhs:.6e}"
@@ -162,7 +162,7 @@ def tangential_eigen(
         raise NotNegativeCurvature(f"eigen step requested with curvature {tau:.3e}")
     if tangential_radius <= 0.0:
         return np.zeros_like(g_r)
-    u = eigvec * (tangential_radius / np.linalg.norm(eigvec))
+    u = eigvec * (tangential_radius / linalg.vector_norm(eigvec))
     if float(g_r @ u) > 0.0:
         u = -u
     return u
@@ -208,7 +208,7 @@ def predicted_reduction(
     dx: np.ndarray,
 ) -> float:
     """Model reduction of the penalized merit function for a step ``dx``."""
-    linearized = np.linalg.norm(c + G @ dx) - np.linalg.norm(c)
+    linearized = linalg.vector_norm(c + G @ dx) - linalg.vector_norm(c)
     return float(grad @ dx + 0.5 * dx @ (H @ dx) + mu * linearized)
 
 
@@ -230,9 +230,9 @@ def build_trial_step(
     ``J.reduce(H)``.
     """
     c_rs, grad_l_rs = rescaled_residuals(c, J, grad_l, h_norm)
-    c_rs_norm = float(np.linalg.norm(c_rs))
+    c_rs_norm = linalg.vector_norm(c_rs)
     if kind == GRADIENT_STEP:
-        opt_rs = float(np.linalg.norm(grad_l_rs))
+        opt_rs = linalg.vector_norm(grad_l_rs)
     elif kind == EIGEN_STEP:
         opt_rs = reduced.tau_plus / h_norm
     else:

@@ -210,8 +210,19 @@ class TestRunCommand:
             ("max_iters = -5\n", [], "max_iters"),
             ("", ["--kkt-tol", "-1"], "kkt_tol"),
             ("", ["--max-iters", "-5"], "max_iters"),
+            ("gamma = nan\n", [], "gamma"),
+            ("mu0 = nan\nmax_iters = 40\n", [], "mu0"),
+            ("delta_max = inf\n", [], "delta_max"),
         ],
-        ids=["file-kkt-tol-nan", "file-max-iters-negative", "flag-kkt-tol", "flag-max-iters"],
+        ids=[
+            "file-kkt-tol-nan",
+            "file-max-iters-negative",
+            "flag-kkt-tol",
+            "flag-max-iters",
+            "file-gamma-nan",
+            "file-mu0-nan",
+            "file-delta-max-inf",
+        ],
     )
     def test_invalid_stop_setting_is_an_error(self, tmp_path, capsys, config, flags, key):
         cfg_file = tmp_path / "stop.cfg"

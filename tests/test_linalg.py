@@ -19,6 +19,7 @@ from trsqp.linalg import (
     smallest_eigpair,
     spectral_norm,
     trs_solve,
+    vector_norm,
 )
 
 
@@ -28,6 +29,43 @@ def fcd_rhs(H, g, radius):
     hnorm = spectral_norm(H)
     curv = gnorm / hnorm if hnorm > 0 else np.inf
     return -0.5 * gnorm * min(radius, curv)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+class TestVectorNorm:
+    SCALES = [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e154, 1e200, 1e300]
+
+    @staticmethod
+    def assert_bitwise(v):
+        got = vector_norm(v)
+        assert type(got) is float
+        assert got.hex() == float(np.linalg.norm(v)).hex()
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_bitwise_equal_to_numpy(self, scale):
+        rng = np.random.default_rng(7)
+        for n in range(21):
+            for _ in range(20):
+                self.assert_bitwise(scale * rng.standard_normal(n))
+
+    def test_zeros_subnormals_and_overflow(self):
+        for n in range(21):
+            self.assert_bitwise(np.zeros(n))
+            self.assert_bitwise(np.full(n, 5e-324))
+            self.assert_bitwise(np.full(n, -2.5e-310))
+        huge = np.full(3, 1e300)
+        assert vector_norm(huge) == math.inf and np.linalg.norm(huge) == math.inf
+        self.assert_bitwise(np.array([1e-300, 3.0, 1e154, 0.0]))
+
+    def test_strided_view_matches_numpy(self):
+        # BLAS sums a strided vector in another order than a contiguous one,
+        # so the helper must norm a view the way numpy does: as a copy.
+        rng = np.random.default_rng(11)
+        for n in range(21):
+            for _ in range(20):
+                M = rng.standard_normal((n, 3))
+                self.assert_bitwise(M[:, 1])
+                self.assert_bitwise(M[::-1, 2])
 
 
 class TestNullspaceBasis:

@@ -5,7 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trsqp.benchmarks import make_quadratic, make_saddle, true_kkt
+from trsqp.benchmarks import (
+    SyntheticLogisticSpec,
+    make_logistic,
+    make_quadratic,
+    make_saddle,
+    true_kkt,
+)
 from trsqp.cli import _initial_point
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
@@ -57,6 +63,8 @@ class TestConfigValidation:
             SolverConfig(p_f=1.0)
         with pytest.raises(ValueError, match="batch_cap"):
             SolverConfig(batch_cap=0)
+        with pytest.raises(ValueError, match="batch_cap"):
+            SolverConfig(batch_cap=math.nan)
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -65,6 +73,20 @@ class TestConfigValidation:
     def test_stop_settings_must_be_nonnegative(self, field, bad):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "field",
+        ["gamma", "rho", "mu0", "eps0", "kappa_g", "kappa_h", "c_f", "c_g", "c_h", "delta_max"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_settings_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: bad})
+
+    def test_r_and_kkt_tol_may_be_infinite(self):
+        SolverConfig(r=math.inf, kkt_tol=math.inf)
+        with pytest.raises(ValueError, match="r must"):
+            SolverConfig(r=math.nan)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -164,6 +186,47 @@ class TestIterate:
         assert seen == {"line6", "gradient", "eigen", "soc"}
         assert len(calls) < 20
         assert sum(report.checked.values()) > 0 and report.total_violations == 0
+
+    @pytest.mark.parametrize("name", ["quadratic", "logistic"])
+    def test_constant_jacobian_factored_once_per_run(self, monkeypatch, name):
+        # An affine constraint has the same G at every iterate: the solver
+        # factors it once per run, while true_kkt keeps its own factor at
+        # each distinct iterate.
+        import trsqp.benchmarks
+        import trsqp.linalg
+
+        if name == "quadratic":
+            prob = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-2))
+            x0 = np.array([3.0, -1.0])
+            cfg = SolverConfig(alpha=1, kkt_tol=1e-4, max_iters=100, seed=0)
+        else:
+            spec = SyntheticLogisticSpec(n_records=600)
+            prob = make_logistic(spec, np.random.default_rng(913_000))
+            x0 = np.zeros(prob.dim)
+            cfg = SolverConfig(alpha=1, kkt_tol=1e-2, max_iters=100, seed=0)
+        svd = trsqp.linalg._checked_svd
+        calls = {"solver": 0, "true_kkt": 0}
+        in_true_kkt = []
+
+        def counting(G):
+            calls["true_kkt" if in_true_kkt else "solver"] += 1
+            return svd(G)
+
+        def exact(problem, x):
+            in_true_kkt.append(1)
+            try:
+                return true_kkt(problem, x)
+            finally:
+                in_true_kkt.pop()
+
+        monkeypatch.setattr(trsqp.linalg, "_checked_svd", counting)
+        monkeypatch.setattr(trsqp.benchmarks, "true_kkt", exact)
+        res = run(prob, x0, cfg)
+        accepted = sum(
+            r.outcome in (SUCCESSFUL_RELIABLE, SUCCESSFUL_UNRELIABLE) for r in res.records
+        )
+        assert res.converged and accepted > 1
+        assert calls == {"solver": 1, "true_kkt": 1 + accepted}
 
     def test_soc_evaluates_the_constraint_once(self):
         # c(x + dx) is evaluated once per trial iteration and c(x) only at the
