@@ -116,8 +116,11 @@ class _RecordVectors:
 
     @cached_property
     def loss(self):
-        # -m is bitwise (-y)(Z x): rounding is symmetric in sign.
-        return np.logaddexp(0.0, -self.margins)
+        # The stable softplus that np.logaddexp(0, -m) runs through scalar
+        # libm calls, in vectorized ufuncs. e^{-|m|} may underflow harmlessly.
+        m = self.margins
+        with np.errstate(under="ignore"):
+            return np.log1p(np.exp(-np.abs(m))) + np.maximum(-m, 0.0)
 
     @cached_property
     def coef(self):
@@ -268,18 +271,27 @@ def make_logistic(spec: SyntheticLogisticSpec, rng: np.random.Generator) -> Prob
     )
 
 
-def true_kkt(problem: Problem, x: np.ndarray) -> tuple[float, float]:
+def true_kkt(
+    problem: Problem, x: np.ndarray, factor: linalg.JacobianFactor | None = None
+) -> tuple[float, float]:
     """Exact KKT residual norm and negative curvature at a point.
 
     Returns ``(||(grad f + G^T lam, c)||, tau_plus)`` with the multiplier
     from an exact least-squares solve and ``tau_plus`` from the smallest
     eigenvalue of the reduced Lagrangian Hessian. One SVD of G and one
-    eigendecomposition of the reduced Hessian serve both; they are this
-    reference's own, independent of the solver's factors.
+    eigendecomposition of the reduced Hessian serve both.
+
+    ``factor``, such as the solver's at the iterate, must be of the bits of
+    ``problem.jacobian(x)`` (else ``ValueError``); G is exact data, so its
+    factor is no estimate. Without it G is factored here.
     """
     oracle = problem.require_noiseless()
     x = np.asarray(x, dtype=float)
-    J = linalg.nullspace_basis(problem.jacobian(x))
-    lam, _, kkt = estimator.kkt_residual(J, oracle.gradient(x), problem.constraint(x))
+    G = np.asarray(problem.jacobian(x), dtype=float)
+    if factor is None:
+        factor = linalg.nullspace_basis(G)
+    elif factor.G.shape != G.shape or factor.G.tobytes() != G.tobytes():
+        raise ValueError("factor is not a factor of the Jacobian at x")
+    lam, _, kkt = estimator.kkt_residual(factor, oracle.gradient(x), problem.constraint(x))
     H = oracle.hessian(x) + estimator._lagrangian_term(problem, x, lam)
-    return kkt, J.reduce(H).tau_plus
+    return kkt, factor.reduce(H).tau_plus

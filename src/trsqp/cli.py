@@ -27,12 +27,13 @@ from .solver import IterationRecord, SolverConfig, run
 
 PROBLEM_CHOICES = ("saddle", "logistic-normal", "logistic-exponential", "quadratic")
 
-# Flat key=value names accepted in config files.
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
+# Flat key=value names accepted in config files, with the type each parses to.
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
 
 
 def read_config_file(path) -> dict:
-    """Parse key=value lines; '#' starts a comment."""
+    """Parse key=value lines into typed ``SolverConfig`` values; '#' starts a
+    comment. An error names the file, the line and the key."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -41,20 +42,19 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        values[key] = raw
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_TYPES[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
 def build_config(file_values: dict, cli_overrides: dict) -> SolverConfig:
-    """Assemble a SolverConfig from defaults, a config file, and CLI flags."""
-    defaults = SolverConfig()
-    kwargs = {}
-    for key, raw in file_values.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = type(getattr(defaults, key))(raw)
-    kwargs.update({k: v for k, v in cli_overrides.items() if v is not None})
-    return SolverConfig(**kwargs)
+    """Assemble a SolverConfig from defaults, config-file values, and CLI flags."""
+    overrides = {k: v for k, v in cli_overrides.items() if v is not None}
+    return SolverConfig(**(file_values | overrides))
 
 
 def _initial_point(problem_name: str, problem, seed: int) -> np.ndarray:

@@ -193,10 +193,13 @@ class SolverState:
 
     def exact_kkt(self, problem: Problem) -> tuple[float, float]:
         """:func:`benchmarks.true_kkt` at the iterate, evaluated once per
-        distinct iterate; NaNs when the problem has no noiseless oracle."""
+        distinct iterate on the iterate's factor of G; NaNs when the problem
+        has no noiseless oracle."""
         if problem.noiseless is None:
             return math.nan, math.nan
-        return self._at_iterate("kkt", lambda x: benchmarks.true_kkt(problem, x))
+        return self._at_iterate(
+            "kkt", lambda x: benchmarks.true_kkt(problem, x, self.jacobian_factor(problem))
+        )
 
 
 @dataclass

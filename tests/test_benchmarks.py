@@ -4,6 +4,7 @@ import pytest
 from trsqp.benchmarks import (
     GRAM_BLOCK,
     SyntheticLogisticSpec,
+    _RecordVectors,
     _gram,
     _logistic_records,
     make_logistic,
@@ -91,6 +92,32 @@ class TestTrueKKT:
                 got = np.array(true_kkt(problem, x))
                 assert got.tobytes() == np.array(_two_factor_kkt(problem, x)).tobytes()
 
+    def test_given_factor_gives_the_same_bits(self, monkeypatch):
+        # The same bits of G give the same SVD, so the solver's factor at the
+        # iterate serves the reference as its own would; no SVD is run.
+        rng = np.random.default_rng(15)
+        logistic = make_logistic(
+            SyntheticLogisticSpec(dim=5, n_records=50, num_constraints=2), rng
+        )
+        cases = [(make_saddle(), 2), (make_quadratic(), 2), (logistic, 5)]
+        for problem, d in cases:
+            for _ in range(10):
+                x = rng.uniform(-1.5, 1.5, size=d)
+                factor = nullspace_basis(problem.jacobian(x))
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "svd", None)
+                    got = np.array(true_kkt(problem, x, factor))
+                assert got.tobytes() == np.array(true_kkt(problem, x)).tobytes()
+
+    @pytest.mark.parametrize(
+        "x, G",
+        [([0.6, 0.8], [[1.6, 1.2]]), ([0.6, 0.8], [[1.0, 0.0, 0.0]]), ([1.0, -0.0], [[2.0, 0.0]])],
+        ids=["another point", "another shape", "sign of zero"],  # G(1, -0) = [[2, -0]]
+    )
+    def test_factor_of_another_jacobian_raises(self, x, G):
+        with pytest.raises(ValueError, match="Jacobian at x"):
+            true_kkt(make_saddle(), np.array(x), nullspace_basis(np.array(G)))
+
 
 class TestQuadratic:
     def test_solution_is_stationary(self):
@@ -104,6 +131,28 @@ def small():
     rng = np.random.default_rng(0)
     spec = SyntheticLogisticSpec(dim=5, n_records=50, num_constraints=2)
     return make_logistic(spec, rng)
+
+
+class TestLogisticLoss:
+    @staticmethod
+    def loss(margins):
+        m = np.asarray(margins, dtype=float)
+        return _RecordVectors(m[:, None], np.ones(len(m)), np.ones(1)).loss
+
+    def test_matches_logaddexp(self):
+        t = np.geomspace(1e-3, 745.0, 20_001)
+        m = np.concatenate([[0.0, 1e-300, -1e-300], t, -t])
+        ref = np.logaddexp(0.0, -m)
+        assert np.all(np.abs(self.loss(m) - ref) <= 1e-15 * ref)
+
+    def test_exact_at_infinity(self):
+        assert self.loss([np.inf, -np.inf]).tolist() == [0.0, np.inf]
+
+    def test_no_floating_point_error(self):
+        t = np.geomspace(1e-3, 1e4, 1_001)
+        m = np.concatenate([[0.0, 1e-300, -1e-300, np.inf, -np.inf], t, -t])
+        with np.errstate(all="raise"):
+            self.loss(m)
 
 
 class TestLogistic:

@@ -234,6 +234,31 @@ class TestRunCommand:
         assert err.startswith("error:") and key in err
         assert not out.exists()
 
+    NOT_AN_INT = "invalid literal for int() with base 10: "
+
+    @pytest.mark.parametrize(
+        "config, line, key, message",
+        [
+            ("alpha = x\n", 1, "alpha", f"{NOT_AN_INT}'x'"),
+            ("# cap\neta = 0.3\n\nbatch_cap = 1e4\n", 4, "batch_cap", f"{NOT_AN_INT}'1e4'"),
+            ("eta = fast\n", 1, "eta", "could not convert string to float: 'fast'"),
+            ("eta = 0.3\nwarp_speed = 9\n", 2, None, "unknown config key 'warp_speed'"),
+        ],
+        ids=["alpha-word", "batch-cap-float", "eta-word", "unknown-key"],
+    )
+    def test_config_parse_error_names_file_line_and_key(
+        self, tmp_path, capsys, config, line, key, message
+    ):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(config)
+        out = tmp_path / "o"
+        args = ["run", "--problem", "quadratic", "--config", str(cfg_file), "--out", str(out)]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        where = f"error: {cfg_file}:{line}: "
+        assert err == where + (f"{key}: " if key else "") + message + "\n"
+        assert not out.exists()
+
 
 class TestCheckCommand:
     ROWS = ("seeded runs reproduce bitwise", "exact TRS beats Cauchy point")

@@ -189,9 +189,8 @@ class TestIterate:
 
     @pytest.mark.parametrize("name", ["quadratic", "logistic"])
     def test_constant_jacobian_factored_once_per_run(self, monkeypatch, name):
-        # An affine constraint has the same G at every iterate: the solver
-        # factors it once per run, while true_kkt keeps its own factor at
-        # each distinct iterate.
+        # An affine constraint has the same G at every iterate: a run factors
+        # it once, and true_kkt reads that one factor at each distinct iterate.
         import trsqp.benchmarks
         import trsqp.linalg
 
@@ -205,19 +204,15 @@ class TestIterate:
             x0 = np.zeros(prob.dim)
             cfg = SolverConfig(alpha=1, kkt_tol=1e-2, max_iters=100, seed=0)
         svd = trsqp.linalg._checked_svd
-        calls = {"solver": 0, "true_kkt": 0}
-        in_true_kkt = []
+        svds, factors = [], []
 
         def counting(G):
-            calls["true_kkt" if in_true_kkt else "solver"] += 1
+            svds.append(1)
             return svd(G)
 
-        def exact(problem, x):
-            in_true_kkt.append(1)
-            try:
-                return true_kkt(problem, x)
-            finally:
-                in_true_kkt.pop()
+        def exact(problem, x, factor=None):
+            factors.append(factor)
+            return true_kkt(problem, x, factor)
 
         monkeypatch.setattr(trsqp.linalg, "_checked_svd", counting)
         monkeypatch.setattr(trsqp.benchmarks, "true_kkt", exact)
@@ -226,7 +221,31 @@ class TestIterate:
             r.outcome in (SUCCESSFUL_RELIABLE, SUCCESSFUL_UNRELIABLE) for r in res.records
         )
         assert res.converged and accepted > 1
-        assert calls == {"solver": 1, "true_kkt": 1 + accepted}
+        assert len(svds) == 1
+        assert len(factors) == 1 + accepted
+        assert factors[0] is not None and all(f is factors[0] for f in factors)
+
+    def test_moving_jacobian_factored_once_per_distinct_iterate(self, monkeypatch):
+        # The saddle's G moves with x. A run, its exact reference included,
+        # factors each distinct G once: the accepted steps' iterates and x0.
+        import trsqp.linalg
+
+        prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        cfg = SolverConfig(alpha=1, kkt_tol=1e-4, max_iters=150, seed=3)
+        svd = trsqp.linalg._checked_svd
+        factored = []
+
+        def counting(G):
+            factored.append(G.tobytes())
+            return svd(G)
+
+        monkeypatch.setattr(trsqp.linalg, "_checked_svd", counting)
+        res = run(prob, np.array([1.0, 0.003]), cfg)
+        accepted = sum(
+            r.outcome in (SUCCESSFUL_RELIABLE, SUCCESSFUL_UNRELIABLE) for r in res.records
+        )
+        assert 0 < accepted < len(res.records)
+        assert len(factored) == len(set(factored)) == 1 + accepted
 
     def test_soc_evaluates_the_constraint_once(self):
         # c(x + dx) is evaluated once per trial iteration and c(x) only at the
@@ -483,9 +502,9 @@ class TestRun:
         x0 = np.array([1.0, 0.003])
         calls = []
 
-        def counting(problem, x):
+        def counting(problem, x, factor=None):
             calls.append(1)
-            return true_kkt(problem, x)
+            return true_kkt(problem, x, factor)
 
         monkeypatch.setattr(trsqp.benchmarks, "true_kkt", counting)
         res = run(prob, x0, cfg)
