@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import estimator, linalg
-from .errors import DatasetGenerationFailed
+from .errors import DatasetGenerationFailed, RankDeficient
 from .estimator import estimate_multiplier  # noqa: F401 -- bench/tracing.py patches this name
 from .problem import (
     NoiselessOracle,
@@ -216,18 +216,22 @@ def make_logistic_from_data(
     """Equality-constrained logistic regression over a given dataset.
 
     The affine constraints A x = b have i.i.d. standard normal entries,
-    redrawn until A passes the full-row-rank tolerance. Raises
+    redrawn until ``linalg.JacobianFactor.of(A)`` accepts A. Raises
     ``ValueError`` unless ``features`` is 2-D with one label in {-1, +1}
-    per row.
+    per row and at least ``num_constraints`` columns, and
+    ``DatasetGenerationFailed`` after ``MAX_RANK_RETRIES`` rank-deficient
+    draws.
     """
     features, labels = check_labeled_data(features, labels)
     rng = rng if rng is not None else np.random.default_rng(0)
     n, d = features.shape
     for _ in range(MAX_RANK_RETRIES):
         A = rng.standard_normal((num_constraints, d))
-        s = np.linalg.svd(A, compute_uv=False)
-        if s[-1] > linalg.RANK_TOL * s[0]:
-            break
+        try:
+            linalg.JacobianFactor.of(A)
+        except RankDeficient:
+            continue
+        break
     else:
         raise DatasetGenerationFailed("could not draw a full-row-rank constraint matrix")
     b = rng.standard_normal(num_constraints)

@@ -33,7 +33,8 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SolverConfi
 
 def read_config_file(path) -> dict:
     """Parse key=value lines into typed ``SolverConfig`` values; '#' starts a
-    comment. An error names the file, the line and the key."""
+    comment and each key may appear once. An error names the file, the line
+    and the key."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -44,6 +45,8 @@ def read_config_file(path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = _CONFIG_TYPES[key](raw)
         except ValueError as exc:
@@ -69,19 +72,23 @@ def _initial_point(problem_name: str, problem, seed: int) -> np.ndarray:
     return np.zeros(problem.dim)
 
 
+def _check_noise(problem_name: str, noise: float) -> None:
+    """Raise ValueError unless the named problem takes this noise level:
+    finite-sum problems are driven by subsampling alone."""
+    if noise != 0.0 and problem_name.startswith(("logistic-", "csv:")):
+        raise ValueError("finite-sum problems are driven by subsampling; use --noise 0")
+
+
 def build_problem(spec: argparse.Namespace, noise: float):
     """The problem named by ``spec.problem`` at this noise level; logistic
     datasets also read ``spec.full_size`` and ``spec.data_seed``."""
     name = spec.problem
+    _check_noise(name, noise)
     if name == "quadratic":
         return gaussian_noisy(benchmarks.make_quadratic(), GaussianNoiseSpec(noise))
     if name == "saddle":
         return gaussian_noisy(benchmarks.make_saddle(), GaussianNoiseSpec(noise))
-    if name.startswith("logistic-") or name.startswith("csv:"):
-        if noise != 0.0:
-            raise ValueError(
-                "finite-sum problems are driven by subsampling; use --noise 0"
-            )
+    if name.startswith(("logistic-", "csv:")):
         data_rng = np.random.default_rng(913_000 + spec.data_seed)
         if name.startswith("csv:"):
             features, labels = load_labeled_csv(name[4:])
@@ -100,7 +107,10 @@ def _run_name(problem: str, noise: float, seed: int) -> str:
 
 def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
     """Solve every (noise level, seed) pair of ``args``; without ``--seeds``
-    the one seed is ``config.seed``."""
+    the one seed is ``config.seed``. Every noise level is checked before the
+    first file is written."""
+    for noise in args.noise:
+        _check_noise(args.problem, noise)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"problem": args.problem, "runs": []}

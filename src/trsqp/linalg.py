@@ -241,7 +241,7 @@ class SymmetricEig:
             return Q @ u
 
         if lam_min > 0.0:
-            u = -(gq / w)
+            u = shifted(0.0)
             if vector_norm(u) <= radius:
                 return Q @ u
             lo = 0.0  # Newton point outside: secular root in (0, hi].
@@ -252,24 +252,16 @@ class SymmetricEig:
             if gap_norm <= 1e-13 * max(1.0, vector_norm(gq)):
                 # Hard case: g has no component on the bottom eigenspace, and the
                 # limit point at lam = -lam_min may already be interior. Fill the
-                # remaining radius along a bottom eigendirection.
+                # remaining radius along the bottom eigenvector.
                 u = shifted(lam_lo)
                 u[bottom] = 0.0
-                shortfall = radius**2 - float(u @ u)
-                if shortfall >= 0.0:
-                    u[int(np.argmax(bottom))] = np.sqrt(shortfall)
-                    return Q @ u
-            # Regular boundary case: pick lo above the pole where the norm still
-            # exceeds the radius (bottom term alone contributes ~gap_norm/(lo-pole)).
+                if float(u @ u) <= radius**2:
+                    return to_boundary(u)
+            # Regular boundary case: the bottom term gap_norm / (lo - pole) alone
+            # puts ||p(lo)|| near 2 radius. If the 1e-16 floor leaves it short, the
+            # root lies within the floor of the pole: move p(lo) onto the sphere.
             lo = lam_lo + max(gap_norm / (2.0 * radius), 1e-16 * max(1.0, lam_lo))
-            for _ in range(300):
-                if radius_gap(lo) > 0.0:
-                    break
-                new_lo = lam_lo + 0.25 * (lo - lam_lo)
-                if new_lo <= lam_lo or new_lo == lo:
-                    return to_boundary(shifted(lo))
-                lo = new_lo
-            else:
+            if radius_gap(lo) <= 0.0:
                 return to_boundary(shifted(lo))
 
         hi = max(0.0, -lam_min) + vector_norm(gq) / radius + 1e-12

@@ -3,6 +3,7 @@ import pytest
 
 from trsqp.benchmarks import (
     GRAM_BLOCK,
+    MAX_RANK_RETRIES,
     SyntheticLogisticSpec,
     _RecordVectors,
     _gram,
@@ -14,6 +15,7 @@ from trsqp.benchmarks import (
     true_kkt,
 )
 from finite_differences import finite_difference_gradient, finite_difference_hessian
+from trsqp.errors import DatasetGenerationFailed
 from trsqp.estimator import estimate_multiplier
 from trsqp.linalg import nullspace_basis, smallest_eigpair
 from trsqp.solver import SolverConfig, run
@@ -312,6 +314,31 @@ class TestLogistic:
         rows = [[r.csv_row() for r in res.records] for res in (first, again)]
         assert rows[0] == rows[1]
         assert np.array_equal(first.state.x, again.state.x)
+
+    def test_constraints_are_the_first_full_rank_draw(self):
+        features = np.random.default_rng(5).standard_normal((40, 6))
+        labels = np.tile([1.0, -1.0], 20)
+        prob = make_logistic_from_data(features, labels, rng=np.random.default_rng(1))
+        draws = np.random.default_rng(1)
+        A, b = draws.standard_normal((5, 6)), draws.standard_normal(5)
+        x = np.arange(6.0)
+        assert np.array_equal(prob.jacobian(x), A)
+        assert np.array_equal(prob.constraint(x), A @ x - b)
+
+    def test_rank_deficient_draws_fail_after_the_retry_cap(self):
+        class ZeroNormals:
+            """Every constraint matrix it draws is 0, so each is rank deficient."""
+
+            draws = 0
+
+            def standard_normal(self, size):
+                self.draws += 1
+                return np.zeros(size)
+
+        rng = ZeroNormals()
+        with pytest.raises(DatasetGenerationFailed, match="full-row-rank"):
+            make_logistic_from_data(np.ones((40, 6)), np.tile([1.0, -1.0], 20), rng=rng)
+        assert rng.draws == MAX_RANK_RETRIES
 
     def test_balanced_labels_and_law(self):
         rng = np.random.default_rng(7)

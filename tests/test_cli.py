@@ -156,14 +156,49 @@ class TestRunCommand:
         assert "TRSQP_SEED" in capsys.readouterr().err
 
     def test_logistic_rejects_noise(self, tmp_path, capsys):
+        # Every level is checked before the first solve, so a sweep whose
+        # first level is valid writes nothing either.
+        for noise in (["0.01"], ["0", "0.01"]):
+            out = tmp_path / "l"
+            code = run_cli(
+                [
+                    "run", "--problem", "logistic-normal", "--noise", *noise,
+                    "--max-iters", "2", "--out", str(out),
+                ]
+            )
+            assert code == 1
+            assert "subsampling" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("law", ["normal", "exponential"])
+    def test_synthetic_logistic_run(self, tmp_path, law):
+        out = tmp_path / "runs"
         code = run_cli(
-            [
-                "run", "--problem", "logistic-normal", "--noise", "0.01",
-                "--max-iters", "1", "--out", str(tmp_path / "l"),
-            ]
+            ["run", "--problem", f"logistic-{law}", "--max-iters", "2", "--out", str(out)]
         )
-        assert code == 1
-        assert "subsampling" in capsys.readouterr().err
+        assert code == 0
+        (result,) = json.loads((out / "summary.json").read_text())["runs"]
+        assert result["name"] == f"logistic-{law}_noise0_seed0"
+        assert 1 <= result["iterations"] <= 2
+        assert len(result["final_x"]) == 15
+        rows = (out / f"{result['name']}.csv").read_text().splitlines()
+        assert len(rows) == 1 + result["iterations"]
+
+    def test_invariant_violation_reaches_the_summary(self, tmp_path, monkeypatch):
+        # A boundary TRS step pushed 0.1% past its sphere breaks
+        # step_within_radius; the run records the violation and goes on.
+        original = SymmetricEig.trs
+
+        def past_sphere(self, g, radius):
+            u = original(self, g, radius)
+            return 1.001 * u if np.linalg.norm(u) >= 0.999 * radius else u
+
+        monkeypatch.setattr(SymmetricEig, "trs", past_sphere)
+        out = tmp_path / "runs"
+        code = run_cli(["run", "--problem", "quadratic", "--max-iters", "5", "--out", str(out)])
+        assert code == 0
+        (result,) = json.loads((out / "summary.json").read_text())["runs"]
+        assert result["invariant_violations"] > 0
 
     def test_csv_problem(self, tmp_path):
         data = tmp_path / "toy.csv"
@@ -243,8 +278,9 @@ class TestRunCommand:
             ("# cap\neta = 0.3\n\nbatch_cap = 1e4\n", 4, "batch_cap", f"{NOT_AN_INT}'1e4'"),
             ("eta = fast\n", 1, "eta", "could not convert string to float: 'fast'"),
             ("eta = 0.3\nwarp_speed = 9\n", 2, None, "unknown config key 'warp_speed'"),
+            ("max_iters = 2\nmax_iters = 3\n", 2, None, "duplicate key 'max_iters'"),
         ],
-        ids=["alpha-word", "batch-cap-float", "eta-word", "unknown-key"],
+        ids=["alpha-word", "batch-cap-float", "eta-word", "unknown-key", "duplicate-key"],
     )
     def test_config_parse_error_names_file_line_and_key(
         self, tmp_path, capsys, config, line, key, message

@@ -320,6 +320,22 @@ class TestTrsSolve:
         assert np.linalg.norm(u) == pytest.approx(3.0, abs=1e-12)
         assert model_value(H, g, u) <= model_value(H, g, cauchy_point(H, g, 3.0))
 
+    def test_root_within_roundoff_of_the_pole(self, monkeypatch):
+        # gap_norm / (2 radius) = 5e-18 is below lo's 1e-16 floor, and
+        # 1 + 1e-16 rounds to the pole itself, so ||p(lo)|| = 0.5 < radius
+        # brackets no root. p(lo) is moved onto the sphere along e_0, with
+        # no root finding.
+        def no_root_finding(*args, **kwargs):
+            raise AssertionError("_brentq called")
+
+        monkeypatch.setattr("trsqp.linalg._brentq", no_root_finding)
+        H, g, radius = np.diag([-1.0, 1.0]), np.array([1e-9, 1.0]), 1e8
+        u = trs_solve(H, g, radius)
+        assert u[1] == -0.5
+        assert u[0] == pytest.approx(-radius, rel=1e-15)
+        assert np.linalg.norm(u) <= radius * (1 + 1e-12)
+        assert model_value(H, g, u) <= model_value(H, g, cauchy_point(H, g, radius))
+
     def test_nonfinite_raises(self):
         with pytest.raises(NonFiniteInput):
             trs_solve(np.eye(2), np.array([np.inf, 0.0]), 1.0)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trsqp import steps
 from trsqp.benchmarks import (
     SyntheticLogisticSpec,
     make_logistic,
@@ -13,6 +14,7 @@ from trsqp.benchmarks import (
     true_kkt,
 )
 from trsqp.cli import _initial_point
+from trsqp.errors import MeritLoopDiverged
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
     DELTA_MIN,
@@ -408,6 +410,15 @@ class TestRun:
         assert res.invariants.checked["pred_threshold"] > 0
         assert res.invariants.violations == {}
         assert np.allclose(res.state.x, [0.5, -0.5, 0.5], atol=1e-3)
+
+    def test_merit_loop_overflow_raises(self, monkeypatch):
+        # A Pred that no merit parameter brings below the threshold: mu grows
+        # by rho until it overflows to inf.
+        real = steps.predicted_reduction
+        monkeypatch.setattr(steps, "predicted_reduction", lambda *a: abs(real(*a)) + 1.0)
+        cfg = SolverConfig(alpha=0, max_iters=5, seed=0)
+        with pytest.raises(MeritLoopDiverged, match="merit parameter overflowed at k=0"):
+            run(make_quadratic(), np.array([3.0, -1.0]), cfg)
 
     def test_quadratic_converges(self):
         prob = make_quadratic()
