@@ -218,13 +218,18 @@ def make_logistic_from_data(
     The affine constraints A x = b have i.i.d. standard normal entries,
     redrawn until ``linalg.JacobianFactor.of(A)`` accepts A. Raises
     ``ValueError`` unless ``features`` is 2-D with one label in {-1, +1}
-    per row and at least ``num_constraints`` columns, and
+    per row and more than ``num_constraints`` columns, and
     ``DatasetGenerationFailed`` after ``MAX_RANK_RETRIES`` rank-deficient
     draws.
     """
     features, labels = check_labeled_data(features, labels)
     rng = rng if rng is not None else np.random.default_rng(0)
     n, d = features.shape
+    if d <= num_constraints:
+        raise ValueError(
+            f"a logistic problem with {num_constraints} constraints needs at least "
+            f"{num_constraints + 1} feature columns, got {d}"
+        )
     for _ in range(MAX_RANK_RETRIES):
         A = rng.standard_normal((num_constraints, d))
         try:

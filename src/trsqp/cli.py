@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -107,16 +106,23 @@ def _run_name(problem: str, noise: float, seed: int) -> str:
 
 def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
     """Solve every (noise level, seed) pair of ``args``; without ``--seeds``
-    the one seed is ``config.seed``. Every noise level is checked before the
-    first file is written."""
+    the one seed is ``config.seed``. Every noise level, and every run name
+    for a clash, is checked before the first file is written."""
+    seeds = args.seeds or [config.seed]
+    runs = {}
     for noise in args.noise:
         _check_noise(args.problem, noise)
+        for seed in seeds:
+            name, pair = _run_name(args.problem, noise, seed), f"(noise={noise!r}, seed={seed})"
+            if name in runs:
+                raise ValueError(f"runs {runs[name]} and {pair} share the name {name!r}")
+            runs[name] = pair
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"problem": args.problem, "runs": []}
     for noise in args.noise:
         problem = build_problem(args, noise)
-        for seed in args.seeds or [config.seed]:
+        for seed in seeds:
             x0 = _initial_point(args.problem, problem, seed)
             result = run(problem, x0, dataclasses.replace(config, seed=seed))
             name = _run_name(args.problem, noise, seed)
@@ -200,17 +206,11 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown problem {args.problem!r}; choose from "
             f"{', '.join(PROBLEM_CHOICES)} or csv:<path>"
         )
-    env_seed = os.environ.get("TRSQP_SEED")
-    try:
-        seed = int(env_seed) if env_seed else None
-    except ValueError:
-        parser.error(f"TRSQP_SEED must be an integer, got {env_seed!r}")
     overrides = {
         "alpha": args.alpha,
         "max_iters": args.max_iters,
         "kkt_tol": args.kkt_tol,
         "hessian": args.hessian,
-        "seed": seed,
     }
     try:
         file_values = read_config_file(args.config) if args.config else {}

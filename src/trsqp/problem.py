@@ -215,8 +215,9 @@ class _FiniteSumSampler:
     Record indices are a deterministic function of the stream key alone, so
     one sample set evaluated at two points reuses the same records. Batches
     larger than the dataset are drawn with replacement too, not swapped for the full mean.
-    The last index batch is cached, read-only, so the second point of a
-    shared-sample pair does not draw it again.
+    The last index batch is cached, read-only, with the stream object and
+    size it was drawn for, so the second point of a shared-sample pair that
+    passes the same stream does not draw it again; any other call redraws.
     """
 
     def __init__(self, value_fn, gradient_fn, hessian_fn, n_records):
@@ -227,13 +228,10 @@ class _FiniteSumSampler:
         self._last = (None, None)
 
     def _indices(self, n, stream):
-        # repr, as RngStream keys by it: a path part 1 and np.int64(1) compare
-        # equal yet name different generators.
-        key = (stream.seed, repr(stream.path), n)
-        if self._last[0] != key:
+        if self._last[0] != (stream, n):
             idx = stream.generator().integers(0, self._n, size=n)
             idx.flags.writeable = False
-            self._last = (key, idx)
+            self._last = ((stream, n), idx)
         return self._last[1]
 
     def values(self, x, n, stream):

@@ -340,6 +340,15 @@ class TestLogistic:
             make_logistic_from_data(np.ones((40, 6)), np.tile([1.0, -1.0], 20), rng=rng)
         assert rng.draws == MAX_RANK_RETRIES
 
+    @pytest.mark.parametrize(
+        "field, match",
+        [({"feature_law": "uniform"}, "feature_law"), ({"n_records": 1}, "two records")],
+        ids=["unknown-law", "one-record"],
+    )
+    def test_spec_rejects_bad_fields(self, field, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticLogisticSpec(**field)
+
     def test_balanced_labels_and_law(self):
         rng = np.random.default_rng(7)
         spec = SyntheticLogisticSpec(dim=8, n_records=400, feature_law="exponential")

@@ -107,26 +107,23 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["runs"][0]["converged"] is True
 
-    def test_seed_env_default(self, tmp_path, monkeypatch):
+    def test_seed_env_is_ignored(self, tmp_path, monkeypatch):
+        # The seeds come from --seeds or the config file alone, so a
+        # TRSQP_SEED in the environment changes no byte.
+        args = ["run", "--problem", "saddle", "--noise", "1e-4", "--max-iters", "20"]
+        monkeypatch.delenv("TRSQP_SEED", raising=False)
+        assert run_cli(args + ["--out", str(tmp_path / "a")]) == 0
         monkeypatch.setenv("TRSQP_SEED", "3")
-        out = tmp_path / "env"
-        code = run_cli(
-            ["run", "--problem", "quadratic", "--max-iters", "0", "--out", str(out)]
-        )
-        assert code == 0
-        assert (out / "quadratic_noise0_seed3.csv").exists()
+        assert run_cli(args + ["--out", str(tmp_path / "b")]) == 0
+        name = "saddle_noise0.0001_seed0.csv"
+        assert [p.name for p in (tmp_path / "b").glob("*.csv")] == [name]
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize(
-        "env, flag, want",
-        [(None, [], 5), ("3", [], 3), ("3", ["--seeds", "7"], 7)],
-        ids=["file", "env-over-file", "flag-over-env"],
+        "flag, want", [([], 5), (["--seeds", "7"], 7)], ids=["file", "flag-over-file"]
     )
-    def test_seed_precedence(self, tmp_path, monkeypatch, env, flag, want):
-        # --seeds, then TRSQP_SEED, then the config file's seed, then 0.
-        if env is None:
-            monkeypatch.delenv("TRSQP_SEED", raising=False)
-        else:
-            monkeypatch.setenv("TRSQP_SEED", env)
+    def test_seed_precedence(self, tmp_path, flag, want):
+        # --seeds, then the config file's seed, then 0.
         cfg_file = tmp_path / "solver.cfg"
         cfg_file.write_text("seed = 5\n")
         out = tmp_path / "s"
@@ -139,6 +136,27 @@ class TestRunCommand:
         assert [r["seed"] for r in summary["runs"]] == [want]
         assert (out / f"quadratic_noise0_seed{want}.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, clash",
+        [
+            (["--noise", "0.1", "0.10000001"],
+             "runs (noise=0.1, seed=0) and (noise=0.10000001, seed=0) "
+             "share the name 'quadratic_noise0.1_seed0'"),
+            (["--seeds", "1", "1"],
+             "runs (noise=0.0, seed=1) and (noise=0.0, seed=1) "
+             "share the name 'quadratic_noise0_seed1'"),
+        ],
+        ids=["noise-levels", "seeds"],
+    )  # fmt: skip
+    def test_colliding_run_names_are_an_error(self, tmp_path, capsys, flags, clash):
+        # Two runs of one name would write one CSV and list it twice in the
+        # summary, so the sweep stops before it writes any file.
+        out = tmp_path / "o"
+        args = ["run", "--problem", "quadratic", "--max-iters", "3", "--out", str(out)]
+        assert run_cli(args + flags) == 1
+        assert capsys.readouterr().err == f"error: {clash}\n"
+        assert not out.exists()
+
     def test_hessian_names_match_config(self, tmp_path, capsys):
         # The flag takes the config file's names, so "identity" runs and
         # the old "id" spelling is an argparse error.
@@ -148,12 +166,6 @@ class TestRunCommand:
         assert (out / "quadratic_noise0_seed0.csv").exists()
         assert run_cli(args + ["--hessian", "id"]) == 2
         assert "invalid choice" in capsys.readouterr().err
-
-    def test_seed_env_must_be_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TRSQP_SEED", "abc")
-        code = run_cli(["run", "--problem", "quadratic", "--out", str(tmp_path)])
-        assert code == 2
-        assert "TRSQP_SEED" in capsys.readouterr().err
 
     def test_logistic_rejects_noise(self, tmp_path, capsys):
         # Every level is checked before the first solve, so a sweep whose
@@ -224,8 +236,11 @@ class TestRunCommand:
         [
             ("1\n-1\n1\n-1\n", "at least one column"),
             ("1,0.5,-1.0\n-1,nan,3.0\n1,0.1,0.2\n-1,2.0,1.0\n", "NaN or infinity"),
+            ("1,0,1,2\n-1,1,0,2\n1,2,1,0\n-1,0,2,1\n", "needs at least 6 feature columns, got 3"),
+            ("1,0,1,2,3,4\n-1,1,0,2,4,3\n1,2,1,0,3,4\n-1,0,2,1,4,3\n",
+             "needs at least 6 feature columns, got 5"),
         ],
-        ids=["label-only", "nan-feature"],
+        ids=["label-only", "nan-feature", "three-features", "five-features"],
     )
     def test_malformed_csv_is_an_error(self, tmp_path, capsys, rows, message):
         data = tmp_path / "bad.csv"
@@ -279,8 +294,9 @@ class TestRunCommand:
             ("eta = fast\n", 1, "eta", "could not convert string to float: 'fast'"),
             ("eta = 0.3\nwarp_speed = 9\n", 2, None, "unknown config key 'warp_speed'"),
             ("max_iters = 2\nmax_iters = 3\n", 2, None, "duplicate key 'max_iters'"),
+            ("eta 0.3\n", 1, None, "expected key=value, got 'eta 0.3'"),
         ],
-        ids=["alpha-word", "batch-cap-float", "eta-word", "unknown-key", "duplicate-key"],
+        ids=["alpha-word", "batch-cap-float", "eta-word", "unknown-key", "duplicate-key", "no-equals"],
     )
     def test_config_parse_error_names_file_line_and_key(
         self, tmp_path, capsys, config, line, key, message

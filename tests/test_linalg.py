@@ -97,6 +97,10 @@ class TestNullspaceBasis:
         with pytest.raises(RankDeficient):
             nullspace_basis(G)
 
+    def test_more_rows_than_columns_raises(self):
+        with pytest.raises(ValueError, match=r"m <= d, got shape \(3, 2\)"):
+            nullspace_basis(np.ones((3, 2)))
+
     def test_randomized_invariants(self):
         rng = np.random.default_rng(0)
         rhs_rng = np.random.default_rng(1)
@@ -222,6 +226,11 @@ class TestTrsSolve:
         m = model_value(np.eye(2), g, u)
         assert m == pytest.approx(-4.5, abs=1e-10)
         assert m <= fcd_rhs(np.eye(2), g, 1.0) + 1e-12
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_radius_raises(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            trs_solve(np.eye(2), np.ones(2), radius)
 
     def test_negative_curvature_boundary(self):
         H = np.diag([-1.0, 1.0])

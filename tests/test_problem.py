@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,11 @@ class TestGaussianNoise:
         )
         with pytest.raises(MissingNoiselessOracle):
             gaussian_noisy(stripped, GaussianNoiseSpec(1e-2))
+
+    @pytest.mark.parametrize("num_constraints", [0, 2, 3])
+    def test_constraint_count_must_be_below_dim(self, noisy, num_constraints):
+        with pytest.raises(ValueError, match="0 < num_constraints < dim"):
+            dataclasses.replace(noisy, num_constraints=num_constraints)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):

@@ -420,6 +420,10 @@ class TestRun:
         with pytest.raises(MeritLoopDiverged, match="merit parameter overflowed at k=0"):
             run(make_quadratic(), np.array([3.0, -1.0]), cfg)
 
+    def test_x0_of_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\)"):
+            run(make_quadratic(), np.zeros(3), SolverConfig(seed=0))
+
     def test_quadratic_converges(self):
         prob = make_quadratic()
         cfg = SolverConfig(alpha=0, hessian="identity", kkt_tol=1e-6, max_iters=200, seed=0)
