@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from . import estimator, linalg
-from .errors import DatasetGenerationFailed, RankDeficient
 from .estimator import estimate_multiplier  # noqa: F401 -- bench/tracing.py patches this name
 from .problem import (
     NoiselessOracle,
@@ -33,8 +32,6 @@ __all__ = [
     "true_kkt",
 ]
 
-# Constraint matrices drawn before a logistic problem gives up on full row rank.
-MAX_RANK_RETRIES = 100
 # Records per block of the logistic Hessian's Gram product. OpenBLAS keeps a
 # product on its faster small-matrix path while m n k <= 10^6, which a
 # d x GRAM_BLOCK x d block meets up to d = 22 (docs/decisions.md).
@@ -140,66 +137,40 @@ def _gram(ZT: np.ndarray, Z: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _logistic_records(features: np.ndarray, labels: np.ndarray):
-    """Means of the loss log(1 + exp(-y z^T x)) and its derivatives over records ``idx``.
+    """Weighted sums of the loss log(1 + exp(-y z^T x)) and its derivatives
+    over records ``rows`` (every record if None) with weights ``w``.
 
-    A repeated index counts once per draw. A batch of at least as many draws
-    as there are records sums over the whole dataset, each record weighted
-    by its draw count over n, so no rows are copied; a smaller batch gathers
-    its drawn rows, each weighted 1/n. The counted sum does not depend on
-    the order of ``idx``.
-
-    Counted batches reuse work between calls without moving a bit. The
-    whole-dataset vectors of the last point x are kept, keyed by the bits
-    of x, so the gradient, Hessian and value at one iterate and the exact
-    oracle there share one ``Z @ x`` and one sigmoid. The weights of a
-    read-only ``idx`` are kept by identity, one slot for batches of exactly
-    N draws (the noiseless oracle's ``arange(N)``) and one for the rest (the
-    value pair of one sample set); a writable ``idx`` is counted afresh on
-    every call. The three callables share this state, so they must not be
-    shared between threads.
+    Whole-dataset sums copy no rows, and keep the vectors of the last point
+    x, keyed by the bits of x, so the gradient, Hessian and value at one
+    iterate and the exact oracle there share one ``Z @ x`` and one sigmoid.
+    Other batches gather their rows. The three callables share this state,
+    so they must not be shared between threads.
     """
     Zf = np.asarray(features, dtype=float)
     ZfT = np.ascontiguousarray(Zf.T)
     y = np.asarray(labels, dtype=float)
-    N = len(y)
     point = [None, None]  # bits of x, _RecordVectors at x
-    counted = {}  # n == N -> (read-only idx, its weights)
 
-    def full(x):
-        key = x.tobytes()
-        if point[0] != key:
-            point[:] = key, _RecordVectors(Zf, y, x)
-        return point[1]
+    def batch(x, rows):
+        """Rows a batch sums over, their transpose and their vectors at x."""
+        x = np.asarray(x, dtype=float)
+        if rows is None:
+            key = x.tobytes()
+            if point[0] != key:
+                point[:] = key, _RecordVectors(Zf, y, x)
+            return Zf, ZfT, point[1]
+        Z = Zf.take(rows, axis=0)
+        return Z, Z.T, _RecordVectors(Z, y.take(rows), x)
 
-    def weights(idx):
-        slot = len(idx) == N
-        kept, w = counted.get(slot, (None, None))
-        if kept is not idx:
-            w = np.bincount(idx, minlength=N) / len(idx)
-            if not idx.flags.writeable:
-                counted[slot] = idx, w
-        return w
+    def value(x, rows, w):
+        return w @ batch(x, rows)[2].loss
 
-    def batch(x, idx):
-        """Rows a batch sums over, their transpose, their vectors at x and
-        their weights."""
-        x, idx = np.asarray(x, dtype=float), np.asarray(idx)
-        n = len(idx)
-        if n >= N:
-            return Zf, ZfT, full(x), weights(idx)
-        Z = Zf.take(idx, axis=0)
-        return Z, Z.T, _RecordVectors(Z, y.take(idx), x), np.full(n, 1.0 / n)
-
-    def value(x, idx):
-        _, _, at, w = batch(x, idx)
-        return w @ at.loss
-
-    def gradient(x, idx):
-        Z, _, at, w = batch(x, idx)
+    def gradient(x, rows, w):
+        Z, _, at = batch(x, rows)
         return (w * at.coef) @ Z
 
-    def hessian(x, idx):
-        Z, ZT, at, w = batch(x, idx)
+    def hessian(x, rows, w):
+        Z, ZT, at = batch(x, rows)
         s = at.sigmoid
         return _gram(ZT, Z, w * s * (1.0 - s))
 
@@ -216,11 +187,9 @@ def make_logistic_from_data(
     """Equality-constrained logistic regression over a given dataset.
 
     The affine constraints A x = b have i.i.d. standard normal entries,
-    redrawn until ``linalg.JacobianFactor.of(A)`` accepts A. Raises
-    ``ValueError`` unless ``features`` is 2-D with one label in {-1, +1}
-    per row and more than ``num_constraints`` columns, and
-    ``DatasetGenerationFailed`` after ``MAX_RANK_RETRIES`` rank-deficient
-    draws.
+    drawn from ``rng`` once; such an A has full row rank with probability 1.
+    Raises ``ValueError`` unless ``features`` is 2-D with one label in
+    {-1, +1} per row and more than ``num_constraints`` columns.
     """
     features, labels = check_labeled_data(features, labels)
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -230,15 +199,7 @@ def make_logistic_from_data(
             f"a logistic problem with {num_constraints} constraints needs at least "
             f"{num_constraints + 1} feature columns, got {d}"
         )
-    for _ in range(MAX_RANK_RETRIES):
-        A = rng.standard_normal((num_constraints, d))
-        try:
-            linalg.JacobianFactor.of(A)
-        except RankDeficient:
-            continue
-        break
-    else:
-        raise DatasetGenerationFailed("could not draw a full-row-rank constraint matrix")
+    A = rng.standard_normal((num_constraints, d))
     b = rng.standard_normal(num_constraints)
     value, gradient, hessian = _logistic_records(features, labels)
     return finite_sum_problem(

@@ -71,18 +71,13 @@ def _initial_point(problem_name: str, problem, seed: int) -> np.ndarray:
     return np.zeros(problem.dim)
 
 
-def _check_noise(problem_name: str, noise: float) -> None:
-    """Raise ValueError unless the named problem takes this noise level:
-    finite-sum problems are driven by subsampling alone."""
-    if noise != 0.0 and problem_name.startswith(("logistic-", "csv:")):
-        raise ValueError("finite-sum problems are driven by subsampling; use --noise 0")
-
-
 def build_problem(spec: argparse.Namespace, noise: float):
     """The problem named by ``spec.problem`` at this noise level; logistic
-    datasets also read ``spec.full_size`` and ``spec.data_seed``."""
+    datasets also read ``spec.full_size`` and ``spec.data_seed``. Finite-sum
+    problems are driven by subsampling alone, so they take noise 0 only."""
     name = spec.problem
-    _check_noise(name, noise)
+    if noise != 0.0 and name.startswith(("logistic-", "csv:")):
+        raise ValueError("finite-sum problems are driven by subsampling; use --noise 0")
     if name == "quadratic":
         return gaussian_noisy(benchmarks.make_quadratic(), GaussianNoiseSpec(noise))
     if name == "saddle":
@@ -106,12 +101,12 @@ def _run_name(problem: str, noise: float, seed: int) -> str:
 
 def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
     """Solve every (noise level, seed) pair of ``args``; without ``--seeds``
-    the one seed is ``config.seed``. Every noise level, and every run name
-    for a clash, is checked before the first file is written."""
+    the one seed is ``config.seed``. Every noise level's problem is built,
+    and every run name checked for a clash, before the first file is written."""
     seeds = args.seeds or [config.seed]
+    problems = [build_problem(args, noise) for noise in args.noise]
     runs = {}
     for noise in args.noise:
-        _check_noise(args.problem, noise)
         for seed in seeds:
             name, pair = _run_name(args.problem, noise, seed), f"(noise={noise!r}, seed={seed})"
             if name in runs:
@@ -121,7 +116,7 @@ def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"problem": args.problem, "runs": []}
     for noise in args.noise:
-        problem = build_problem(args, noise)
+        problem = problems.pop(0)  # the list lets go, so a finished level's workspace is freed
         for seed in seeds:
             x0 = _initial_point(args.problem, problem, seed)
             result = run(problem, x0, dataclasses.replace(config, seed=seed))

@@ -40,7 +40,3 @@ class MissingNoiselessOracle(TrsqpError):
 
 class EmptyDataset(TrsqpError):
     """A finite-sum problem was built from zero records."""
-
-
-class DatasetGenerationFailed(TrsqpError):
-    """Synthetic dataset generation could not produce a full-rank constraint matrix."""

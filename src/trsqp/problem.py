@@ -10,6 +10,7 @@ and finite-sum subsampling over a dataset of per-record oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
@@ -89,8 +90,8 @@ class GaussianNoiseSpec:
     variance: float = 0.0
 
     def __post_init__(self):
-        if self.variance < 0.0:
-            raise ValueError("variance must be nonnegative")
+        if not 0.0 <= self.variance < math.inf:
+            raise ValueError(f"variance must be finite and nonnegative, got {self.variance!r}")
 
 
 class _GaussianSampler:
@@ -214,10 +215,19 @@ class _FiniteSumSampler:
 
     Record indices are a deterministic function of the stream key alone, so
     one sample set evaluated at two points reuses the same records. Batches
-    larger than the dataset are drawn with replacement too, not swapped for the full mean.
-    The last index batch is cached, read-only, with the stream object and
-    size it was drawn for, so the second point of a shared-sample pair that
-    passes the same stream does not draw it again; any other call redraws.
+    larger than the dataset are drawn with replacement too, not swapped for
+    the full mean. The sampler alone turns n drawn indices into the records
+    and weights a callable sums over:
+
+    - n >= N: every record in dataset order (``rows=None``), each weighted
+      by its draw count over n, so no rows need be gathered;
+    - n < N: the drawn indices, each weighted 1/n.
+
+    A repeated index counts once per draw either way, and the counted sum
+    does not depend on the order of the draws. The last pair is cached,
+    read-only, with the stream object and size it was drawn for, so the
+    second point of a shared-sample pair that passes the same stream does
+    not draw or count it again; any other call redraws.
     """
 
     def __init__(self, value_fn, gradient_fn, hessian_fn, n_records):
@@ -227,28 +237,33 @@ class _FiniteSumSampler:
         self._n = n_records
         self._last = (None, None)
 
-    def _indices(self, n, stream):
+    def _batch(self, n, stream):
         if self._last[0] != (stream, n):
             idx = stream.generator().integers(0, self._n, size=n)
-            idx.flags.writeable = False
-            self._last = ((stream, n), idx)
+            if n >= self._n:
+                rows, w = None, np.bincount(idx, minlength=self._n) / n
+            else:
+                rows, w = idx, np.full(n, 1.0 / n)
+                rows.flags.writeable = False
+            w.flags.writeable = False
+            self._last = ((stream, n), (rows, w))
         return self._last[1]
 
     def values(self, x, n, stream):
-        return self._value(x, self._indices(n, stream))
+        return self._value(x, *self._batch(n, stream))
 
     def gradients(self, x, n, stream):
-        return self._gradient(x, self._indices(n, stream))
+        return self._gradient(x, *self._batch(n, stream))
 
     def hessians(self, x, n, stream):
-        return self._hessian(x, self._indices(n, stream))
+        return self._hessian(x, *self._batch(n, stream))
 
 
 def finite_sum_problem(
     dim: int,
-    value_fn: Callable[[np.ndarray, np.ndarray], float],
-    gradient_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    hessian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    value_fn: Callable[[np.ndarray, np.ndarray | None, np.ndarray], float],
+    gradient_fn: Callable[[np.ndarray, np.ndarray | None, np.ndarray], np.ndarray],
+    hessian_fn: Callable[[np.ndarray, np.ndarray | None, np.ndarray], np.ndarray],
     n_records: int,
     constraint: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
@@ -258,22 +273,21 @@ def finite_sum_problem(
 ) -> Problem:
     """Problem whose objective is the mean of per-record losses.
 
-    ``value_fn(x, idx)``, ``gradient_fn`` and ``hessian_fn`` return the mean
-    loss, gradient and Hessian of the records ``idx`` at ``x``, counting a
-    repeated index once per occurrence. Batches are drawn uniformly with
-    replacement; the noiseless oracle passes every index once, as one
-    read-only ``arange(n_records)``. The sampler's batches are read-only
-    too, and a callable may keep per-batch work by the identity of a
-    read-only ``idx``.
+    ``value_fn(x, rows, w)``, ``gradient_fn`` and ``hessian_fn`` return
+    ``sum_j w[j] f_{rows[j]}(x)`` for the loss, gradient and Hessian of the
+    records at ``x``; ``rows=None`` means every record in dataset order.
+    The sampler decides the pair (see ``_FiniteSumSampler``); the noiseless
+    oracle passes every record with weight 1/n_records. Both arrays are
+    read-only.
     """
     if n_records < 1:
         raise EmptyDataset("finite-sum problem needs at least one record")
-    all_idx = np.arange(n_records)
-    all_idx.flags.writeable = False
+    every = np.full(n_records, 1.0 / n_records)
+    every.flags.writeable = False
     oracle = NoiselessOracle(
-        value=lambda x: float(value_fn(x, all_idx)),
-        gradient=lambda x: gradient_fn(x, all_idx),
-        hessian=lambda x: hessian_fn(x, all_idx),
+        value=lambda x: float(value_fn(x, None, every)),
+        gradient=lambda x: gradient_fn(x, None, every),
+        hessian=lambda x: hessian_fn(x, None, every),
     )
     sampler = _FiniteSumSampler(value_fn, gradient_fn, hessian_fn, n_records)
     return Problem(

@@ -3,7 +3,6 @@ import pytest
 
 from trsqp.benchmarks import (
     GRAM_BLOCK,
-    MAX_RANK_RETRIES,
     SyntheticLogisticSpec,
     _RecordVectors,
     _gram,
@@ -15,10 +14,30 @@ from trsqp.benchmarks import (
     true_kkt,
 )
 from finite_differences import finite_difference_gradient, finite_difference_hessian
-from trsqp.errors import DatasetGenerationFailed
 from trsqp.estimator import estimate_multiplier
 from trsqp.linalg import nullspace_basis, smallest_eigpair
+from trsqp.problem import _FiniteSumSampler
 from trsqp.solver import SolverConfig, run
+
+
+class _Drawn:
+    """A stream whose generator draws ``idx``, so that a finite-sum sampler
+    given it turns the batch ``idx`` into rows and weights."""
+
+    def __init__(self, idx):
+        self.idx = idx
+
+    def generator(self):
+        return self
+
+    def integers(self, low, high, size):
+        assert low == 0 and size == len(self.idx) and self.idx.max() < high
+        return self.idx.copy()
+
+
+def _batch(N, idx):
+    """The (rows, w) pair a sampler over N records passes for the draws ``idx``."""
+    return _FiniteSumSampler(None, None, None, N)._batch(len(idx), _Drawn(idx))
 
 
 class TestSaddle:
@@ -181,19 +200,21 @@ class TestLogistic:
         assert np.max(np.abs(small.constraint_hessians(x))) == 0.0
 
     def test_record_means_match_einsum_reference(self):
-        # The oracles return batch means without per-record tensors; the
-        # reference builds those tensors and averages them. Batches of fewer
-        # than 6,000 draws gather their rows; the rest weight every record
-        # by its draw count, from exactly 6,000 draws with repeats on.
+        # The sampler's means come without per-record tensors; the reference
+        # builds those tensors and averages them. Batches of fewer than 6,000
+        # draws gather their rows; the rest weight every record by its draw
+        # count, from exactly 6,000 draws with repeats on.
         rng = np.random.default_rng(11)
         labels = np.repeat([1.0, -1.0], 3_000)
         features = rng.normal(np.where(labels > 0, 0.0, 5.0)[:, None], 1.0, size=(6_000, 15))
-        value, gradient, hessian = _logistic_records(features, labels)
+        prob = make_logistic_from_data(features, labels, rng=np.random.default_rng(1))
+        sampler = prob.sampler
         boundary = rng.integers(0, 6_000, size=6_000)
         assert len(np.unique(boundary)) < 6_000
         batches = [rng.integers(0, 6_000, size=n) for n in (1, 10, 5_999)]
         batches += [boundary, rng.integers(0, 6_000, size=10_000), np.arange(6_000)]
         for idx in batches:
+            n, stream = len(idx), _Drawn(idx)
             for _ in range(3):
                 x = 0.3 * rng.standard_normal(15)
                 Zi, yi = features[idx], labels[idx]
@@ -204,9 +225,20 @@ class TestLogistic:
                     np.mean(np.einsum("n,ni->ni", (s - 1.0) * yi, Zi), axis=0),
                     np.mean(np.einsum("n,ni,nj->nij", s * (1.0 - s), Zi, Zi), axis=0),
                 )
-                for got, ref in zip((value(x, idx), gradient(x, idx), hessian(x, idx)), refs):
-                    assert np.shape(got) == np.shape(ref)
-                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+                got = (
+                    sampler.values(x, n, stream),
+                    sampler.gradients(x, n, stream),
+                    sampler.hessians(x, n, stream),
+                )
+                for g, ref in zip(got, refs):
+                    assert np.shape(g) == np.shape(ref)
+                    assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # The noiseless oracle is bitwise the sampler's batch of every record once.
+        exact = prob.require_noiseless()
+        full = _Drawn(np.arange(6_000))
+        assert exact.value(x) == sampler.values(x, 6_000, full)
+        assert np.array_equal(exact.gradient(x), sampler.gradients(x, 6_000, full))
+        assert np.array_equal(exact.hessian(x), sampler.hessians(x, 6_000, full))
 
     def test_blocked_hessian_matches_einsum_reference(self):
         # 2 blocks and a last block of one row. Counted batches sum all of
@@ -223,7 +255,7 @@ class TestLogistic:
             Zi = features[idx]
             s = 1.0 / (1.0 + np.exp(-labels[idx] * (Zi @ x)))
             ref = np.mean(np.einsum("n,ni,nj->nij", s * (1.0 - s), Zi, Zi), axis=0)
-            got = hessian(x, idx)
+            got = hessian(x, *_batch(N, idx))
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 100, GRAM_BLOCK])
@@ -238,50 +270,43 @@ class TestLogistic:
         rng = np.random.default_rng(12)
         features = rng.standard_normal((6_000, 15))
         labels = np.where(rng.uniform(size=6_000) < 0.5, 1.0, -1.0)
+        sampler = make_logistic_from_data(features, labels, rng=np.random.default_rng(1)).sampler
         idx = rng.integers(0, 6_000, size=10_000)
         x = 0.3 * rng.standard_normal(15)
-        for fn in _logistic_records(features, labels):
-            assert np.array_equal(fn(x, idx), fn(x, rng.permutation(idx)))
+        for mean in (sampler.values, sampler.gradients, sampler.hessians):
+            shuffled = _Drawn(rng.permutation(idx))
+            assert np.array_equal(mean(x, 10_000, _Drawn(idx)), mean(x, 10_000, shuffled))
 
     def test_records_that_served_earlier_calls_match_fresh_ones(self):
-        # The callables keep the last point's vectors and the weights of a
-        # read-only idx. Whatever they served before, each result must equal
-        # that of a fresh set of records bit for bit.
+        # The callables keep the last point's whole-dataset vectors. Whatever
+        # they served before, each result must equal that of a fresh set of
+        # records bit for bit.
         rng = np.random.default_rng(13)
         N, d = 300, 6
         features = rng.standard_normal((N, d))
         labels = np.where(rng.uniform(size=N) < 0.5, 1.0, -1.0)
         served = _logistic_records(features, labels)
-
-        def read_only(a):
-            a.flags.writeable = False
-            return a
-
-        shared, other = (read_only(rng.integers(0, N, size=2 * N)) for _ in range(2))
-        exact, boundary = read_only(np.arange(N)), read_only(rng.integers(0, N, size=N))
-        writable = rng.integers(0, N, size=N + 7)
+        shared, other = (_batch(N, rng.integers(0, N, size=2 * N)) for _ in range(2))
+        exact, boundary = _batch(N, np.arange(N)), _batch(N, rng.integers(0, N, size=N))
+        gathered = _batch(N, rng.integers(0, N, size=10))
         x, z = 0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d)
         script = [
             (x, shared), (x, shared), (z, shared), (x, shared),  # repeated and alternating points
             (x, other), (x, shared),  # another sample set of the same size
-            (x, exact), (x, exact), (x, np.arange(N)),  # the exact oracle's arange(N), shared or not
-            (x, boundary), (x, exact),  # N draws with repeats
-            (x, rng.integers(0, N, size=10)), (x, shared),  # gathered, then counted at the same x
-            (z, writable), (z, exact),
+            (x, exact), (x, boundary), (x, exact),  # N draws, without and with repeats
+            (x, gathered), (x, shared),  # gathered, then every record at the same x
+            (z, gathered), (z, exact),
         ]
         for k, fn in enumerate(served):
 
-            def fresh(x_at, idx):
-                return _logistic_records(features, labels)[k](x_at, idx)
+            def fresh(x_at, batch):
+                return _logistic_records(features, labels)[k](x_at, *batch)
 
-            for x_at, idx in script:
-                assert np.array_equal(fn(x_at, idx), fresh(x_at, idx))
-            fn(x, shared)
+            for x_at, batch in script:
+                assert np.array_equal(fn(x_at, *batch), fresh(x_at, batch))
+            fn(x, *shared)
             x += 0.125  # mutated in place: the bits of x are the key
-            assert np.array_equal(fn(x, shared), fresh(x, shared))
-            fn(x, writable)
-            writable[:5] = (writable[:5] + 1) % N  # mutated between calls
-            assert np.array_equal(fn(x, writable), fresh(x, writable))
+            assert np.array_equal(fn(x, *shared), fresh(x, shared))
 
     @pytest.mark.parametrize(
         "rows, labels, match",
@@ -315,7 +340,7 @@ class TestLogistic:
         assert rows[0] == rows[1]
         assert np.array_equal(first.state.x, again.state.x)
 
-    def test_constraints_are_the_first_full_rank_draw(self):
+    def test_constraints_are_the_first_draw(self):
         features = np.random.default_rng(5).standard_normal((40, 6))
         labels = np.tile([1.0, -1.0], 20)
         prob = make_logistic_from_data(features, labels, rng=np.random.default_rng(1))
@@ -324,21 +349,6 @@ class TestLogistic:
         x = np.arange(6.0)
         assert np.array_equal(prob.jacobian(x), A)
         assert np.array_equal(prob.constraint(x), A @ x - b)
-
-    def test_rank_deficient_draws_fail_after_the_retry_cap(self):
-        class ZeroNormals:
-            """Every constraint matrix it draws is 0, so each is rank deficient."""
-
-            draws = 0
-
-            def standard_normal(self, size):
-                self.draws += 1
-                return np.zeros(size)
-
-        rng = ZeroNormals()
-        with pytest.raises(DatasetGenerationFailed, match="full-row-rank"):
-            make_logistic_from_data(np.ones((40, 6)), np.tile([1.0, -1.0], 20), rng=rng)
-        assert rng.draws == MAX_RANK_RETRIES
 
     @pytest.mark.parametrize(
         "field, match",

@@ -245,12 +245,23 @@ class TestRunCommand:
     def test_malformed_csv_is_an_error(self, tmp_path, capsys, rows, message):
         data = tmp_path / "bad.csv"
         data.write_text(rows)
-        code = run_cli(
-            ["run", "--problem", f"csv:{data}", "--max-iters", "5", "--out", str(tmp_path / "o")]
-        )
+        out = tmp_path / "o"
+        code = run_cli(["run", "--problem", f"csv:{data}", "--max-iters", "5", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_invalid_noise_is_an_error(self, tmp_path, capsys, noise):
+        # Every level's problem is built before the output directory, so a
+        # bad last level writes nothing either.
+        out = tmp_path / "o"
+        args = ["run", "--problem", "saddle", "--noise", "0", noise, "--out", str(out)]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite and nonnegative" in err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize(

@@ -201,26 +201,33 @@ class TestGaussianNoise:
             dataclasses.replace(noisy, num_constraints=num_constraints)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianNoiseSpec(-1.0)
+        for variance in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                GaussianNoiseSpec(variance)
 
 
 def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None):
-    """Least-squares finite sum; ``seen`` collects every index batch."""
+    """Least-squares finite sum; ``seen`` collects every (rows, w) batch."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_records, dim))
     b = rng.standard_normal(n_records)
 
-    def value(x, idx):
+    def records(rows):
+        return (A, b) if rows is None else (A[rows], b[rows])
+
+    def value(x, rows, w):
         if seen is not None:
-            seen.append(idx)
-        return np.mean(0.5 * (A[idx] @ x - b[idx]) ** 2)
+            seen.append((rows, w))
+        Ar, br = records(rows)
+        return w @ (0.5 * (Ar @ x - br) ** 2)
 
-    def gradient(x, idx):
-        return (A[idx] @ x - b[idx]) @ A[idx] / len(idx)
+    def gradient(x, rows, w):
+        Ar, br = records(rows)
+        return (w * (Ar @ x - br)) @ Ar
 
-    def hessian(x, idx):
-        return A[idx].T @ A[idx] / len(idx)
+    def hessian(x, rows, w):
+        Ar, _ = records(rows)
+        return (Ar.T * w) @ Ar
 
     return finite_sum_problem(
         dim=dim,
@@ -237,7 +244,8 @@ def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None):
 
 class TestFiniteSum:
     def test_noiseless_is_full_mean(self):
-        prob = _toy_finite_sum()
+        seen = []
+        prob = _toy_finite_sum(seen=seen)
         x = np.array([0.2, -0.4, 1.0])
         # Independent recomputation of the full-data mean.
         rng = np.random.default_rng(0)
@@ -245,10 +253,15 @@ class TestFiniteSum:
         b = rng.standard_normal(5)
         expected = np.mean(0.5 * (A @ x - b) ** 2)
         assert prob.noiseless.value(x) == pytest.approx(expected, rel=1e-12)
+        # Every record once: bitwise the weights of a count of arange(N).
+        prob.noiseless.value(-x)
+        (rows, w), again = seen
+        assert rows is None and again[1] is w and not w.flags.writeable
+        assert w.tobytes() == (np.bincount(np.arange(5), minlength=5) / 5).tobytes()
 
     def test_batches_share_indices_across_points(self):
         seen = []
-        prob = _toy_finite_sum(seen=seen)
+        prob = _toy_finite_sum(n_records=500, seen=seen)
         stream = RngStream(9).child("batch")
         x1 = np.array([0.0, 0.0, 0.0])
         x2 = np.array([1.0, 1.0, 1.0])
@@ -256,8 +269,11 @@ class TestFiniteSum:
         prob.sampler.values(x2, 50, stream)
         prob.sampler.values(x1, 50, stream.child("other"))
         # Same key, same records at both points; another key, other records.
-        assert np.array_equal(seen[0], seen[1]) and seen[0].shape == (50,)
-        assert not np.array_equal(seen[0], seen[2])
+        (rows, w), again, other = seen
+        assert again[0] is rows and again[1] is w and rows.shape == (50,)
+        assert not rows.flags.writeable and not w.flags.writeable
+        assert np.array_equal(w, np.full(50, 1 / 50))
+        assert not np.array_equal(rows, other[0])
         assert v1 == prob.sampler.values(x1, 50, stream)
 
     def test_value_pair_draws_indices_once(self, monkeypatch):
@@ -274,26 +290,32 @@ class TestFiniteSum:
         stream = RngStream(9).child("pair", 1)
         prob.sampler.values(np.zeros(3), 10_000, stream)
         prob.sampler.values(np.ones(3), 10_000, stream)
-        assert len(keys) == 1 and seen[0] is seen[1]
-        assert not seen[0].flags.writeable
+        assert len(keys) == 1 and seen[0][1] is seen[1][1]
+        assert not seen[0][1].flags.writeable
         # Another size, or a path part that compares equal but keys another
         # generator, draws afresh.
         prob.sampler.values(np.zeros(3), 9_999, stream)
         prob.sampler.values(np.zeros(3), 10_000, RngStream(9).child("pair", np.int64(1)))
         assert len(keys) == 3
-        fresh = _toy_finite_sum(n_records=6_000, seen=[]).sampler._indices
-        assert np.array_equal(seen[3], fresh(10_000, RngStream(9).child("pair", np.int64(1))))
-        assert not np.array_equal(seen[3], seen[0])
+        fresh = _toy_finite_sum(n_records=6_000, seen=[]).sampler._batch
+        _, w = fresh(10_000, RngStream(9).child("pair", np.int64(1)))
+        assert np.array_equal(seen[3][1], w)
+        assert not np.array_equal(seen[3][1], seen[0][1])
 
     def test_batch_larger_than_dataset_draws_with_replacement(self):
         seen = []
         prob = _toy_finite_sum(n_records=6_000, seen=seen)
         x = np.array([0.3, 0.1, -0.7])
-        mean = prob.sampler.values(x, 10_000, RngStream(5).child("big"))
-        (idx,) = seen
-        assert idx.shape == (10_000,) and 0 <= idx.min() and idx.max() < 6_000
-        assert len(np.unique(idx)) < 6_000
-        assert mean != prob.noiseless.value(x)
+        stream = RngStream(5).child("big")
+        for n in (6_000, 10_000):  # as many draws as records, and more
+            mean = prob.sampler.values(x, n, stream)
+            rows, w = seen.pop()
+            # Every record, weighted by its draw count over n.
+            idx = stream.generator().integers(0, 6_000, size=n)
+            assert rows is None
+            assert w.tobytes() == (np.bincount(idx, minlength=6_000) / n).tobytes()
+            assert np.count_nonzero(w) < 6_000
+            assert mean != prob.noiseless.value(x)
 
     def test_gradient_matches_finite_differences(self):
         prob = _toy_finite_sum()
@@ -305,9 +327,9 @@ class TestFiniteSum:
         with pytest.raises(EmptyDataset):
             finite_sum_problem(
                 dim=2,
-                value_fn=lambda x, i: 0.0,
-                gradient_fn=lambda x, i: np.zeros(2),
-                hessian_fn=lambda x, i: np.zeros((2, 2)),
+                value_fn=lambda x, rows, w: 0.0,
+                gradient_fn=lambda x, rows, w: np.zeros(2),
+                hessian_fn=lambda x, rows, w: np.zeros((2, 2)),
                 n_records=0,
                 constraint=lambda x: np.array([x[0]]),
                 jacobian=lambda x: np.array([[1.0, 0.0]]),
