@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmarks, diagnostics, estimator
+from . import benchmarks, diagnostics, errors, estimator
 from .problem import GaussianNoiseSpec, gaussian_noisy, load_labeled_csv
 from .solver import IterationRecord, SolverConfig, run
 
@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         file_values = read_config_file(args.config) if args.config else {}
         return cmd_run(args, build_config(file_values, overrides))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, errors.TrsqpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

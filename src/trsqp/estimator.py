@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,7 +36,7 @@ __all__ = [
     "kkt_residual",
     "build_hessian",
     "estimate_models",
-    "make_hessian_strategy",
+    "HESSIAN_STRATEGIES",
     "IdentityHessian",
     "SR1Hessian",
     "AveragedLagrangianHessian",
@@ -175,11 +175,8 @@ class IdentityHessian:
     Every strategy's ``build`` returns ``(H, batch)``, with ``batch`` the
     number of Hessian samples it drew."""
 
-    def __init__(self, dim: int):
-        self._eye = np.eye(dim)
-
     def build(self, problem, x, lam, grad_l, delta, config, stream):
-        return self._eye.copy(), 0
+        return np.eye(x.size), 0
 
 
 class SR1Hessian:
@@ -188,15 +185,16 @@ class SR1Hessian:
     The update uses consecutive iterates and estimated Lagrangian gradients;
     it is skipped when the denominator fails the standard safeguard
     |z^T s| >= SR1_SKIP_TOL ||z|| ||s|| (or when the iterate did not move).
-    """
+    The first build returns the identity of x's size."""
 
-    def __init__(self, dim: int):
-        self._H = np.eye(dim)
+    def __init__(self):
         self._prev_x = None
         self._prev_grad_l = None
 
     def build(self, problem, x, lam, grad_l, delta, config, stream):
-        if self._prev_x is not None:
+        if self._prev_x is None:
+            self._H = np.eye(x.size)
+        else:
             s = x - self._prev_x
             y = grad_l - self._prev_grad_l
             z = y - self._H @ s
@@ -230,23 +228,13 @@ class BatchedLagrangianHessian:
         return _sampled(problem, "hessians", x, n, stream) + _lagrangian_term(problem, x, lam), n
 
 
+# First-order Hessian strategies by config name, as zero-argument constructors.
 HESSIAN_STRATEGIES = {
     "identity": IdentityHessian,
     "sr1": SR1Hessian,
-    "esth": lambda dim: AveragedLagrangianHessian(window=1),
-    "aveh": lambda dim: AveragedLagrangianHessian(),
+    "esth": partial(AveragedLagrangianHessian, window=1),
+    "aveh": AveragedLagrangianHessian,
 }
-
-
-def make_hessian_strategy(name: str, alpha: int, dim: int):
-    """Instantiate a Hessian strategy; second-order runs always use the
-    batched Lagrangian estimate."""
-    if alpha == 1:
-        return BatchedLagrangianHessian()
-    try:
-        return HESSIAN_STRATEGIES[name](dim)
-    except KeyError:
-        raise ValueError(f"unknown Hessian strategy {name!r}") from None
 
 
 def build_hessian(

@@ -155,14 +155,15 @@ class SolverState:
         x0 = np.asarray(x0, dtype=float).copy()
         if x0.shape != (problem.dim,):
             raise ValueError(f"x0 must have shape ({problem.dim},)")
-        strategy = estimator.make_hessian_strategy(config.hessian, config.alpha, problem.dim)
         return cls(
             x=x0,
             delta=config.delta0,
             eps=config.eps0,
             mu=config.mu0,
             k=0,
-            strategy=strategy,
+            strategy=estimator.BatchedLagrangianHessian()
+            if config.alpha == 1
+            else estimator.HESSIAN_STRATEGIES[config.hessian](),
         )
 
     def _at_iterate(self, name: str, evaluate):

@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +254,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not out.exists()
+
+    def test_package_error_is_an_error_line(self, tmp_path):
+        # All-zero features give a zero Hessian estimate at alpha = 1, so the
+        # first iteration raises ZeroHessianNorm; the command reports it as an
+        # error line, not a traceback.
+        data = tmp_path / "zero.csv"
+        data.write_text("1,0,0,0,0,0,0\n-1,0,0,0,0,0,0\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "trsqp.cli", "run", "--problem", f"csv:{data}",
+             "--alpha", "1", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 1
+        assert "error: Hessian approximation has zero operator norm" in proc.stderr.splitlines()
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
     def test_invalid_noise_is_an_error(self, tmp_path, capsys, noise):

@@ -11,7 +11,10 @@ from trsqp.estimator import (
     GRADIENT,
     HESSIAN,
     VALUE,
+    HESSIAN_STRATEGIES,
     AveragedLagrangianHessian,
+    BatchedLagrangianHessian,
+    IdentityHessian,
     SR1Hessian,
     batch_size,
     build_hessian,
@@ -19,12 +22,11 @@ from trsqp.estimator import (
     estimate_multiplier,
     estimate_value,
     estimate_values,
-    make_hessian_strategy,
 )
 from trsqp.linalg import nullspace_basis
 from trsqp.problem import GaussianNoiseSpec, gaussian_noisy
 from trsqp.rng import RngStream
-from trsqp.solver import SolverConfig, run
+from trsqp.solver import SolverConfig, SolverState, run
 
 
 class TestBatchSize:
@@ -174,7 +176,7 @@ class TestHessianStrategies:
 
     def test_identity(self):
         prob, config = self._ctx(alpha=0)
-        strat = make_hessian_strategy("identity", 0, 2)
+        strat = IdentityHessian()
         x = np.array([0.5, 0.5])
         G = prob.jacobian(x)
         J = nullspace_basis(G)
@@ -194,7 +196,7 @@ class TestHessianStrategies:
         lam = estimate_multiplier(G, g)
         assert lam == pytest.approx([-1.0])
         J = nullspace_basis(G)
-        strat = make_hessian_strategy("lagrangian", 1, 2)
+        strat = BatchedLagrangianHessian()
         H, n = build_hessian(
             strat, prob, x, lam, g + G.T @ lam, 1.0, config, RngStream(0).child(0)
         )
@@ -211,7 +213,7 @@ class TestHessianStrategies:
         lam = estimate_multiplier(G, g)
         assert lam == pytest.approx([1.0])
         J = nullspace_basis(G)
-        strat = make_hessian_strategy("lagrangian", 1, 2)
+        strat = BatchedLagrangianHessian()
         H, _ = build_hessian(
             strat, prob, x, lam, g + G.T @ lam, 1.0, config, RngStream(0).child(0)
         )
@@ -220,7 +222,7 @@ class TestHessianStrategies:
         assert reduced.tau_plus == 0.0
 
     def test_sr1_secant_and_skip(self):
-        strat = SR1Hessian(2)
+        strat = SR1Hessian()
         prob, config = self._ctx(alpha=0)
         x0, g0 = np.array([0.0, 0.0]), np.array([1.0, 0.0])
         x1, g1 = np.array([1.0, 0.5]), np.array([0.0, 2.0])
@@ -251,7 +253,7 @@ class TestHessianStrategies:
         # EstH is the window-1 average: each build is this iteration's draw
         # alone, bit for bit, with nothing carried over from earlier builds.
         prob, config = self._ctx(variance=1e-2, alpha=0)
-        strat = make_hessian_strategy("esth", 0, 2)
+        strat = HESSIAN_STRATEGIES["esth"]()
         assert isinstance(strat, AveragedLagrangianHessian)
         x = np.array([0.3, -0.3])
         lam = np.array([0.5])
@@ -262,12 +264,19 @@ class TestHessianStrategies:
             assert np.array_equal(H, sample + 0.5 * 2.0 * np.eye(2))
 
     def test_alpha1_overrides_strategy_name(self):
-        strat = make_hessian_strategy("identity", 1, 2)
-        assert type(strat).__name__ == "BatchedLagrangianHessian"
+        prob, _ = self._ctx(alpha=1)
+        state = SolverState.initial(prob, np.zeros(2), SolverConfig(alpha=1, hessian="sr1"))
+        assert type(state.strategy).__name__ == "BatchedLagrangianHessian"
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            make_hessian_strategy("bogus", 0, 2)
+    @pytest.mark.parametrize("d", [3, 15])
+    def test_identity_size_read_from_x(self, d):
+        # IdentityHessian and a fresh SR1Hessian read the dimension off x
+        # and nothing off the problem, config or stream.
+        x = np.linspace(-1.0, 1.0, d)
+        for strat in (IdentityHessian(), SR1Hessian()):
+            H, n = strat.build(None, x, None, np.zeros(d), 1.0, None, None)
+            assert np.array_equal(H, np.eye(d))
+            assert n == 0
 
 
 class TestEstimateModels:
@@ -276,7 +285,7 @@ class TestEstimateModels:
         x = np.array([1.0, 0.0])
         c, J = prob.constraint(x), nullspace_basis(prob.jacobian(x))
         est = estimator.estimate_models(
-            prob, x, c, J, make_hessian_strategy("lagrangian", 1, 2),
+            prob, x, c, J, BatchedLagrangianHessian(),
             1.0, SolverConfig(alpha=1), RngStream(0).child(0),
         )
         assert est.kkt_norm == pytest.approx(0.0, abs=1e-14)
@@ -303,7 +312,7 @@ class TestEstimateModels:
         x = np.array([0.0, 0.7])
         c, J = prob.constraint(x), nullspace_basis(prob.jacobian(x))
         est = estimator.estimate_models(
-            prob, x, c, J, make_hessian_strategy("identity", 0, 2),
+            prob, x, c, J, IdentityHessian(),
             1.0, SolverConfig(alpha=0), RngStream(0).child(0),
         )
         assert est.kkt_norm == 0.0
