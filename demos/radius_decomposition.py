@@ -32,9 +32,9 @@ for scale in (1e-3, 1.0, 1e3):
     )
     c_rs, grad_l_rs = steps.rescaled_residuals(c, J, grad_l, linalg.spectral_norm(H))
     split = steps.split_radius(
-        steps.GRADIENT_STEP, delta, float(np.linalg.norm(c_rs)), float(np.linalg.norm(grad_l_rs))
+        delta, float(np.linalg.norm(c_rs)), float(np.linalg.norm(grad_l_rs))
     )
-    v, gamma, w = steps.normal_step(c, J, split.normal)
+    gamma, w = steps.normal_step(c, J, split.normal)
     u = steps.tangential_gradient(J.reduce(H), Z.T @ (grad + H @ w), split.tangential)
     dx = w + Z @ u
     print(

@@ -13,21 +13,9 @@ class NonFiniteInput(TrsqpError):
     """An input array contains NaN or infinity."""
 
 
-class ZeroHessianNorm(TrsqpError):
-    """Residual rescaling received a Hessian approximation with zero norm."""
-
-
-class DegenerateResiduals(TrsqpError):
-    """Radius splitting received an all-zero residual."""
-
-
 class SubsolverFailure(TrsqpError):
     """A trust-region subsolver failed: its secular-equation root was not
     found, or its step missed the fraction-of-Cauchy guarantee."""
-
-
-class NotNegativeCurvature(TrsqpError):
-    """An eigen step was requested without negative curvature."""
 
 
 class MeritLoopDiverged(TrsqpError):

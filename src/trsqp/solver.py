@@ -178,7 +178,7 @@ class SolverState:
 
     def constraint(self, problem: Problem) -> np.ndarray:
         """c(x) at the iterate, evaluated once per distinct iterate."""
-        return self._at_iterate("c", problem.constraint)
+        return self._at_iterate("c", lambda x: _constraint(problem, x))
 
     def jacobian_factor(self, problem: Problem) -> linalg.JacobianFactor:
         """The factor of G(x) at the iterate. G is evaluated once per distinct
@@ -284,6 +284,13 @@ class RunResult:
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
+
+
+def _constraint(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """c(x); a NaN or infinite value is an error, not a rejected step."""
+    c = problem.constraint(x)
+    linalg._require_finite(c, what="constraint value")
+    return c
 
 
 def _shrink_eps(eps: float, config: SolverConfig) -> float:
@@ -450,7 +457,7 @@ def iterate(
         problem, x, x_trial, delta, state.eps, config, it_stream.child("value")
     )
 
-    c_trial = problem.constraint(x_trial)
+    c_trial = _constraint(problem, x_trial)
 
     def actual_reduction(c_new, f_new):
         """Ared: the estimated merit change from x to a point where c = ``c_new``."""
@@ -468,7 +475,7 @@ def iterate(
         f_s, _ = estimator.estimate_value(
             problem, x_trial, delta, state.eps, config, it_stream.child("soc-value")
         )
-        c_trial = problem.constraint(x_trial)
+        c_trial = _constraint(problem, x_trial)
         ared = actual_reduction(c_trial, f_s)
         accepted = ared / pred >= config.eta
 

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DegenerateResiduals,
-    NotNegativeCurvature,
-    SubsolverFailure,
-    ZeroHessianNorm,
-)
+from .errors import SubsolverFailure
 
 __all__ = [
     "GRADIENT_STEP",
@@ -74,21 +69,19 @@ def rescaled_residuals(
     c: np.ndarray, J: linalg.JacobianFactor, grad_l: np.ndarray, h_norm: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feasibility and optimality residuals ``(c_rs, grad_l_rs)`` rescaled by
-    ||G|| = ``J.norm`` and ``h_norm`` = ||H||."""
-    if h_norm == 0.0:
-        raise ZeroHessianNorm("Hessian approximation has zero operator norm")
-    return c / J.norm, grad_l / h_norm
+    ||G|| = ``J.norm`` and ``h_norm`` = ||H||; a zero model has no scale, so
+    at ||H|| = 0 grad_l is returned unscaled (docs/decisions.md)."""
+    return c / J.norm, grad_l / (h_norm or 1.0)
 
 
-def split_radius(mode: str, delta: float, c_rs_norm: float, opt_rs: float) -> RadiusSplit:
+def split_radius(delta: float, c_rs_norm: float, opt_rs: float) -> RadiusSplit:
     """Proportional radius decomposition.
 
-    ``opt_rs`` is the rescaled optimality-residual norm in gradient mode and
-    the rescaled negative curvature in eigen mode.
+    ``opt_rs`` is the rescaled optimality-residual norm for a gradient step
+    and the rescaled negative curvature for an eigen step. The residuals are
+    not both zero: ``solver.iterate`` builds no step there.
     """
     denom = float(np.hypot(c_rs_norm, opt_rs))
-    if denom == 0.0:
-        raise DegenerateResiduals(f"all-zero residuals in {mode} radius split")
     return RadiusSplit(
         normal=delta * c_rs_norm / denom,
         tangential=delta * opt_rs / denom,
@@ -97,18 +90,18 @@ def split_radius(mode: str, delta: float, c_rs_norm: float, opt_rs: float) -> Ra
 
 def normal_step(
     c: np.ndarray, J: linalg.JacobianFactor, normal_radius: float
-) -> tuple[np.ndarray, float, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Shrunk least-norm step toward the linearized constraints.
 
-    Returns ``(v, gamma, w)`` with w = gamma v, ||w|| <= normal_radius, and
-    gamma = 1 when the pull-back vanishes.
+    Returns ``(gamma, w)`` with w = gamma v for the least-norm pull-back v,
+    ||w|| <= normal_radius, and gamma = 1 when the pull-back vanishes.
     """
     v = J.pull(c)
     v_norm = linalg.vector_norm(v)
     if v_norm == 0.0:
-        return v, 1.0, np.zeros_like(v)
+        return 1.0, np.zeros_like(v)
     gamma = min(normal_radius / v_norm, 1.0)
-    return v, gamma, gamma * v
+    return gamma, gamma * v
 
 
 def cauchy_decrease(g_norm: float, h_norm: float, radius: float) -> float:
@@ -157,11 +150,7 @@ def tangential_eigen(
     direction for the reduced gradient g_r (ties resolved to the positive
     sign).
     """
-    tau, eigvec = reduced.smallest()
-    if tau >= 0.0:
-        raise NotNegativeCurvature(f"eigen step requested with curvature {tau:.3e}")
-    if tangential_radius <= 0.0:
-        return np.zeros_like(g_r)
+    _, eigvec = reduced.smallest()
     u = eigvec * (tangential_radius / linalg.vector_norm(eigvec))
     if float(g_r @ u) > 0.0:
         u = -u
@@ -237,8 +226,8 @@ def build_trial_step(
         opt_rs = reduced.tau_plus / h_norm
     else:
         raise ValueError(f"unknown step kind {kind!r}")
-    split = split_radius(kind, delta, c_rs_norm, opt_rs)
-    _, gamma, w = normal_step(c, J, split.normal)
+    split = split_radius(delta, c_rs_norm, opt_rs)
+    gamma, w = normal_step(c, J, split.normal)
     g_r = J.Z.T @ (grad + H @ w)
     tangential = tangential_gradient if kind == GRADIENT_STEP else tangential_eigen
     u = tangential(reduced, g_r, split.tangential)

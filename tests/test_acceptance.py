@@ -387,8 +387,8 @@ def _decomposition_snapshot(model: ScaledModel, kind: str, delta: float) -> np.n
         opt = float(np.linalg.norm(grad_l_rs))
     else:
         opt = model.tau_plus / model.h_norm
-    split = steps.split_radius(kind, delta, float(np.linalg.norm(c_rs)), opt)
-    _, gamma, _ = steps.normal_step(model.c, model.J, split.normal)
+    split = steps.split_radius(delta, float(np.linalg.norm(c_rs)), opt)
+    gamma, _ = steps.normal_step(model.c, model.J, split.normal)
     return np.array([gamma, split.normal / delta, split.tangential / delta])
 
 

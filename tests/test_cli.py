@@ -255,12 +255,23 @@ class TestRunCommand:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
-    def test_package_error_is_an_error_line(self, tmp_path):
-        # All-zero features give a zero Hessian estimate at alpha = 1, so the
-        # first iteration raises ZeroHessianNorm; the command reports it as an
-        # error line, not a traceback.
+    def test_zero_features_converge_at_alpha_1(self, tmp_path):
+        # All-zero features give a zero Hessian estimate at alpha = 1, a
+        # linear model that is an ordinary trust-region step.
         data = tmp_path / "zero.csv"
         data.write_text("1,0,0,0,0,0,0\n-1,0,0,0,0,0,0\n")
+        out = tmp_path / "o"
+        code = run_cli(["run", "--problem", f"csv:{data}", "--alpha", "1", "--out", str(out)])
+        assert code == 0
+        (result,) = json.loads((out / "summary.json").read_text())["runs"]
+        assert result["converged"] and result["invariant_violations"] == 0
+
+    def test_package_error_is_an_error_line(self, tmp_path):
+        # A feature of 1e200 overflows the exact KKT reference at x0 to
+        # infinity, so the solve raises NonFiniteInput; the command reports it
+        # as an error line, not a traceback.
+        data = tmp_path / "huge.csv"
+        data.write_text("1,1e200,0,0,0,0,0\n-1,1e200,1,0,0,0,0\n1,0,0,1,0,0,0\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
@@ -269,7 +280,7 @@ class TestRunCommand:
             env=env, capture_output=True, text=True, timeout=120, check=False,
         )
         assert proc.returncode == 1
-        assert "error: Hessian approximation has zero operator norm" in proc.stderr.splitlines()
+        assert "error: input contains NaN or infinity" in proc.stderr.splitlines()
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])

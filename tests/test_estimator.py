@@ -333,8 +333,8 @@ class _NaNSampler:
 
 class TestNonFiniteSamples:
     # Without the check a NaN gradient made the KKT norm NaN, which picked an
-    # eigen step on a first-order run (NotNegativeCurvature), and a NaN value
-    # made Ared NaN, which rejected every step until the radius floor.
+    # eigen step on a first-order run, and a NaN value made Ared NaN, which
+    # rejected every step until the radius floor.
     @pytest.mark.parametrize(
         "make, alpha, kind",
         [(make_quadratic, 0, "gradients"), (make_saddle, 1, "values")],

@@ -14,7 +14,7 @@ from trsqp.benchmarks import (
     true_kkt,
 )
 from trsqp.cli import _initial_point
-from trsqp.errors import MeritLoopDiverged
+from trsqp.errors import MeritLoopDiverged, NonFiniteInput
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
     DELTA_MIN,
@@ -144,6 +144,22 @@ class TestIterate:
         assert np.array_equal(state.x, [0.5, 0.5])
         assert state.delta == 0.25 / cfg.gamma
         assert state.eps == 0.125 / cfg.gamma
+
+    def test_zero_residuals_end_at_the_progress_test(self, monkeypatch):
+        # A constant objective at a feasible point: grad_L = 0, c = 0 and
+        # H = 0, so no step kind has a residual to split the radius by. The
+        # progress test fails first at either alpha, and no step is built.
+        def unreachable(*args):
+            raise AssertionError("a step was built at zero residuals")
+
+        monkeypatch.setattr(steps, "build_trial_step", unreachable)
+        prob = make_linear([0.0, 0.0, 0.0])
+        for alpha in (0, 1):
+            cfg = SolverConfig(alpha=alpha, kkt_tol=0.0, seed=0)
+            state = SolverState.initial(prob, np.full(3, 1.0 / 3.0), cfg)
+            _, rec = iterate(state, prob, cfg)
+            assert rec.outcome == UNSUCCESSFUL_LINE6
+            assert rec.kkt_est == 0.0 and rec.tau_est == 0.0
 
     def test_saddle_selects_eigen(self):
         # At the saddle with zero noise: KKT residual 0, curvature 1, so the
@@ -397,6 +413,24 @@ def make_hs28():
     )
 
 
+def make_linear(a):
+    """min a^T x subject to x1 + x2 + x3 = 1, with a zero Hessian."""
+    a = np.asarray(a, dtype=float)
+    ones = np.ones((1, 3))
+    oracle = NoiselessOracle(
+        value=lambda x: float(a @ x),
+        gradient=lambda x: a.copy(),
+        hessian=lambda x: np.zeros((3, 3)),
+    )
+    return exact_problem(
+        3, 1, oracle,
+        constraint=lambda x: ones @ x - 1.0,
+        jacobian=lambda x: ones.copy(),
+        constraint_hessians=lambda x: np.zeros((1, 3, 3)),
+        name="linear",
+    )
+
+
 class TestRun:
     @pytest.mark.parametrize("variance", [0.0, 1e-2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -410,6 +444,38 @@ class TestRun:
         assert res.invariants.checked["pred_threshold"] > 0
         assert res.invariants.violations == {}
         assert np.allclose(res.state.x, [0.5, -0.5, 0.5], atol=1e-3)
+
+    @pytest.mark.parametrize("variance", [0.0, 1e-2])
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize(
+        "a, stop",
+        [([0.0, 0.0, 0.0], "converged"), ([1.0, 1.0, 1.0], "converged"),
+         ([1.0, 2.0, 0.0], "max-iters")],
+        ids=["constant", "row-space", "unbounded"],
+    )
+    def test_linear_objective_is_an_ordinary_step(self, a, stop, alpha, variance):
+        # A zero Hessian (exact) or a small one (noisy) is a linear model,
+        # not an error. A gradient in the row space of G is stationary on the
+        # constraint; x1 + 2 x2 is unbounded along it.
+        prob = gaussian_noisy(make_linear(a), GaussianNoiseSpec(variance))
+        res = run(prob, np.zeros(3), SolverConfig(alpha=alpha, max_iters=200, seed=0))
+        assert res.stop_reason == stop
+        assert res.invariants.violations == {}
+
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_non_finite_constraint_value_raises(self, alpha):
+        # NaN left of x1 = 2.9: the first trial point there raises. Read as a
+        # value, it would make Ared NaN and reject every step until the
+        # radius floor.
+        base = make_quadratic()
+
+        def constraint(x):
+            return base.constraint(x) if x[0] >= 2.9 else np.full(1, np.nan)
+
+        prob = dataclasses.replace(base, constraint=constraint)
+        cfg = SolverConfig(alpha=alpha, max_iters=200, seed=0)
+        with pytest.raises(NonFiniteInput, match="constraint value"):
+            run(prob, np.array([3.0, -1.0]), cfg)
 
     def test_merit_loop_overflow_raises(self, monkeypatch):
         # A Pred that no merit parameter brings below the threshold: mu grows

@@ -3,7 +3,6 @@ import pytest
 
 from trsqp import linalg, steps
 from trsqp.benchmarks import make_saddle
-from trsqp.errors import DegenerateResiduals, NotNegativeCurvature, ZeroHessianNorm
 from trsqp.steps import (
     EIGEN_STEP,
     GRADIENT_STEP,
@@ -54,25 +53,29 @@ class TestRescaledResiduals:
         assert np.array_equal(base[0], scaled[0])
         assert np.allclose(base[1], scaled[1], atol=1e-14)
 
-    def test_zero_hessian_norm_raises(self):
+    def test_zero_hessian_norm_leaves_grad_l_unscaled(self):
+        # A zero model has no scale: grad_L is divided by 1, as in the
+        # solver's progress test.
         J = linalg.nullspace_basis(np.array([[1.0, 0.0]]))
-        with pytest.raises(ZeroHessianNorm):
-            rescaled_residuals(np.zeros(1), J, np.ones(2), 0.0)
+        grad_l = np.array([0.0, 3.0])
+        c_rs, gl_rs = rescaled_residuals(np.array([2.0]), J, grad_l, 0.0)
+        assert np.array_equal(c_rs, [2.0])
+        assert np.array_equal(gl_rs, grad_l)
 
 
 class TestSplitRadius:
     def test_feasible_gradient_mode(self):
-        split = split_radius(GRADIENT_STEP, 1.5, 0.0, 2.0)
+        split = split_radius(1.5, 0.0, 2.0)
         assert split.normal == 0.0
         assert split.tangential == pytest.approx(1.5)
 
     def test_feasible_eigen_mode(self):
-        split = split_radius(EIGEN_STEP, 2.0, 0.0, 0.7)
+        split = split_radius(2.0, 0.0, 0.7)
         assert split.normal == 0.0
         assert split.tangential == pytest.approx(2.0)
 
     def test_three_four_five(self):
-        split = split_radius(GRADIENT_STEP, 5.0, 3.0, 4.0)
+        split = split_radius(5.0, 3.0, 4.0)
         assert split.normal == pytest.approx(3.0, abs=1e-12)
         assert split.tangential == pytest.approx(4.0, abs=1e-12)
 
@@ -83,32 +86,27 @@ class TestSplitRadius:
             a, b = rng.uniform(0.0, 3.0, size=2)
             if a + b == 0.0:
                 continue
-            split = split_radius(GRADIENT_STEP, delta, a, b)
+            split = split_radius(delta, a, b)
             assert abs(split.normal**2 + split.tangential**2 - delta**2) <= 1e-10 * delta**2
-
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateResiduals):
-            split_radius(GRADIENT_STEP, 1.0, 0.0, 0.0)
 
 
 class TestNormalStep:
     ROW_OF_ONES = linalg.nullspace_basis(np.array([[1.0, 1.0]]))
 
     def test_feasible_point(self):
-        v, gamma, w = normal_step(np.zeros(1), self.ROW_OF_ONES, 0.5)
-        assert np.array_equal(v, np.zeros(2))
+        gamma, w = normal_step(np.zeros(1), self.ROW_OF_ONES, 0.5)
         assert gamma == 1.0
         assert np.array_equal(w, np.zeros(2))
 
     def test_shrink_factor(self):
         # ||v|| = sqrt(2), radius 0.5 -> gamma = 0.5/sqrt(2).
-        v, gamma, w = normal_step(np.array([2.0]), self.ROW_OF_ONES, 0.5)
-        assert np.allclose(v, [-1.0, -1.0])
+        gamma, w = normal_step(np.array([2.0]), self.ROW_OF_ONES, 0.5)
         assert gamma == pytest.approx(0.5 / np.sqrt(2.0))
+        assert np.allclose(w, gamma * np.array([-1.0, -1.0]))
         assert np.linalg.norm(w) == pytest.approx(0.5)
 
     def test_full_pullback_inside_radius(self):
-        v, gamma, w = normal_step(np.array([2.0]), self.ROW_OF_ONES, 2.0)
+        gamma, w = normal_step(np.array([2.0]), self.ROW_OF_ONES, 2.0)
         assert gamma == 1.0
         assert np.allclose(w, [-1.0, -1.0])
 
@@ -152,9 +150,12 @@ class TestTangentialEigen:
         u = tangential_eigen(linalg.SymmetricEig.of(Z.T @ H @ Z), g_r, 0.5)
         assert float(g_r @ u) <= 0.0
 
-    def test_requires_negative_curvature(self):
-        with pytest.raises(NotNegativeCurvature):
-            tangential_eigen(linalg.SymmetricEig.of(np.zeros((1, 1))), np.zeros(1), 1.0)
+    def test_zero_curvature_scales_the_bottom_eigenvector(self):
+        # The solver picks an eigen step only at negative curvature; called
+        # directly at zero curvature it still returns the scaled eigenvector.
+        S = np.diag([0.0, 2.0])
+        u = tangential_eigen(linalg.SymmetricEig.of(S), np.array([1.0, 0.0]), 0.5)
+        assert np.array_equal(u, [-0.5, 0.0])
 
 
 class TestSocStep:
