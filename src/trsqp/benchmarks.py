@@ -264,4 +264,5 @@ def true_kkt(
         raise ValueError("factor is not a factor of the Jacobian at x")
     lam, _, kkt = estimator.kkt_residual(factor, oracle.gradient(x), problem.constraint(x))
     H = oracle.hessian(x) + estimator._lagrangian_term(problem, x, lam)
+    linalg._require_finite(H, what="exact Lagrangian Hessian")
     return kkt, factor.reduce(H).tau_plus

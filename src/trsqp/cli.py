@@ -102,7 +102,8 @@ def _run_name(problem: str, noise: float, seed: int) -> str:
 def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
     """Solve every (noise level, seed) pair of ``args``; without ``--seeds``
     the one seed is ``config.seed``. Every noise level's problem is built,
-    and every run name checked for a clash, before the first file is written."""
+    and every run name checked for a clash, before the first file is written;
+    the output directory is made after a solve, so a failed one leaves none."""
     seeds = args.seeds or [config.seed]
     problems = [build_problem(args, noise) for noise in args.noise]
     runs = {}
@@ -113,7 +114,6 @@ def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
                 raise ValueError(f"runs {runs[name]} and {pair} share the name {name!r}")
             runs[name] = pair
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"problem": args.problem, "runs": []}
     for noise in args.noise:
         problem = problems.pop(0)  # the list lets go, so a finished level's workspace is freed
@@ -121,8 +121,8 @@ def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
             x0 = _initial_point(args.problem, problem, seed)
             result = run(problem, x0, dataclasses.replace(config, seed=seed))
             name = _run_name(args.problem, noise, seed)
-            csv_path = out_dir / f"{name}.csv"
-            with open(csv_path, "w") as fh:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with open(out_dir / f"{name}.csv", "w") as fh:
                 fh.write(IterationRecord.CSV_FIELDS + "\n")
                 for rec in result.records:
                     fh.write(rec.csv_row() + "\n")

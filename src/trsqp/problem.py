@@ -103,8 +103,10 @@ class _GaussianSampler:
     upper triangle (diagonal included) with i.i.d. N(0, sigma^2) and mirrors
     it. Draws are keyed by (stream, evaluation point), so identical points
     see identical noise and distinct points are independent. A mean is
-    bitwise ``np.mean`` of the old per-draw tensor; at zero noise it is the
-    exact oracle's value.
+    bitwise ``np.mean`` of the old per-draw tensor; a Hessian's is summed
+    over the upper triangle around (H + H^T) / 2 (H itself for a symmetric
+    oracle) and mirrored, so it is exactly symmetric. At zero noise it is
+    the exact oracle's value.
 
     The draws live in one workspace array that the sampler reuses and grows
     only for a larger batch, so a call allocates nothing that grows with n.
@@ -115,15 +117,12 @@ class _GaussianSampler:
         self._oracle = oracle
         self._dim = dim
         self._sigma = float(np.sqrt(variance))
-        iu = np.triu_indices(dim)
-        slot = np.empty((dim, dim), dtype=np.intp)
-        slot[iu] = slot[iu[1], iu[0]] = np.arange(len(iu[0]))
-        self._triu_slot = slot.ravel()  # draw column of entries (i, j) and (j, i)
+        self._triu = np.triu_indices(dim)
         self._work = np.empty(0)
 
     def _workspace(self, size):
         """The first ``size`` doubles of the reused workspace. The largest
-        request, n (d(d+1)/2 + d^2) from ``hessians``, is less than the
+        request, 2kn with k = d(d+1)/2 from ``hessians``, is less than the
         per-draw tensors it replaces held at once."""
         if self._work.size < size:
             self._work = np.empty(size)
@@ -164,18 +163,16 @@ class _GaussianSampler:
         H = self._oracle.hessian(x)
         if self._sigma == 0.0:
             return H
-        d, k = self._dim, self._dim * (self._dim + 1) // 2
-        work = self._workspace((k + d * d) * n)
-        cols, rows = work[: k * n].reshape(k, n), work[k * n :].reshape(d * d, n)
-        # The (n, k) draws sit in the gathered rows' space; they are dead once transposed.
-        drawn = work[k * n : 2 * k * n]
+        iu = self._triu
+        k = len(iu[0])
+        work = self._workspace(2 * k * n)
+        drawn, rows = work[: k * n], work[k * n :].reshape(k, n)
         stream.point_generator(x).standard_normal(out=drawn)
-        cols[...] = drawn.reshape(n, k).T
-        cols *= self._sigma
-        # mode="raise" would buffer the whole output before writing it.
-        cols.take(self._triu_slot, axis=0, out=rows, mode="clip")
-        rows += H.reshape(-1, 1)
-        return self._draw_order_mean(rows, n).reshape(d, d)
+        np.multiply(drawn.reshape(n, k).T, self._sigma, out=rows)
+        rows += ((H + H.T) / 2)[iu][:, None]
+        mean = np.empty(H.shape)
+        mean[iu] = mean[iu[1], iu[0]] = self._draw_order_mean(rows, n)
+        return mean
 
 
 def exact_problem(

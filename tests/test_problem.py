@@ -44,9 +44,10 @@ def _smooth_problem(d, symmetric=True):
     )
 
 
-def _tensor_means(oracle, d, sigma, x, n, stream):
+def _tensor_means(oracle, d, sigma, x, n, stream, symmetric=True):
     """Reference: build every draw of the noise law as a per-sample tensor
-    and average it with np.mean, drawing as the sampler does."""
+    and average it with np.mean, drawing as the sampler does. With
+    ``symmetric=False`` the Hessian noise sits around (H + H^T) / 2."""
     values = oracle.value(x) + sigma * stream.point_generator(x).standard_normal(n)
     rng = stream.point_generator(x)
     z = rng.standard_normal((n, d))
@@ -57,7 +58,10 @@ def _tensor_means(oracle, d, sigma, x, n, stream):
     noise = np.zeros((n, d, d))
     noise[:, iu[0], iu[1]] = draws
     noise[:, iu[1], iu[0]] = draws
-    hessians = oracle.hessian(x)[None, :, :] + noise
+    H = oracle.hessian(x)
+    if not symmetric:
+        H = (H + H.T) / 2
+    hessians = H[None, :, :] + noise
     return float(np.mean(values)), np.mean(gradients, axis=0), np.mean(hessians, axis=0)
 
 
@@ -66,30 +70,33 @@ def _means_over_streams(draw, x, n, count, stream):
     return np.array([draw(x, n, stream.child(i)) for i in range(count)])
 
 
-def _assert_means_match_reference(sampler, oracle, d, x, n, stream):
-    """Each mean equals the tensor reference in bytes and shares no memory
-    with the sampler's workspace, since callers such as ``aveh`` keep it."""
-    f, g, H = _tensor_means(oracle, d, np.sqrt(0.3), x, n, stream)
+def _assert_means_match_reference(sampler, oracle, d, x, n, stream, symmetric=True):
+    """Each mean equals the tensor reference in bytes, the Hessian mean is
+    its own transpose, and no mean shares memory with the sampler's
+    workspace, since callers such as ``aveh`` keep it."""
+    f, g, H = _tensor_means(oracle, d, np.sqrt(0.3), x, n, stream, symmetric)
     means = sampler.values(x, n, stream), sampler.gradients(x, n, stream), sampler.hessians(x, n, stream)
     assert means[0] == f
     assert means[1].tobytes() == g.tobytes()
     assert means[2].tobytes() == H.tobytes()
+    assert np.array_equal(means[2], means[2].T)
     for mean in means:
         assert not np.shares_memory(mean, sampler._work)
     return means, (f, g, H)
 
 
 class TestGaussianNoise:
-    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("d", [2, 5, 10])
     @pytest.mark.parametrize("n", [1, 7, 10_000])
     def test_means_match_tensor_reference_bitwise(self, d, n):
-        # Entries (i, j) and (j, i) take one draw but keep their own H entry.
+        # Entries (i, j) and (j, i) take one draw around one entry of the
+        # oracle's symmetric part, which is H itself for a symmetric oracle.
         x = np.random.default_rng(n).standard_normal(d)
         for symmetric in (True, False):
             base = _smooth_problem(d, symmetric)
             prob = gaussian_noisy(base, GaussianNoiseSpec(0.3))
             stream = RngStream(d).child("ref", n)
-            _assert_means_match_reference(prob.sampler, base.noiseless, d, x, n, stream)
+            _assert_means_match_reference(prob.sampler, base.noiseless, d, x, n, stream, symmetric)
 
     def test_interleaved_calls_reuse_workspace_bitwise(self):
         # One sampler grows its workspace, then serves smaller and larger
@@ -102,7 +109,9 @@ class TestGaussianNoise:
         for i, n in enumerate((10_000, 7, 1, 10_000)):
             x = rng.standard_normal(d)
             stream = RngStream(7).child("interleaved", i)
-            kept.append(_assert_means_match_reference(sampler, base.noiseless, d, x, n, stream))
+            kept.append(
+                _assert_means_match_reference(sampler, base.noiseless, d, x, n, stream, symmetric=False)
+            )
         for means, reference in kept:
             assert [np.asarray(m).tobytes() for m in means] == [np.asarray(r).tobytes() for r in reference]
 
