@@ -369,8 +369,7 @@ def iterate(
     """Run exactly one outer iteration, mutating and returning the state."""
     k = state.k
     it_stream = RngStream(config.seed).child(k)
-    x = state.x
-    delta = state.delta
+    x, delta, eps = state.x, state.delta, state.eps
 
     c = state.constraint(problem)
     c_norm = linalg.vector_norm(c)
@@ -420,9 +419,11 @@ def iterate(
         kind, c, J, grad, H, h_norm, est.grad_lagrangian, delta, est.reduced
     )
 
-    # Step 3: merit loop, then shared-sample value estimates at both points.
+    # Step 3: merit loop, then value estimates at both points.
     threshold = -0.5 * decrease
-    pred = steps.predicted_reduction(grad, H, state.mu, c, G, step.dx)
+    # The linearized constraint change: -gamma ||c||.
+    drop = linalg.vector_norm(c + G @ step.dx) - c_norm
+    pred = steps.predicted_reduction(grad, H, state.mu, drop, step.dx)
     dx_norm = linalg.vector_norm(step.dx)
     # Pred's roundoff scales with each of its terms. The constraint term
     # mu (||c + G dx|| - ||c||) carries eps mu (||c|| + ||G|| ||dx||), which at
@@ -433,20 +434,18 @@ def iterate(
         + state.mu * (c_norm + J.norm * dx_norm)
     )
     slack = PRED_SLACK * abs(threshold) + PRED_ABS_SLACK * pred_scale
-    # The linearized constraint reduction is -gamma ||c||; when it vanishes
-    # the merit parameter cannot move Pred, and the threshold then holds
-    # analytically (full-Cauchy gradient steps, curvature-matched eigen
-    # steps), so the loop only runs while escalation makes progress. Pred is
-    # then affine in mu with negative slope, so mu overflows only when no
-    # finite mu clears the threshold.
-    constraint_drop = linalg.vector_norm(c + G @ step.dx) - c_norm
-    while pred > threshold + slack and constraint_drop < 0.0:
+    # When the drop vanishes the merit parameter cannot move Pred, and the
+    # threshold then holds analytically (full-Cauchy gradient steps,
+    # curvature-matched eigen steps), so the loop only runs while escalation
+    # makes progress. Pred is then affine in mu with negative slope, so mu
+    # overflows only when no finite mu clears the threshold.
+    while pred > threshold + slack and drop < 0.0:
         state.mu *= config.rho
         if state.mu == math.inf:
             raise MeritLoopDiverged(
                 f"merit parameter overflowed at k={k} (pred={pred:.3e}, threshold={threshold:.3e})"
             )
-        pred = steps.predicted_reduction(grad, H, state.mu, c, G, step.dx)
+        pred = steps.predicted_reduction(grad, H, state.mu, drop, step.dx)
 
     if report is not None:
         check_step(report, step, c, J, grad, H, delta)
@@ -454,30 +453,26 @@ def iterate(
 
     x_trial = x + step.dx
     f_k, f_s, batch_f = estimator.estimate_values(
-        problem, x, x_trial, delta, state.eps, config, it_stream.child("value")
+        problem, x, x_trial, delta, eps, config, it_stream.child("value")
     )
 
-    c_trial = _constraint(problem, x_trial)
-
-    def actual_reduction(c_new, f_new):
-        """Ared: the estimated merit change from x to a point where c = ``c_new``."""
-        return f_new - f_k + state.mu * (linalg.vector_norm(c_new) - c_norm)
-
-    ared = actual_reduction(c_trial, f_s)
+    def ratio_test(x_s, f_s):
+        """c at the trial point ``x_s``, Ared (the estimated merit change from
+        x to x_s) and whether Ared / Pred reaches eta."""
+        c_s = _constraint(problem, x_s)
+        ared = f_s - f_k + state.mu * (linalg.vector_norm(c_s) - c_norm)
+        return c_s, ared, ared / pred >= config.eta
 
     # Step 4: ratio test, with one second-order-correction retry for
     # second-order runs near the feasible manifold.
-    soc_performed = False
-    accepted = ared / pred >= config.eta
-    if not accepted and config.alpha == 1 and c_norm <= config.r:
-        soc_performed = True
+    c_trial, ared, accepted = ratio_test(x_trial, f_s)
+    soc_performed = not accepted and config.alpha == 1 and c_norm <= config.r
+    if soc_performed:
         x_trial = x + step.dx + steps.soc_step(c, c_trial, step.dx, J)
         f_s, _ = estimator.estimate_value(
-            problem, x_trial, delta, state.eps, config, it_stream.child("soc-value")
+            problem, x_trial, delta, eps, config, it_stream.child("soc-value")
         )
-        c_trial = _constraint(problem, x_trial)
-        ared = actual_reduction(c_trial, f_s)
-        accepted = ared / pred >= config.eta
+        c_trial, ared, accepted = ratio_test(x_trial, f_s)
 
     if accepted:
         state.x = x_trial

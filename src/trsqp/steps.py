@@ -189,16 +189,13 @@ def select_step_type(
 
 
 def predicted_reduction(
-    grad: np.ndarray,
-    H: np.ndarray,
-    mu: float,
-    c: np.ndarray,
-    G: np.ndarray,
-    dx: np.ndarray,
+    grad: np.ndarray, H: np.ndarray, mu: float, drop: float, dx: np.ndarray
 ) -> float:
-    """Model reduction of the penalized merit function for a step ``dx``."""
-    linearized = linalg.vector_norm(c + G @ dx) - linalg.vector_norm(c)
-    return float(grad @ dx + 0.5 * dx @ (H @ dx) + mu * linearized)
+    """Model reduction of the penalized merit function for a step ``dx``.
+
+    ``drop`` is the step's linearized constraint change ||c + G dx|| - ||c||.
+    """
+    return float(grad @ dx + 0.5 * dx @ (H @ dx) + mu * drop)
 
 
 def build_trial_step(
