@@ -253,7 +253,9 @@ def true_kkt(
 
     ``factor``, such as the solver's at the iterate, must be of the bits of
     ``problem.jacobian(x)`` (else ``ValueError``); G is exact data, so its
-    factor is no estimate. Without it G is factored here.
+    factor is no estimate. Without it G is factored here. The first of the
+    exact gradient, KKT residual and Lagrangian Hessian that is not finite
+    raises ``NonFiniteInput`` naming it, with numpy's warnings silenced.
     """
     oracle = problem.require_noiseless()
     x = np.asarray(x, dtype=float)
@@ -262,7 +264,11 @@ def true_kkt(
         factor = linalg.nullspace_basis(G)
     elif factor.G.shape != G.shape or factor.G.tobytes() != G.tobytes():
         raise ValueError("factor is not a factor of the Jacobian at x")
-    lam, _, kkt = estimator.kkt_residual(factor, oracle.gradient(x), problem.constraint(x))
-    H = oracle.hessian(x) + estimator._lagrangian_term(problem, x, lam)
-    linalg._require_finite(H, what="exact Lagrangian Hessian")
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = oracle.gradient(x)
+        linalg._require_finite(grad, what="exact gradient")
+        lam, _, kkt = estimator.kkt_residual(factor, grad, problem.constraint(x))
+        linalg._require_finite(kkt, what="exact KKT residual")
+        H = oracle.hessian(x) + estimator._lagrangian_term(problem, x, lam)
+        linalg._require_finite(H, what="exact Lagrangian Hessian")
     return kkt, factor.reduce(H).tau_plus

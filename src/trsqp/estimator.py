@@ -130,8 +130,9 @@ def estimate_values(
     config: SolverConfig,
     stream: RngStream,
 ) -> tuple[float, float, int]:
-    """Batch-mean value estimates at the current and trial points, both
-    from one sample set (the Step-3 estimate)."""
+    """Batch-mean value estimates at the current and trial points from one
+    stream key (the Step-3 estimate): one record set for a finite-sum
+    sampler, independent noise for the Gaussian one."""
     n = batch_size(VALUE, delta, eps, config)
     f_k = float(_sampled(problem, "values", x_k, n, stream))
     f_s = float(_sampled(problem, "values", x_s, n, stream))

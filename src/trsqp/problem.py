@@ -43,9 +43,9 @@ class NoiselessOracle:
 class ObjectiveSampler(Protocol):
     """Draws batch means of the stochastic objective: each method returns
     the mean of ``n`` draws at ``x`` (a float, a gradient, a Hessian), and a
-    mean of ``n = 1`` is one draw. A call with the same ``stream`` key
-    identifies one logical sample set: evaluating it at two points reuses
-    that set, which is how shared-sample value estimation works.
+    mean of ``n = 1`` is one draw. One ``stream`` key at two points reuses
+    the same records in the finite-sum sampler; the Gaussian sampler keys
+    its draws by the point too, so its noise at two points is independent.
     """
 
     def values(self, x: np.ndarray, n: int, stream: RngStream) -> float: ...

@@ -205,8 +205,8 @@ class SolverState:
 
 @dataclass
 class IterationRecord:
-    """One row of the trajectory log.
-
+    """One row of the trajectory log. ``delta``, ``eps`` and ``mu`` are those
+    the iteration used (``mu`` after its raises), not the updated ones.
     ``kkt_true`` and ``tau_true`` are the exact KKT residual and negative
     curvature at the iteration's start point. :func:`run` stamps them after
     :func:`iterate` returns, evaluating the exact oracle once per distinct
@@ -392,8 +392,8 @@ def iterate(
             outcome=outcome,
             step_kind=step_kind,
             soc=soc,
-            delta=state.delta,
-            eps=state.eps,
+            delta=delta,
+            eps=eps,
             mu=state.mu,
             pred=pred,
             ared=ared,

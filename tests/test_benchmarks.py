@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,9 +17,10 @@ from trsqp.benchmarks import (
     true_kkt,
 )
 from finite_differences import finite_difference_gradient, finite_difference_hessian
+from trsqp.errors import NonFiniteInput
 from trsqp.estimator import estimate_multiplier
 from trsqp.linalg import nullspace_basis, smallest_eigpair
-from trsqp.problem import _FiniteSumSampler
+from trsqp.problem import NoiselessOracle, _FiniteSumSampler
 from trsqp.solver import SolverConfig, run
 
 
@@ -138,6 +142,31 @@ class TestTrueKKT:
     def test_factor_of_another_jacobian_raises(self, x, G):
         with pytest.raises(ValueError, match="Jacobian at x"):
             true_kkt(make_saddle(), np.array(x), nullspace_basis(np.array(G)))
+
+    @pytest.mark.parametrize(
+        "gradient, hessian, name",
+        [
+            (np.full(2, np.nan), None, "exact gradient"),
+            # Finite, but ||grad_L||^2 = (2e199)^2 overflows.
+            (np.full(2, 1e200), None, "exact KKT residual"),
+            (np.ones(2), np.full((2, 2), np.inf), "exact Lagrangian Hessian"),
+        ],
+    )
+    def test_first_non_finite_quantity_is_named(self, gradient, hessian, name):
+        # The checks run in order and stop at the first failure (a None
+        # Hessian is never read), with no numpy warning on the way.
+        def exact_hessian(x):
+            assert hessian is not None, "the Hessian was evaluated"
+            return hessian
+
+        oracle = NoiselessOracle(
+            value=lambda x: 0.0, gradient=lambda x: gradient, hessian=exact_hessian
+        )
+        problem = dataclasses.replace(make_saddle(), noiseless=oracle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match=f"^{name} contains NaN or infinity$"):
+                true_kkt(problem, np.array([0.6, 0.8]))
 
 
 class TestQuadratic:

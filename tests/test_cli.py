@@ -267,10 +267,10 @@ class TestRunCommand:
         assert result["converged"] and result["invariant_violations"] == 0
 
     def test_package_error_is_an_error_line(self, tmp_path):
-        # A feature of 1e200 overflows the exact Lagrangian Hessian at x0 to
+        # A feature of 1e200 overflows the exact KKT residual at x0 to
         # infinity, so the solve raises NonFiniteInput; the command reports it
-        # as an error line that names the Hessian, not a traceback, and
-        # leaves no output directory.
+        # as one error line that names the residual, with no traceback and
+        # no numpy warning before it, and leaves no output directory.
         data = tmp_path / "huge.csv"
         data.write_text("1,1e200,0,0,0,0,0\n-1,1e200,1,0,0,0,0\n1,0,0,1,0,0,0\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -281,8 +281,7 @@ class TestRunCommand:
             env=env, capture_output=True, text=True, timeout=120, check=False,
         )
         assert proc.returncode == 1
-        assert "error: exact Lagrangian Hessian contains NaN or infinity" in proc.stderr.splitlines()
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["error: exact KKT residual contains NaN or infinity"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])

@@ -70,6 +70,29 @@ def _means_over_streams(draw, x, n, count, stream):
     return np.array([draw(x, n, stream.child(i)) for i in range(count)])
 
 
+# The law tests read nothing but the law of one batch mean, so any sampler
+# that draws from it passes with overwhelming probability, whatever its
+# keying: each statistic is checked to LAW_Z standard errors over LAW_COUNT
+# stream keys.
+LAW_Z = 5.0
+LAW_COUNT = 5_000
+LAW_VARIANCE = 0.3
+LAW_BATCHES = (1, 10, 1_000)
+
+
+def _assert_moments(errors, cov):
+    """The rows of ``errors`` (means minus their expected value) have mean 0
+    and covariance ``cov``, each entry to LAW_Z standard errors; about a
+    known mean, a sample covariance entry over N rows has variance
+    (cov_ii cov_jj + cov_ij^2) / N."""
+    count = len(errors)
+    var = np.diag(cov)
+    assert np.all(np.abs(errors.mean(axis=0)) <= LAW_Z * np.sqrt(var / count))
+    sample_cov = errors.T @ errors / count
+    cov_se = np.sqrt((np.outer(var, var) + cov**2) / count)
+    assert np.all(np.abs(sample_cov - cov) <= LAW_Z * cov_se)
+
+
 def _assert_means_match_reference(sampler, oracle, d, x, n, stream, symmetric=True):
     """Each mean equals the tensor reference in bytes, the Hessian mean is
     its own transpose, and no mean shares memory with the sampler's
@@ -141,34 +164,42 @@ class TestGaussianNoise:
             assert np.array_equal(prob.sampler.gradients(x, n, stream), prob.noiseless.gradient(x))
             assert np.array_equal(prob.sampler.hessians(x, n, stream), prob.noiseless.hessian(x))
 
-    def test_value_moments(self, noisy):
+    def test_value_moments(self):
         # The mean of n draws has mean f and variance sigma^2 / n.
-        x = np.array([1.2, 0.4])
-        f = noisy.noiseless.value(x)
-        sigma, n, count = 0.1, 10, 5_000
-        means = _means_over_streams(noisy.sampler.values, x, n, count, RngStream(1).child("v"))
-        assert abs(np.mean(means) - f) <= 4 * sigma / np.sqrt(n * count)
-        assert abs(np.var(means) - sigma**2 / n) <= 0.1 * sigma**2 / n
+        base = _smooth_problem(3, symmetric=False)
+        sampler = gaussian_noisy(base, GaussianNoiseSpec(LAW_VARIANCE)).sampler
+        x = np.array([0.4, -1.1, 0.7])
+        for n in LAW_BATCHES:
+            means = _means_over_streams(sampler.values, x, n, LAW_COUNT, RngStream(1).child(n))
+            errors = (means - base.noiseless.value(x))[:, None]
+            _assert_moments(errors, np.array([[LAW_VARIANCE / n]]))
 
     def test_gradient_covariance(self):
-        prob = gaussian_noisy(make_quadratic(), GaussianNoiseSpec(1e-1))
-        x = np.array([0.5, -0.5])
-        n = 5
-        g = prob.noiseless.gradient(x)
-        errs = _means_over_streams(prob.sampler.gradients, x, n, 5_000, RngStream(2).child("g")) - g
-        cov = errs.T @ errs / errs.shape[0]
-        expected = 1e-1 * (np.eye(2) + np.ones((2, 2))) / n
-        assert np.max(np.abs(cov - expected)) <= 0.15 * 1e-1 * 2 / n
+        # sigma^2 (I + 1 1^T) / n: one shared scalar draw per sample.
+        d = 4
+        base = _smooth_problem(d, symmetric=False)
+        sampler = gaussian_noisy(base, GaussianNoiseSpec(LAW_VARIANCE)).sampler
+        x = np.array([0.4, -1.1, 0.7, 0.2])
+        cov = LAW_VARIANCE * (np.eye(d) + np.ones((d, d)))
+        for n in LAW_BATCHES:
+            means = _means_over_streams(sampler.gradients, x, n, LAW_COUNT, RngStream(2).child(n))
+            _assert_moments(means - base.noiseless.gradient(x), cov / n)
 
-    def test_hessian_noise_symmetric_with_right_variance(self, noisy):
-        x = np.array([0.0, 1.0])
-        n = 4
-        means = _means_over_streams(noisy.sampler.hessians, x, n, 4_000, RngStream(3).child("h"))
-        assert np.max(np.abs(means - np.transpose(means, (0, 2, 1)))) == 0.0
-        noise = means - noisy.noiseless.hessian(x)
-        for i in range(2):
-            for j in range(2):
-                assert abs(np.var(noise[:, i, j]) - 1e-2 / n) <= 0.15 * 1e-2 / n
+    def test_hessian_noise_symmetric_with_right_variance(self):
+        # Around the symmetric part of a non-symmetric oracle, the d(d+1)/2
+        # upper-triangle entries are independent with variance sigma^2 / n,
+        # and every mean is exactly symmetric.
+        d = 3
+        base = _smooth_problem(d, symmetric=False)
+        sampler = gaussian_noisy(base, GaussianNoiseSpec(LAW_VARIANCE)).sampler
+        x = np.array([0.4, -1.1, 0.7])
+        H = base.noiseless.hessian(x)
+        iu = np.triu_indices(d)
+        for n in LAW_BATCHES:
+            means = _means_over_streams(sampler.hessians, x, n, LAW_COUNT, RngStream(3).child(n))
+            assert np.array_equal(means, np.transpose(means, (0, 2, 1)))
+            errors = (means - (H + H.T) / 2)[:, iu[0], iu[1]]
+            _assert_moments(errors, LAW_VARIANCE / n * np.eye(len(iu[0])))
 
     def test_constraints_never_perturbed(self, noisy):
         x = np.array([0.7, 0.7])

@@ -15,6 +15,7 @@ from trsqp.benchmarks import (
 )
 from trsqp.cli import _initial_point
 from trsqp.errors import MeritLoopDiverged, NonFiniteInput
+from trsqp.estimator import GRADIENT, HESSIAN, VALUE, batch_size
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
     DELTA_MIN,
@@ -129,6 +130,21 @@ class TestIterationRecord:
         assert "nan" in rec.csv_row().split(",")
         off = dataclasses.replace(rec, soc=False)
         assert off.csv_row().split(",")[3] == "0" and off.csv_row() == _hand_written_row(off)
+
+    def test_row_logs_the_radius_its_batches_used(self):
+        # Each row's batches are sized from its delta and eps, so the row
+        # logs the radius and reliability of its own iteration, not those
+        # the update hands to the next one.
+        prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        cfg = SolverConfig(alpha=1, max_iters=60, seed=0)
+        res = run(prob, np.array([0.999, 0.01]), cfg)
+        assert res.records[0].delta == cfg.delta0 and res.records[0].eps == cfg.eps0
+        assert len({r.delta for r in res.records}) > 5
+        for r in res.records:
+            assert r.batch_g == batch_size(GRADIENT, r.delta, math.inf, cfg)
+            assert r.batch_h == batch_size(HESSIAN, r.delta, math.inf, cfg)
+            if r.outcome != UNSUCCESSFUL_LINE6:
+                assert r.batch_f == batch_size(VALUE, r.delta, r.eps, cfg)
 
 
 class TestIterate:
