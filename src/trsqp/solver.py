@@ -375,7 +375,6 @@ def iterate(
     c_norm = linalg.vector_norm(c)
     # The iterate's one factorization of the Jacobian.
     J = state.jacobian_factor(problem)
-    G = J.G
 
     # Step 1: gradient, multiplier, KKT residual, Hessian approximation.
     est = estimator.estimate_models(
@@ -422,7 +421,7 @@ def iterate(
     # Step 3: merit loop, then value estimates at both points.
     threshold = -0.5 * decrease
     # The linearized constraint change: -gamma ||c||.
-    drop = linalg.vector_norm(c + G @ step.dx) - c_norm
+    drop = linalg.vector_norm(c + J.G @ step.dx) - c_norm
     pred = steps.predicted_reduction(grad, H, state.mu, drop, step.dx)
     dx_norm = linalg.vector_norm(step.dx)
     # Pred's roundoff scales with each of its terms. The constraint term
