@@ -82,7 +82,7 @@ def batch_size(kind: str, delta: float, eps: float, config: SolverConfig) -> int
     takes the smaller of it and eps^2. An accuracy that underflows to 0
     gives ``batch_cap``.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN fails too
         raise ValueError("delta must be positive")
     a = config.alpha
     rules = {
@@ -95,7 +95,7 @@ def batch_size(kind: str, delta: float, eps: float, config: SolverConfig) -> int
     c, p, kappa, e = rules[kind]
     accuracy = (kappa * delta**e) ** 2
     if kind == VALUE:
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ValueError("eps must be positive for value batches")
         accuracy = min(accuracy, eps**2)
     denom = p * accuracy

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import itertools
 import json
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import trsqp.rng
-from trsqp.cli import build_config, main, read_config_file
+from trsqp import benchmarks
+from trsqp.cli import build_config, build_problem, main, read_config_file
 from trsqp.errors import RankDeficient
 from trsqp.linalg import JacobianFactor, SymmetricEig
 from trsqp.solver import SolverConfig
@@ -353,6 +355,43 @@ class TestRunCommand:
         where = f"error: {cfg_file}:{line}: "
         assert err == where + (f"{key}: " if key else "") + message + "\n"
         assert not out.exists()
+
+
+class TestBuildProblem:
+    @pytest.fixture
+    def build(self, monkeypatch):
+        """Builds ``logistic-normal`` with the given flags and returns the
+        features and labels handed to the dataset constructor, then A and b."""
+        seen = []
+        original = benchmarks.make_logistic_from_data
+
+        def spy(features, labels, **kwargs):
+            seen.append((features, labels))
+            return original(features, labels, **kwargs)
+
+        monkeypatch.setattr(benchmarks, "make_logistic_from_data", spy)
+
+        def build(full_size=False, data_seed=0):
+            spec = argparse.Namespace(
+                problem="logistic-normal", full_size=full_size, data_seed=data_seed
+            )
+            problem = build_problem(spec, 0.0)
+            x = np.zeros(problem.dim)
+            return (*seen.pop(), problem.jacobian(x), -problem.constraint(x))
+
+        return build
+
+    @pytest.mark.parametrize("full_size, n_records", [(False, 6_000), (True, 60_000)])
+    def test_full_size_sets_the_record_count(self, build, full_size, n_records):
+        features, labels, _, _ = build(full_size=full_size)
+        assert features.shape == (n_records, benchmarks.SyntheticLogisticSpec.dim)
+        assert labels.shape == (n_records,)
+
+    def test_data_seed_fixes_the_dataset(self, build):
+        first, again, other = (build(data_seed=seed) for seed in (3, 3, 4))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+        features, labels, A, b = (a.tobytes() != b.tobytes() for a, b in zip(first, other))
+        assert features and A and b and not labels  # labels are an equal split
 
 
 class TestCheckCommand:

@@ -82,6 +82,31 @@ class TestBatchSize:
         config = SolverConfig(alpha=1)
         assert batch_size(kind, 1e-200, 1e-200, config) == config.batch_cap
 
+    @pytest.mark.parametrize(
+        "kind, delta, eps, message",
+        [
+            (GRADIENT, 0.0, 1.0, "delta must be positive"),
+            (VALUE, -1.0, 1.0, "delta must be positive"),
+            ("curvature", 1.0, 1.0, "unknown batch kind 'curvature'"),
+            (VALUE, 1.0, 0.0, "eps must be positive"),
+            (VALUE, 1.0, -1.0, "eps must be positive"),
+            (HESSIAN, math.nan, 1.0, "delta must be positive"),
+            (VALUE, 5.0, math.nan, "eps must be positive"),
+        ],
+        ids=[
+            "delta-zero",
+            "delta-negative",
+            "unknown-kind",
+            "eps-zero",
+            "eps-negative",
+            "delta-nan",
+            "eps-nan",
+        ],
+    )
+    def test_rejects_bad_input(self, kind, delta, eps, message):
+        with pytest.raises(ValueError, match=message):
+            batch_size(kind, delta, eps, SolverConfig())
+
 
 class TestGradientEstimate:
     def test_exact_at_zero_noise(self):

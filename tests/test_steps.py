@@ -3,6 +3,7 @@ import pytest
 
 from trsqp import linalg, steps
 from trsqp.benchmarks import make_saddle
+from trsqp.errors import SubsolverFailure
 from trsqp.steps import (
     EIGEN_STEP,
     GRADIENT_STEP,
@@ -130,6 +131,14 @@ class TestTangentialGradient:
         Z = np.eye(3)[:, :2]
         u = tangential_gradient(linalg.SymmetricEig.of(np.eye(2)), Z.T @ np.zeros(3), 1.0)
         assert np.linalg.norm(u) <= 1e-12
+
+    def test_step_short_of_cauchy_fraction_raises(self, monkeypatch):
+        # A zero step has model value 0, above the bound -2.5 of the identity
+        # model with g_r = (3, 4) at radius 1.
+        monkeypatch.setattr(linalg.SymmetricEig, "trs", lambda self, g, radius: np.zeros_like(g))
+        reduced = linalg.SymmetricEig.of(np.eye(2))
+        with pytest.raises(SubsolverFailure, match="misses the Cauchy fraction bound"):
+            tangential_gradient(reduced, np.array([3.0, 4.0]), 1.0)
 
 
 class TestTangentialEigen:
