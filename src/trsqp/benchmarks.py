@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .problem import (
     exact_problem,
     finite_sum_problem,
 )
+
+if TYPE_CHECKING:
+    from .solver import SolverState
 
 __all__ = [
     "make_quadratic",
@@ -242,7 +246,7 @@ def make_logistic(spec: SyntheticLogisticSpec, rng: np.random.Generator) -> Prob
 
 
 def true_kkt(
-    problem: Problem, x: np.ndarray, factor: linalg.JacobianFactor | None = None
+    problem: Problem, x: np.ndarray, state: SolverState | None = None
 ) -> tuple[float, float]:
     """Exact KKT residual norm and negative curvature at a point.
 
@@ -251,23 +255,21 @@ def true_kkt(
     eigenvalue of the reduced Lagrangian Hessian. One SVD of G and one
     eigendecomposition of the reduced Hessian serve both.
 
-    ``factor``, such as the solver's at the iterate, must be of the bits of
-    ``problem.jacobian(x)`` (else ``ValueError``); G is exact data, so its
-    factor is no estimate. Without it G is factored here. The first of the
+    A solver ``state`` on ``problem`` at the bits of x, its memo's key, lends
+    its c and factor of G; any other state is not read. The first of the
     exact gradient, KKT residual and Lagrangian Hessian that is not finite
     raises ``NonFiniteInput`` naming it, with numpy's warnings silenced.
     """
     oracle = problem.require_noiseless()
     x = np.asarray(x, dtype=float)
-    G = np.asarray(problem.jacobian(x), dtype=float)
-    if factor is None:
-        factor = linalg.nullspace_basis(G)
-    elif factor.G.shape != G.shape or factor.G.tobytes() != G.tobytes():
-        raise ValueError("factor is not a factor of the Jacobian at x")
+    if state is not None and state.x.tobytes() == x.tobytes():
+        c, factor = state.constraint(problem), state.jacobian_factor(problem)
+    else:
+        c, factor = problem.constraint(x), linalg.nullspace_basis(problem.jacobian(x))
     with np.errstate(over="ignore", invalid="ignore"):
         grad = oracle.gradient(x)
         linalg._require_finite(grad, what="exact gradient")
-        lam, _, kkt = estimator.kkt_residual(factor, grad, problem.constraint(x))
+        lam, _, kkt = estimator.kkt_residual(factor, grad, c)
         linalg._require_finite(kkt, what="exact KKT residual")
         H = oracle.hessian(x) + estimator._lagrangian_term(problem, x, lam)
         linalg._require_finite(H, what="exact Lagrangian Hessian")

@@ -26,8 +26,19 @@ from .solver import IterationRecord, SolverConfig, run
 
 PROBLEM_CHOICES = ("saddle", "logistic-normal", "logistic-exponential", "quadratic")
 
+
+def nonnegative_int(raw: str) -> int:
+    """A seed: an int of at least 0, as the start-point and dataset
+    generators require."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 # Flat key=value names accepted in config files, with the type each parses to.
 _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
+_CONFIG_TYPES["seed"] = nonnegative_int
 
 
 def read_config_file(path) -> dict:
@@ -48,7 +59,7 @@ def read_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = _CONFIG_TYPES[key](raw)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
@@ -225,14 +236,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument("--alpha", type=int, choices=(0, 1), default=None)
     runp.add_argument("--noise", type=float, nargs="+", default=[0.0], help="noise variances")
-    runp.add_argument("--seeds", type=int, nargs="+", default=None)
+    runp.add_argument("--seeds", type=nonnegative_int, nargs="+", default=None)
     runp.add_argument("--max-iters", type=int, default=None)
     runp.add_argument("--kkt-tol", type=float, default=None)
     runp.add_argument("--hessian", choices=tuple(estimator.HESSIAN_STRATEGIES), default=None)
     runp.add_argument("--out", default="runs", help="output directory")
     runp.add_argument("--config", default=None, help="key=value config file")
     runp.add_argument("--full-size", action="store_true", help="full-size logistic datasets")
-    runp.add_argument("--data-seed", type=int, default=0, help="dataset generation seed")
+    runp.add_argument(
+        "--data-seed", type=nonnegative_int, default=0, help="dataset generation seed"
+    )
 
     sub.add_parser("check", help="check this installation's reproducibility and TRS solve")
     return parser

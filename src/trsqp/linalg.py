@@ -200,7 +200,7 @@ class SymmetricEig:
         Safeguarded secular-equation root finding in the eigenbasis covers
         the interior, boundary and hard cases of More and Sorensen (1983), so
         the Cauchy-decrease fraction is 1. A root-finding overshoot is
-        scaled back onto the sphere.
+        scaled back onto the sphere, at a pole by its bottom part alone.
         """
         g = np.asarray(g, dtype=float)
         _require_finite(g)
@@ -268,9 +268,17 @@ class SymmetricEig:
         while radius_gap(hi) > 0.0:
             hi = 2.0 * hi + 1.0
         u = shifted(_brentq(radius_gap, lo, hi))
+        if lam_min > 0.0:
+            return Q @ u
         # Near the hard case the pole at -lam_min is too sharp for Brent to reach
-        # the sphere, though a minimizer lies on it whenever lam_min <= 0.
-        return Q @ u if lam_min > 0.0 else to_boundary(u)
+        # the sphere, though a minimizer lies on it whenever lam_min <= 0. Short
+        # of the root, p passes the sphere through its bottom part alone: shrink
+        # only that part, so the rest of p stays exact. An all-bottom u is left
+        # to trs's uniform rescale, the same step.
+        rest = float(u[~bottom] @ u[~bottom])
+        if not bottom.all() and rest < radius**2 < float(u @ u):
+            u[bottom] *= math.sqrt(radius**2 - rest) / vector_norm(u[bottom])
+        return to_boundary(u)
 
 
 def _brentq(f, xa: float, xb: float, xtol=1e-18, rtol=4 * np.finfo(float).eps, maxiter=200):

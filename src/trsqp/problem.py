@@ -102,11 +102,11 @@ class _GaussianSampler:
     whose covariance is sigma^2 (I + ones ones^T); Hessian noise fills the
     upper triangle (diagonal included) with i.i.d. N(0, sigma^2) and mirrors
     it. Draws are keyed by (stream, evaluation point), so identical points
-    see identical noise and distinct points are independent. A mean is
-    bitwise ``np.mean`` of the old per-draw tensor; a Hessian's is summed
-    over the upper triangle around (H + H^T) / 2 (H itself for a symmetric
-    oracle) and mirrored, so it is exactly symmetric. At zero noise it is
-    the exact oracle's value.
+    see identical noise and distinct points are independent. A gradient or
+    Hessian mean sums its draws in draw order, and a value mean is
+    ``np.mean`` of its draws; a Hessian's is summed over the upper triangle
+    around (H + H^T) / 2 (H itself for a symmetric oracle) and mirrored, so
+    it is exactly symmetric. At zero noise it is the exact oracle's value.
 
     The draws live in one workspace array that the sampler reuses and grows
     only for a larger batch, so a call allocates nothing that grows with n.
@@ -131,8 +131,7 @@ class _GaussianSampler:
     @staticmethod
     def _draw_order_mean(rows, n):
         """Row means of a (k, n) block of draws. ``cumsum`` adds the draws
-        one at a time in draw order, as ``np.mean`` over axis 0 of the
-        (n, k) tensor did, so the bits match; a row sum would be pairwise."""
+        one at a time in draw order; a row sum would be pairwise."""
         return np.cumsum(rows, axis=1, out=rows)[:, -1] / n
 
     def values(self, x, n, stream):

@@ -193,14 +193,11 @@ class SolverState:
         return self.at_g[1]
 
     def exact_kkt(self, problem: Problem) -> tuple[float, float]:
-        """:func:`benchmarks.true_kkt` at the iterate, evaluated once per
-        distinct iterate on the iterate's factor of G; NaNs when the problem
-        has no noiseless oracle."""
+        """:func:`benchmarks.true_kkt` on the iterate's c and factor of G, once
+        per distinct iterate; NaNs when the problem has no noiseless oracle."""
         if problem.noiseless is None:
             return math.nan, math.nan
-        return self._at_iterate(
-            "kkt", lambda x: benchmarks.true_kkt(problem, x, self.jacobian_factor(problem))
-        )
+        return self._at_iterate("kkt", lambda x: benchmarks.true_kkt(problem, x, self))
 
 
 @dataclass

@@ -21,7 +21,7 @@ from trsqp.errors import NonFiniteInput
 from trsqp.estimator import estimate_multiplier
 from trsqp.linalg import nullspace_basis, smallest_eigpair
 from trsqp.problem import NoiselessOracle, _FiniteSumSampler
-from trsqp.solver import SolverConfig, run
+from trsqp.solver import SolverConfig, SolverState, run
 
 
 class _Drawn:
@@ -117,9 +117,10 @@ class TestTrueKKT:
                 got = np.array(true_kkt(problem, x))
                 assert got.tobytes() == np.array(_two_factor_kkt(problem, x)).tobytes()
 
-    def test_given_factor_gives_the_same_bits(self, monkeypatch):
-        # The same bits of G give the same SVD, so the solver's factor at the
-        # iterate serves the reference as its own would; no SVD is run.
+    def test_given_state_gives_the_same_bits(self, monkeypatch):
+        # A solver state at x lends the c and factor of G its memo holds, and
+        # the same bits of G give the same SVD, so the reference reads them as
+        # its own: G and c are not evaluated again and no SVD is run.
         rng = np.random.default_rng(15)
         logistic = make_logistic(
             SyntheticLogisticSpec(dim=5, n_records=50, num_constraints=2), rng
@@ -128,20 +129,34 @@ class TestTrueKKT:
         for problem, d in cases:
             for _ in range(10):
                 x = rng.uniform(-1.5, 1.5, size=d)
-                factor = nullspace_basis(problem.jacobian(x))
+                state = SolverState.initial(problem, x, SolverConfig())
+                state.constraint(problem), state.jacobian_factor(problem)
+                spent = dataclasses.replace(problem, constraint=None, jacobian=None)
                 with monkeypatch.context() as patch:
                     patch.setattr(np.linalg, "svd", None)
-                    got = np.array(true_kkt(problem, x, factor))
+                    got = np.array(true_kkt(spent, x.copy(), state))
                 assert got.tobytes() == np.array(true_kkt(problem, x)).tobytes()
 
     @pytest.mark.parametrize(
-        "x, G",
-        [([0.6, 0.8], [[1.6, 1.2]]), ([0.6, 0.8], [[1.0, 0.0, 0.0]]), ([1.0, -0.0], [[2.0, 0.0]])],
-        ids=["another point", "another shape", "sign of zero"],  # G(1, -0) = [[2, -0]]
+        "x, at",
+        [([0.6, 0.8], [0.8, 0.6]), ([0.6, 0.8], [0.6, 0.8, 0.0]), ([1.0, -0.0], [1.0, 0.0])],
+        ids=["another point", "another shape", "sign of zero"],
     )
-    def test_factor_of_another_jacobian_raises(self, x, G):
-        with pytest.raises(ValueError, match="Jacobian at x"):
-            true_kkt(make_saddle(), np.array(x), nullspace_basis(np.array(G)))
+    def test_state_at_another_point_is_not_read(self, x, at):
+        # Only the bits of x key the state's memo: a state anywhere else, -0
+        # for 0 included, is not read, and G is evaluated and factored here.
+        class Unread:
+            def __init__(self, x):
+                self.x = np.array(x)
+
+            def constraint(self, problem):
+                raise AssertionError("the state was read")
+
+            jacobian_factor = constraint
+
+        x = np.array(x)
+        got = np.array(true_kkt(make_saddle(), x, Unread(at)))
+        assert got.tobytes() == np.array(true_kkt(make_saddle(), x)).tobytes()
 
     @pytest.mark.parametrize(
         "gradient, hessian, name",

@@ -142,6 +142,32 @@ class TestRunCommand:
         assert (out / f"quadratic_noise0_seed{want}.csv").exists()
 
     @pytest.mark.parametrize(
+        "problem, flags, config, message",
+        [
+            ("saddle", ["--seeds", "0", "-1001"], None,
+             "trsqp run: error: argument --seeds: must be nonnegative, got -1001"),
+            ("logistic-normal", ["--data-seed", "-913001"], None,
+             "trsqp run: error: argument --data-seed: must be nonnegative, got -913001"),
+            ("quadratic", [], "seed = -5\n",
+             "error: {cfg}:1: seed: must be nonnegative, got -5"),
+        ],
+        ids=["seeds", "data-seed", "config-seed"],
+    )  # fmt: skip
+    def test_negative_seed_is_an_error(self, tmp_path, capsys, problem, flags, config, message):
+        # The saddle's start and the logistic dataset draw from
+        # default_rng(1000 + seed) and default_rng(913_000 + data_seed), so a
+        # negative seed is rejected, by name and value, before any build.
+        cfg = tmp_path / "seed.cfg"
+        if config is not None:
+            cfg.write_text(config)
+            flags = flags + ["--config", str(cfg)]
+        out = tmp_path / "o"
+        code = run_cli(["run", "--problem", problem, "--out", str(out), *flags])
+        assert code == (1 if config else 2)
+        assert capsys.readouterr().err.splitlines()[-1] == message.format(cfg=cfg)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, clash",
         [
             (["--noise", "0.1", "0.10000001"],

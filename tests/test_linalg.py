@@ -349,6 +349,63 @@ class TestTrsSolve:
         with pytest.raises(NonFiniteInput):
             trs_solve(np.eye(2), np.array([np.inf, 0.0]), 1.0)
 
+    @staticmethod
+    def near_pole_draws(seed, count):
+        """A zero bottom eigenvalue of multiplicity 2-5 and one to three others
+        in U(0.1, 3), diagonal and rotated in turn, g's bottom part at
+        radius 10^-U(13, 15.7) and radius 10^U(3.3, 4.5): the secular root lies
+        within about 1e-13 of the pole at 0. Yields H, g, the radius and the
+        exact model, evaluated in the known eigenbasis, since in the rotated
+        frame the kernel part of u amplifies the roundoff of H u."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            k = int(rng.integers(2, 6))
+            n = k + int(rng.integers(1, 4))
+            w = np.concatenate([np.zeros(k), rng.uniform(0.1, 3.0, n - k)])
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0] if i % 2 else np.eye(n)
+            radius = 10.0 ** rng.uniform(3.3, 4.5)
+            gq = rng.standard_normal(n)
+            bottom = rng.standard_normal(k)
+            gq[:k] = bottom / np.linalg.norm(bottom) * radius * 10.0 ** -rng.uniform(13.0, 15.7)
+            H = (Q * w) @ Q.T
+
+            def model(u, w=w, Q=Q, gq=gq):
+                uq = Q.T @ u
+                return float(0.5 * (w * uq) @ uq + gq @ uq)
+
+            yield 0.5 * (H + H.T), Q @ gq, radius, model
+
+    @pytest.mark.parametrize("side", ["overshoot", "shortfall"])
+    def test_near_pole_meets_cauchy(self, monkeypatch, side):
+        # Brent stops within its tolerance of a root that lies within 1e-13 of
+        # the pole, on either side of it. Short of the root only the bottom
+        # part of p overshoots the sphere, and it alone shrinks back; past the
+        # root to_boundary fills the shortfall along e_0. Scaling all of p back
+        # instead missed the Cauchy value on 4 of these 400 draws, by up to
+        # 3.7e-7 relative.
+        import trsqp.linalg
+
+        brentq, gaps = trsqp.linalg._brentq, []
+
+        def spy(f, *args, **kwargs):
+            root = brentq(f, *args, **kwargs)
+            gaps.append(f(root))
+            return root
+
+        monkeypatch.setattr(trsqp.linalg, "_brentq", spy)
+        seen = 0
+        for H, g, radius, model in self.near_pole_draws(3, 400):
+            gaps.clear()
+            u = trs_solve(H, g, radius)
+            assert len(gaps) == 1
+            if (gaps[0] > 0.0) != (side == "overshoot"):
+                continue
+            seen += 1
+            assert np.linalg.norm(u) <= radius * (1 + 1e-12)
+            mc = model(cauchy_point(H, g, radius))
+            assert model(u) <= mc + 1e-10 * max(1.0, abs(mc))
+        assert seen >= 100
+
 
 class TestSymmetricEig:
     def test_one_factor_serves_every_reader(self):

@@ -14,7 +14,7 @@ from trsqp.benchmarks import (
     true_kkt,
 )
 from trsqp.cli import _initial_point
-from trsqp.errors import MeritLoopDiverged, NonFiniteInput
+from trsqp.errors import MeritLoopDiverged, NonFiniteInput, RankDeficient
 from trsqp.estimator import GRADIENT, HESSIAN, VALUE, batch_size
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
@@ -224,7 +224,8 @@ class TestIterate:
     @pytest.mark.parametrize("name", ["quadratic", "logistic"])
     def test_constant_jacobian_factored_once_per_run(self, monkeypatch, name):
         # An affine constraint has the same G at every iterate: a run factors
-        # it once, and true_kkt reads that one factor at each distinct iterate.
+        # it once, and true_kkt reads that one factor off the state at each
+        # distinct iterate.
         import trsqp.benchmarks
         import trsqp.linalg
 
@@ -244,9 +245,10 @@ class TestIterate:
             svds.append(1)
             return svd(G)
 
-        def exact(problem, x, factor=None):
-            factors.append(factor)
-            return true_kkt(problem, x, factor)
+        def exact(problem, x, state=None):
+            assert state.x.tobytes() == x.tobytes()
+            factors.append(state.jacobian_factor(problem))
+            return true_kkt(problem, x, state)
 
         monkeypatch.setattr(trsqp.linalg, "_checked_svd", counting)
         monkeypatch.setattr(trsqp.benchmarks, "true_kkt", exact)
@@ -257,7 +259,7 @@ class TestIterate:
         assert res.converged and accepted > 1
         assert len(svds) == 1
         assert len(factors) == 1 + accepted
-        assert factors[0] is not None and all(f is factors[0] for f in factors)
+        assert all(f is factors[0] for f in factors)
 
     def test_moving_jacobian_factored_once_per_distinct_iterate(self, monkeypatch):
         # The saddle's G moves with x. A run, its exact reference included,
@@ -324,6 +326,33 @@ class TestIterate:
         assert any(r.outcome in accepted for r in result.records)
         assert socs > 0
         assert len(calls) == 1 + trials + socs
+
+    def test_exact_reference_reads_the_iterates_c_and_g(self):
+        # With the noiseless oracle attached, true_kkt reads c and G off the
+        # state at each distinct iterate: G is evaluated once there, and c at
+        # x0 and at each trial point, SOC trial points included.
+        base = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        calls = {"constraint": [], "jacobian": []}
+
+        def counting(name):
+            def oracle(x):
+                calls[name].append(x.tobytes())
+                return getattr(base, name)(x)
+
+            return oracle
+
+        prob = dataclasses.replace(
+            base, constraint=counting("constraint"), jacobian=counting("jacobian")
+        )
+        cfg = SolverConfig(alpha=1, kkt_tol=0.0, max_iters=60, seed=0)
+        result = run(prob, np.array([1.0, 0.005]), cfg)
+        trials = sum(r.outcome != UNSUCCESSFUL_LINE6 for r in result.records)
+        socs = sum(r.soc for r in result.records)
+        accepted = (SUCCESSFUL_RELIABLE, SUCCESSFUL_UNRELIABLE)
+        steps = sum(r.outcome in accepted for r in result.records)
+        assert steps > 0 and socs > 0 and not math.isnan(result.final_kkt)
+        assert len(calls["constraint"]) == 1 + trials + socs
+        assert len(calls["jacobian"]) == len(set(calls["jacobian"])) == 1 + steps
 
     def test_assigned_iterate_gets_a_fresh_constraint(self):
         base = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
@@ -576,6 +605,39 @@ class TestRun:
         assert sum(res.invariants.checked.values()) > 0
         assert res.invariants.total_violations == 0
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact-stop", "estimate-stop"])
+    def test_vanishing_jacobian_at_the_start_raises(self, exact):
+        # The circle's G = 2x is 0 at its center. Its first factorization, by
+        # the exact reference or by iteration 0, raises; no step is taken.
+        prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        if not exact:
+            prob = dataclasses.replace(prob, noiseless=None)
+        with pytest.raises(RankDeficient, match="smallest singular value 0.000e"):
+            run(prob, np.zeros(2), SolverConfig(alpha=1, seed=0))
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-9])
+    def test_nearly_parallel_constraint_rows(self, eps):
+        # Rows (1, 1, 0) and (1, 1 + eps, 0) have singular values near 2 and
+        # eps / 2: below RANK_TOL's ratio at eps = 1e-11, just above it at 1e-9,
+        # where the run must converge all the same.
+        A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + eps, 0.0]])
+        oracle = NoiselessOracle(
+            value=lambda x: float(0.5 * x @ x),
+            gradient=lambda x: x.copy(),
+            hessian=lambda x: np.eye(3),
+        )
+        prob = exact_problem(
+            3, 2, oracle, lambda x: A @ x - 1.0, lambda x: A.copy(), lambda x: np.zeros((2, 3, 3))
+        )
+        x0, cfg = np.array([3.0, -1.0, 2.0]), SolverConfig(alpha=1, kkt_tol=1e-4, seed=0)
+        if eps < 1e-10:
+            with pytest.raises(RankDeficient):
+                run(prob, x0, cfg)
+            return
+        res = run(prob, x0, cfg)
+        assert res.converged and res.state.k == 4
+        assert sum(res.invariants.checked.values()) > 0 and res.invariants.total_violations == 0
+
     def test_saddle_escape_single_run(self):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-8))
         cfg = SolverConfig(alpha=1, kkt_tol=1e-4, max_iters=2000, seed=0)
@@ -599,9 +661,9 @@ class TestRun:
         x0 = np.array([1.0, 0.003])
         calls = []
 
-        def counting(problem, x, factor=None):
+        def counting(problem, x, state=None):
             calls.append(1)
-            return true_kkt(problem, x, factor)
+            return true_kkt(problem, x, state)
 
         monkeypatch.setattr(trsqp.benchmarks, "true_kkt", counting)
         res = run(prob, x0, cfg)
