@@ -42,22 +42,19 @@ __all__ = [
 GRAM_BLOCK = 2048
 
 
-def _analytic_problem(dim, m, f, g, h, c, G, c_hess, name):
-    oracle = NoiselessOracle(value=f, gradient=g, hessian=h)
-    return exact_problem(dim, m, oracle, c, G, c_hess, name=name)
-
-
 def make_quadratic() -> Problem:
     """min 0.5 ||x||^2 subject to x1 + x2 = 1; solution (0.5, 0.5), lambda = -0.5."""
-    return _analytic_problem(
+    return exact_problem(
         dim=2,
-        m=1,
-        f=lambda x: float(0.5 * x @ x),
-        g=lambda x: x.astype(float).copy(),
-        h=lambda x: np.eye(2),
-        c=lambda x: np.array([x[0] + x[1] - 1.0]),
-        G=lambda x: np.array([[1.0, 1.0]]),
-        c_hess=lambda x: np.zeros((1, 2, 2)),
+        num_constraints=1,
+        oracle=NoiselessOracle(
+            value=lambda x: float(0.5 * x @ x),
+            gradient=lambda x: x.astype(float).copy(),
+            hessian=lambda x: np.eye(2),
+        ),
+        constraint=lambda x: np.array([x[0] + x[1] - 1.0]),
+        jacobian=lambda x: np.array([[1.0, 1.0]]),
+        constraint_hessians=lambda x: np.zeros((1, 2, 2)),
         name="quadratic",
     )
 
@@ -68,15 +65,17 @@ def make_saddle() -> Problem:
     Two stationary points: a local minimum at (-1, 0) and a saddle at (1, 0),
     where the reduced Lagrangian Hessian has curvature -1.
     """
-    return _analytic_problem(
+    return exact_problem(
         dim=2,
-        m=1,
-        f=lambda x: float(2.0 * x[0] + 0.5 * x[1] ** 2),
-        g=lambda x: np.array([2.0, x[1]]),
-        h=lambda x: np.diag([0.0, 1.0]),
-        c=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
-        G=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
-        c_hess=lambda x: 2.0 * np.eye(2)[None, :, :],
+        num_constraints=1,
+        oracle=NoiselessOracle(
+            value=lambda x: float(2.0 * x[0] + 0.5 * x[1] ** 2),
+            gradient=lambda x: np.array([2.0, x[1]]),
+            hessian=lambda x: np.diag([0.0, 1.0]),
+        ),
+        constraint=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
+        jacobian=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+        constraint_hessians=lambda x: 2.0 * np.eye(2)[None, :, :],
         name="saddle",
     )
 

@@ -149,6 +149,7 @@ def cmd_run(args: argparse.Namespace, config: SolverConfig) -> int:
                     "final_tau": result.final_tau,
                     "final_x": [float(v) for v in result.state.x],
                     "invariant_violations": result.invariants.total_violations,
+                    "invariant_worst": result.invariants.worst,
                     "wall_time": result.wall_time,
                 }
             )

@@ -89,5 +89,5 @@ class RngStream:
         xdig = hashlib.blake2b(x.tobytes(), digest_size=16).hexdigest()
         return _generator(_digest((self.seed,) + self.path + (xdig,)))
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path!r})"

@@ -112,6 +112,24 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["runs"][0]["converged"] is True
 
+    def test_hessian_from_config_file(self, tmp_path):
+        # The file's hessian reaches the solve: at noise 1e-4 SR1 updates
+        # the model, so its trajectory is the flag's and not identity's.
+        common = "eta = 0.3\nmax_iters = 200\n"
+        runs = {
+            "file": (common + "hessian = sr1\n", []),
+            "flag": (common, ["--hessian", "sr1"]),
+            "identity": (common, []),
+        }
+        csv = {}
+        for tag, (config, flags) in runs.items():
+            cfg, out = tmp_path / f"{tag}.cfg", tmp_path / tag
+            cfg.write_text(config)
+            args = ["run", "--problem", "quadratic", "--noise", "1e-4", "--config", str(cfg)]
+            assert run_cli(args + ["--out", str(out), *flags]) == 0
+            csv[tag] = (out / "quadratic_noise0.0001_seed0.csv").read_bytes()
+        assert csv["file"] == csv["flag"] != csv["identity"]
+
     def test_seed_env_is_ignored(self, tmp_path, monkeypatch):
         # The seeds come from --seeds or the config file alone, so a
         # TRSQP_SEED in the environment changes no byte.
@@ -242,6 +260,9 @@ class TestRunCommand:
         assert code == 0
         (result,) = json.loads((out / "summary.json").read_text())["runs"]
         assert result["invariant_violations"] > 0
+        # Each check's worst margin, the value it compares with its tolerance.
+        worst = result["invariant_worst"]
+        assert "cauchy_fraction" in worst and worst["step_within_radius"] > 1e-10
 
     def test_csv_problem(self, tmp_path):
         data = tmp_path / "toy.csv"
@@ -412,6 +433,10 @@ class TestBuildProblem:
         features, labels, _, _ = build(full_size=full_size)
         assert features.shape == (n_records, benchmarks.SyntheticLogisticSpec.dim)
         assert labels.shape == (n_records,)
+
+    def test_unknown_problem_is_an_error(self):
+        with pytest.raises(ValueError, match="unknown problem 'mystery'"):
+            build_problem(argparse.Namespace(problem="mystery"), 0.0)
 
     def test_data_seed_fixes_the_dataset(self, build):
         first, again, other = (build(data_seed=seed) for seed in (3, 3, 4))

@@ -448,6 +448,10 @@ class TestSpectralNorm:
     def test_vector_row(self):
         assert spectral_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_empty_is_zero(self, shape):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+
 
 def secular_equations(rng, count):
     """Random secular equations ||(W + lam I)^{-1} g|| = radius with a
@@ -535,14 +539,23 @@ class TestAgainstScipyDecompositions:
             assert fac.w.tobytes() == w.tobytes() and fac.Q.tobytes() == Q.tobytes()
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
+    # A solve and the check, in one process that could import scipy, must
+    # not: the library needs only numpy.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, trsqp, trsqp.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import sys\n"
+        "from trsqp.cli import main\n"
+        "solve = ['run', '--problem', 'saddle', '--noise', '1e-4', '--max-iters', '20',\n"
+        "         '--out', sys.argv[1]]\n"
+        "if main(solve) or main(['check']):\n"
+        "    sys.exit('a command failed')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["[]"]
+        [sys.executable, "-c", code, str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )  # fmt: skip
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "runs" / "summary.json").exists()

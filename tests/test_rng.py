@@ -32,6 +32,10 @@ def test_point_generator_keyed_by_bits():
     assert not np.array_equal(a, d)
 
 
+def test_repr_names_seed_and_path():
+    assert repr(RngStream(3).child(1, "grad")) == "RngStream(seed=3, path=(1, 'grad'))"
+
+
 def test_order_independence():
     parent = RngStream(11)
     first = parent.child(0).generator().standard_normal(4)

@@ -278,6 +278,14 @@ class TestBuildTrialStep:
         H_r = Z.T @ H @ Z
         assert step.u @ H_r @ step.u <= -1.0 * delta**2 * (1 - 1e-12)
 
+    def test_unknown_kind_is_an_error(self):
+        prob = make_saddle()
+        x = np.array([1.0, 0.0])
+        c, J = prob.constraint(x), linalg.JacobianFactor.of(prob.jacobian(x))
+        grad, H = prob.noiseless.gradient(x), prob.noiseless.hessian(x)
+        with pytest.raises(ValueError, match="unknown step kind 'diagonal'"):
+            build_trial_step("diagonal", c, J, grad, H, 1.0, grad, 0.4, J.reduce(H))
+
 
 def _affine_problem():
     from trsqp.problem import NoiselessOracle, exact_problem
