@@ -11,6 +11,7 @@ and finite-sum subsampling over a dataset of per-record oracles.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
@@ -326,5 +327,9 @@ def check_labeled_data(features, labels) -> tuple[np.ndarray, np.ndarray]:
 def load_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a dataset CSV: first column is the label in {-1, +1}, the rest
     are features. Returns ``(features, labels)``."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[0] == 0:
+        raise EmptyDataset(f"{path} has no records")
     return check_labeled_data(data[:, 1:], data[:, 0])

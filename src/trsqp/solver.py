@@ -255,10 +255,14 @@ class InvariantReport:
     violations: dict = field(default_factory=dict)
     worst: dict = field(default_factory=dict)
 
-    def add(self, name: str, ok: bool, margin: float) -> None:
+    def add(self, name: str, excess: float, allowed: float) -> None:
+        """Count one check of ``excess <= allowed`` (``allowed > 0``). Its margin,
+        excess / allowed, is above 1 exactly when it fails; a NaN reads as inf."""
         self.checked[name] = self.checked.get(name, 0) + 1
-        if not ok:
+        margin = float(excess) / float(allowed)
+        if not excess <= allowed:
             self.violations[name] = self.violations.get(name, 0) + 1
+            margin = margin if margin > 1.0 else math.inf  # a NaN side
         self.worst[name] = max(self.worst.get(name, -math.inf), margin)
 
     @property
@@ -311,50 +315,36 @@ def _stop_measure(kkt: float, tau_plus: float, config: SolverConfig) -> float:
 def check_step(report, step, c, J, grad, H, delta):
     """Re-verify a constructed trial step against its defining inequalities,
     adding one row per inequality to ``report``."""
-    G, Z = J.G, J.Z
-    split = step.split
-    pyth = abs(split.normal**2 + split.tangential**2 - delta**2)
-    report.add("radius_split_pythagorean", pyth <= 1e-10 * delta**2, pyth / delta**2)
+    breve, tilde = step.split.normal, step.split.tangential
+    report.add("radius_split_pythagorean", abs(breve**2 + tilde**2 - delta**2), 1e-10 * delta**2)
 
     dx_norm = linalg.vector_norm(step.dx)
-    excess = (dx_norm - delta) / delta
-    report.add("step_within_radius", excess <= 1e-10, excess)
+    report.add("step_within_radius", (dx_norm - delta) / delta, 1e-10)
 
-    w_norm = linalg.vector_norm(step.w)
-    t_norm = linalg.vector_norm(step.t)
+    scale = linalg.vector_norm(step.w) * linalg.vector_norm(step.t)
     ortho = abs(float(step.w @ step.t))
-    scale = w_norm * t_norm
-    report.add("normal_tangential_orthogonal", ortho <= 1e-10 * max(scale, 1e-300), ortho)
+    report.add("normal_tangential_orthogonal", ortho, 1e-10 * max(scale, 1e-300))
 
     c_norm = linalg.vector_norm(c)
-    lin = linalg.vector_norm(c + G @ step.dx)
-    target = (1.0 - step.gamma) * c_norm
-    denom = max(c_norm, float(np.linalg.norm(G.ravel())) * dx_norm, 1e-300)
-    gap = abs(lin - target)
-    report.add("linearized_feasibility", gap <= 1e-8 * denom, gap / denom)
+    gap = abs(linalg.vector_norm(c + J.G @ step.dx) - (1.0 - step.gamma) * c_norm)
+    denom = max(c_norm, float(np.linalg.norm(J.G.ravel())) * dx_norm, 1e-300)
+    report.add("linearized_feasibility", gap, 1e-8 * denom)
 
-    g_r = Z.T @ (grad + H @ step.w)
-    H_r = Z.T @ H @ Z
-    m_u = linalg.model_value(H_r, g_r, step.u)
+    g_r = J.Z.T @ (grad + H @ step.w)
+    H_r = J.Z.T @ H @ J.Z
     if step.kind == steps.GRADIENT_STEP:
         # Its own SVD norm, so the check does not lean on the step's factor.
-        rhs, slack = steps.cauchy_bound(
-            linalg.vector_norm(g_r), linalg.spectral_norm(H_r), split.tangential
-        )
-        report.add("cauchy_fraction", m_u - rhs <= slack, m_u - rhs)
+        rhs, slack = steps.cauchy_bound(linalg.vector_norm(g_r), linalg.spectral_norm(H_r), tilde)
+        report.add("cauchy_fraction", linalg.model_value(H_r, g_r, step.u) - rhs, slack)
     else:
         tau_plus = linalg.SymmetricEig.of(H_r).tau_plus
-        desc = float(g_r @ step.u)
-        desc_scale = linalg.vector_norm(g_r) * linalg.vector_norm(step.u)
-        report.add("eigen_descent", desc <= 1e-12 * max(desc_scale, 1e-300), desc)
-        u_excess = linalg.vector_norm(step.u) - split.tangential
-        report.add(
-            "eigen_within_radius", u_excess <= 1e-12 * max(split.tangential, 1e-300), u_excess
-        )
-        curv_val = float(step.u @ (H_r @ step.u))
-        curv_rhs = -tau_plus * split.tangential**2
-        curv_margin = curv_val - curv_rhs
-        report.add("eigen_curvature", curv_margin <= 1e-10 * abs(curv_rhs), curv_margin)
+        u_norm = linalg.vector_norm(step.u)
+        desc_scale = linalg.vector_norm(g_r) * u_norm
+        report.add("eigen_descent", float(g_r @ step.u), 1e-12 * max(desc_scale, 1e-300))
+        report.add("eigen_within_radius", u_norm - tilde, 1e-12 * max(tilde, 1e-300))
+        curv_rhs = -tau_plus * tilde**2
+        curv_excess = float(step.u @ (H_r @ step.u)) - curv_rhs
+        report.add("eigen_curvature", curv_excess, 1e-10 * max(abs(curv_rhs), 1e-300))
 
 
 def iterate(
@@ -445,7 +435,7 @@ def iterate(
 
     if report is not None:
         check_step(report, step, c, J, grad, H, delta)
-        report.add("pred_threshold", pred - threshold <= slack, pred - threshold)
+        report.add("pred_threshold", pred - threshold, slack)
 
     x_trial = x + step.dx
     f_k, f_s, batch_f = estimator.estimate_values(

@@ -260,9 +260,11 @@ class TestRunCommand:
         assert code == 0
         (result,) = json.loads((out / "summary.json").read_text())["runs"]
         assert result["invariant_violations"] > 0
-        # Each check's worst margin, the value it compares with its tolerance.
+        # Each check's worst excess over its tolerance: above 1 for the broken
+        # row only.
         worst = result["invariant_worst"]
-        assert "cauchy_fraction" in worst and worst["step_within_radius"] > 1e-10
+        assert "cauchy_fraction" in worst and worst["step_within_radius"] > 1
+        assert all(margin <= 1 for name, margin in worst.items() if name != "step_within_radius")
 
     def test_csv_problem(self, tmp_path):
         data = tmp_path / "toy.csv"
@@ -317,21 +319,27 @@ class TestRunCommand:
 
     def test_package_error_is_an_error_line(self, tmp_path):
         # A feature of 1e200 overflows the exact KKT residual at x0 to
-        # infinity, so the solve raises NonFiniteInput; the command reports it
-        # as one error line that names the residual, with no traceback and
-        # no numpy warning before it, and leaves no output directory.
-        data = tmp_path / "huge.csv"
-        data.write_text("1,1e200,0,0,0,0,0\n-1,1e200,1,0,0,0,0\n1,0,0,1,0,0,0\n")
+        # infinity, so the solve raises NonFiniteInput; a file with no records
+        # raises EmptyDataset. The command reports each as one error line,
+        # with no traceback and no numpy warning before it, and leaves no
+        # output directory.
+        huge, empty = tmp_path / "huge.csv", tmp_path / "empty.csv"
+        huge.write_text("1,1e200,0,0,0,0,0\n-1,1e200,1,0,0,0,0\n1,0,0,1,0,0,0\n")
+        empty.write_text("")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "trsqp.cli", "run", "--problem", f"csv:{data}",
-             "--alpha", "1", "--out", str(tmp_path / "o")],
-            env=env, capture_output=True, text=True, timeout=120, check=False,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error: exact KKT residual contains NaN or infinity"]
-        assert not (tmp_path / "o").exists()
+        for data, message in [
+            (huge, "exact KKT residual contains NaN or infinity"),
+            (empty, f"{empty} has no records"),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "trsqp.cli", "run", "--problem", f"csv:{data}",
+                 "--alpha", "1", "--out", str(tmp_path / "o")],
+                env=env, capture_output=True, text=True, timeout=120, check=False,
+            )
+            assert proc.returncode == 1
+            assert proc.stderr.splitlines() == [f"error: {message}"]
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
     def test_invalid_noise_is_an_error(self, tmp_path, capsys, noise):
@@ -458,6 +466,7 @@ class TestCheckCommand:
         passed = self.rows(out, "PASS")
         assert len(passed) == 2 and not self.rows(out, "FAIL")
         assert all(name in row for name, row in zip(self.ROWS, passed))
+        assert re.search(r"0 invariant violations, worst margin \d\.\de-\d\d \(\w+\)$", passed[0])
         assert out.splitlines()[-1] == "2/2 checks passed"
 
     def test_short_trs_fails_only_the_trs_row(self, capsys, monkeypatch):

@@ -147,6 +147,30 @@ class TestIterationRecord:
                 assert r.batch_f == batch_size(VALUE, r.delta, r.eps, cfg)
 
 
+class TestInvariantReport:
+    def test_margin_is_excess_over_allowed(self):
+        # Each row counts a check, fails when its excess is above what it
+        # allows, and keeps the largest excess / allowed: above 1 exactly
+        # when the row has a counted violation. A NaN fails as an infinite one.
+        report = InvariantReport()
+        rows = [
+            ("a", -3.0, 1.5), ("a", 0.75, 1.5), ("b", 1e-10, 1e-10),
+            ("c", 2.0, 1.0), ("c", 0.5, 1.0), ("d", math.nan, 1e-12),
+            ("e", 1e-310 * (1 + 2**-20), 1e-310), ("f", np.float64(1e300), 1e-300),
+        ]  # fmt: skip
+        for row in rows:
+            report.add(*row)
+        assert report.checked == {"a": 2, "b": 1, "c": 2, "d": 1, "e": 1, "f": 1}
+        assert report.violations == {"c": 1, "d": 1, "e": 1, "f": 1}
+        assert report.total_violations == 4
+        worst = report.worst
+        assert {k: worst[k] for k in "abcdf"} == {
+            "a": 0.5, "b": 1.0, "c": 2.0, "d": math.inf, "f": math.inf,
+        }  # fmt: skip
+        assert 1.0 < worst["e"] < 1.0 + 1e-5  # a subnormal allowed side
+        assert {name for name, margin in worst.items() if margin > 1} == set(report.violations)
+
+
 class TestIterate:
     def test_line6_at_solution(self):
         # Exact solution, zero noise, small radius: the progress criterion
