@@ -94,7 +94,7 @@ def build_problem(spec: argparse.Namespace, noise: float):
     if name == "saddle":
         return gaussian_noisy(benchmarks.make_saddle(), GaussianNoiseSpec(noise))
     if name.startswith(("logistic-", "csv:")):
-        data_rng = np.random.default_rng(913_000 + spec.data_seed)
+        data_rng = np.random.default_rng(913_000 + (spec.data_seed or 0))
         if name.startswith("csv:"):
             features, labels = load_labeled_csv(name[4:])
             return benchmarks.make_logistic_from_data(features, labels, rng=data_rng)
@@ -246,9 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--out", default="runs", help="output directory")
     runp.add_argument("--config", default=None, help="key=value config file")
     runp.add_argument("--full-size", action="store_true", help="full-size logistic datasets")
-    runp.add_argument(
-        "--data-seed", type=nonnegative_int, default=0, help="dataset generation seed"
-    )
+    runp.add_argument("--data-seed", type=nonnegative_int, help="dataset seed (default 0)")
 
     sub.add_parser("check", help="check this installation's reproducibility and TRS solve")
     return parser
@@ -264,6 +262,10 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown problem {args.problem!r}; choose from "
             f"{', '.join(PROBLEM_CHOICES)} or csv:<path>"
         )
+    if args.full_size and not args.problem.startswith("logistic-"):
+        parser.error("--full-size applies only to logistic-* problems")
+    if args.data_seed is not None and not args.problem.startswith(("logistic-", "csv:")):
+        parser.error("--data-seed applies only to logistic-* and csv: problems")
     overrides = {
         "alpha": args.alpha,
         "max_iters": args.max_iters,

@@ -14,8 +14,7 @@ class NonFiniteInput(TrsqpError):
 
 
 class SubsolverFailure(TrsqpError):
-    """A trust-region subsolver failed: its secular-equation root was not
-    found, or its step missed the fraction-of-Cauchy guarantee."""
+    """The trust-region solve's secular-equation root was not found."""
 
 
 class MeritLoopDiverged(TrsqpError):

@@ -52,8 +52,8 @@ def _require_finite(*arrays, what: str = "input") -> None:
 
 
 def _checked_svd(G: np.ndarray):
-    """SVD of an m-by-d Jacobian, m <= d, with a full-row-rank check."""
-    _require_finite(G)
+    """SVD of an m-by-d constraint Jacobian, m <= d, with a full-row-rank check."""
+    _require_finite(G, what="constraint Jacobian")
     if G.ndim != 2 or G.shape[0] > G.shape[1]:
         raise ValueError(f"expected an m-by-d Jacobian with m <= d, got shape {G.shape}")
     m = G.shape[0]
@@ -164,11 +164,10 @@ def cauchy_point(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymmetricEig:
-    """One eigendecomposition S = Q diag(w) Q^T, w ascending, of the input
+    """One eigendecomposition Q diag(w) Q^T, w ascending, of a matrix S
     symmetrized as (S + S^T)/2. The smallest eigenpair, the norm and the
     trust-region solve all read it."""
 
-    S: np.ndarray
     w: np.ndarray
     Q: np.ndarray
 
@@ -176,9 +175,7 @@ class SymmetricEig:
     def of(cls, S: np.ndarray) -> "SymmetricEig":
         S = np.asarray(S, dtype=float)
         _require_finite(S)
-        S = 0.5 * (S + S.T)
-        w, Q = np.linalg.eigh(S)
-        return cls(S=S, w=w, Q=Q)
+        return cls(*np.linalg.eigh(0.5 * (S + S.T)))
 
     def smallest(self) -> tuple[float, np.ndarray]:
         """Smallest eigenvalue and a unit eigenvector."""

@@ -155,6 +155,7 @@ class SolverState:
         x0 = np.asarray(x0, dtype=float).copy()
         if x0.shape != (problem.dim,):
             raise ValueError(f"x0 must have shape ({problem.dim},)")
+        linalg._require_finite(x0, what="x0")
         return cls(
             x=x0,
             delta=config.delta0,
@@ -334,8 +335,9 @@ def check_step(report, step, c, J, grad, H, delta):
     H_r = J.Z.T @ H @ J.Z
     if step.kind == steps.GRADIENT_STEP:
         # Its own SVD norm, so the check does not lean on the step's factor.
-        rhs, slack = steps.cauchy_bound(linalg.vector_norm(g_r), linalg.spectral_norm(H_r), tilde)
-        report.add("cauchy_fraction", linalg.model_value(H_r, g_r, step.u) - rhs, slack)
+        rhs = -0.5 * steps.cauchy_decrease(linalg.vector_norm(g_r), linalg.spectral_norm(H_r), tilde)
+        m_u = linalg.model_value(H_r, g_r, step.u)
+        report.add("cauchy_fraction", m_u - rhs, 1e-10 * max(1.0, abs(rhs)))
     else:
         tau_plus = linalg.SymmetricEig.of(H_r).tau_plus
         u_norm = linalg.vector_norm(step.u)
@@ -444,10 +446,10 @@ def iterate(
 
     def ratio_test(x_s, f_s):
         """c at the trial point ``x_s``, Ared (the estimated merit change from
-        x to x_s) and whether Ared / Pred reaches eta."""
+        x to x_s) and whether Ared / Pred reaches eta; Pred >= 0 or NaN never does."""
         c_s = _constraint(problem, x_s)
         ared = f_s - f_k + state.mu * (linalg.vector_norm(c_s) - c_norm)
-        return c_s, ared, ared / pred >= config.eta
+        return c_s, ared, pred < 0.0 and ared / pred >= config.eta
 
     # Step 4: ratio test, with one second-order-correction retry for
     # second-order runs near the feasible manifold.

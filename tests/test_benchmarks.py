@@ -183,6 +183,12 @@ class TestTrueKKT:
             with pytest.raises(NonFiniteInput, match=f"^{name} contains NaN or infinity$"):
                 true_kkt(problem, np.array([0.6, 0.8]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jacobian_is_named(self, bad):
+        problem = dataclasses.replace(make_saddle(), jacobian=lambda x: np.array([[bad, 1.0]]))
+        with pytest.raises(NonFiniteInput, match="^constraint Jacobian contains NaN or infinity$"):
+            true_kkt(problem, np.array([0.6, 0.8]))
+
 
 class TestQuadratic:
     def test_solution_is_stationary(self):

@@ -206,6 +206,48 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {clash}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "problem, flags, message",
+        [
+            ("saddle", ["--full-size"], "--full-size applies only to logistic-* problems"),
+            ("csv:data.csv", ["--full-size"], "--full-size applies only to logistic-* problems"),
+            ("quadratic", ["--data-seed", "7"],
+             "--data-seed applies only to logistic-* and csv: problems"),
+            ("saddle", ["--data-seed", "0"],
+             "--data-seed applies only to logistic-* and csv: problems"),
+        ],
+        ids=["full-size-saddle", "full-size-csv", "data-seed-quadratic", "data-seed-saddle"],
+    )  # fmt: skip
+    def test_flag_that_does_nothing_is_an_error(
+        self, tmp_path, capsys, monkeypatch, problem, flags, message
+    ):
+        # The flag would change no run, so it is argparse's error, exit code 2,
+        # before any problem is built.
+        def unreachable(*args):
+            raise AssertionError("a problem was built")
+
+        monkeypatch.setattr("trsqp.cli.build_problem", unreachable)
+        out = tmp_path / "o"
+        assert run_cli(["run", "--problem", problem, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"trsqp: error: {message}"
+        assert not out.exists()
+
+    def test_subproblem_fault_is_recorded(self, tmp_path, monkeypatch):
+        # A subproblem solve that returns zeros misses the Cauchy fraction and
+        # predicts no decrease once feasible. Every run of the sweep records
+        # both rows, rejects those steps and stops at the radius floor.
+        monkeypatch.setattr(SymmetricEig, "trs", lambda self, g, radius: np.zeros_like(g))
+        out = tmp_path / "runs"
+        args = ["run", "--problem", "saddle", "--alpha", "1", "--noise", "1e-4", "1e-2",
+                "--seeds", "0", "1", "--out", str(out)]  # fmt: skip
+        assert run_cli(args) == 0
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert len(runs) == 4
+        for result in runs:
+            assert result["stop_reason"] == "radius-floor"
+            assert result["invariant_worst"]["cauchy_fraction"] > 1
+            assert result["invariant_worst"]["pred_threshold"] > 1
+
     def test_hessian_names_match_config(self, tmp_path, capsys):
         # The flag takes the config file's names, so "identity" runs and
         # the old "id" spelling is an argparse error.

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/, in
+Python's dev mode with every warning an error."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ def test_demo_runs(demo):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

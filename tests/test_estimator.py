@@ -243,7 +243,7 @@ class TestHessianStrategies:
             strat, prob, x, lam, g + G.T @ lam, 1.0, config, RngStream(0).child(0)
         )
         reduced = J.reduce(H)
-        assert reduced.S == pytest.approx(np.array([[3.0]]), abs=1e-12)
+        assert reduced.w == pytest.approx([3.0], abs=1e-12)
         assert reduced.tau_plus == 0.0
 
     def test_sr1_secant_and_skip(self):

@@ -16,6 +16,7 @@ from trsqp.benchmarks import (
 from trsqp.cli import _initial_point
 from trsqp.errors import MeritLoopDiverged, NonFiniteInput, RankDeficient
 from trsqp.estimator import GRADIENT, HESSIAN, VALUE, batch_size
+from trsqp.linalg import SymmetricEig
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
     DELTA_MIN,
@@ -200,6 +201,21 @@ class TestIterate:
             _, rec = iterate(state, prob, cfg)
             assert rec.outcome == UNSUCCESSFUL_LINE6
             assert rec.kkt_est == 0.0 and rec.tau_est == 0.0
+
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize("pred", [0.0, math.nan], ids=["zero", "nan"])
+    def test_step_predicting_no_decrease_is_rejected(self, monkeypatch, alpha, pred):
+        # At a feasible point of an affine constraint the merit term cannot
+        # lower Pred, so the merit loop leaves it as is. Ared / Pred is never
+        # formed for a Pred that predicts no decrease: at Pred = 0 it would
+        # divide by zero. At alpha = 1 the SOC retry is rejected the same way.
+        monkeypatch.setattr(steps, "predicted_reduction", lambda *a: pred)
+        prob, x0 = make_quadratic(), np.array([2.0, -1.0])
+        cfg = SolverConfig(alpha=alpha, seed=0)
+        state, rec = iterate(SolverState.initial(prob, x0, cfg), prob, cfg)
+        assert rec.outcome == UNSUCCESSFUL_REJECTED
+        assert rec.step_kind == "gradient" and rec.soc == (alpha == 1)
+        assert np.array_equal(state.x, x0) and state.delta == cfg.delta0 / cfg.gamma
 
     def test_saddle_selects_eigen(self):
         # At the saddle with zero noise: KKT residual 0, curvature 1, so the
@@ -554,6 +570,36 @@ class TestRun:
         cfg = SolverConfig(alpha=0, max_iters=5, seed=0)
         with pytest.raises(MeritLoopDiverged, match="merit parameter overflowed at k=0"):
             run(make_quadratic(), np.array([3.0, -1.0]), cfg)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0_raises_before_any_oracle_call(self, bad):
+        def unreachable(x):
+            raise AssertionError("an oracle was called")
+
+        prob = dataclasses.replace(make_quadratic(), constraint=unreachable, jacobian=unreachable)
+        with pytest.raises(NonFiniteInput, match="^x0 contains NaN or infinity$"):
+            run(prob, np.array([bad, 0.0]), SolverConfig(seed=0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact-stop", "estimate-stop"])
+    def test_non_finite_jacobian_is_named(self, bad, exact):
+        # The exact reference factors G first, iteration 0 otherwise; both name it.
+        prob = dataclasses.replace(make_quadratic(), jacobian=lambda x: np.array([[1.0, bad]]))
+        if not exact:
+            prob = dataclasses.replace(prob, noiseless=None)
+        with pytest.raises(NonFiniteInput, match="^constraint Jacobian contains NaN or infinity$"):
+            run(prob, np.array([3.0, -1.0]), SolverConfig(seed=0))
+
+    def test_zero_trs_step_is_a_recorded_fault(self, monkeypatch):
+        # A subproblem solve that returns zeros misses the Cauchy fraction and,
+        # once the iterate is feasible, predicts no decrease. The run records
+        # both rows, rejects the steps and stops at the radius floor.
+        monkeypatch.setattr(SymmetricEig, "trs", lambda self, g, radius: np.zeros_like(g))
+        res = run(make_quadratic(), np.array([3.0, -1.0]), SolverConfig(max_iters=500, seed=0))
+        assert res.stop_reason == "radius-floor"
+        assert res.invariants.violations.keys() == {"cauchy_fraction", "pred_threshold"}
+        assert res.invariants.worst["cauchy_fraction"] > 1
+        assert res.invariants.worst["pred_threshold"] > 1
 
     def test_x0_of_wrong_shape_raises(self):
         with pytest.raises(ValueError, match=r"x0 must have shape \(2,\)"):
