@@ -254,17 +254,18 @@ def true_kkt(
     eigenvalue of the reduced Lagrangian Hessian. One SVD of G and one
     eigendecomposition of the reduced Hessian serve both.
 
+    x and c(x) pass ``run``'s checks, ``Problem.point`` and ``constraint_value``.
     A solver ``state`` on ``problem`` at the bits of x, its memo's key, lends
     its c and factor of G; any other state is not read. The first of the
     exact gradient, KKT residual and Lagrangian Hessian that is not finite
     raises ``NonFiniteInput`` naming it, with numpy's warnings silenced.
     """
     oracle = problem.require_noiseless()
-    x = np.asarray(x, dtype=float)
+    x = problem.point(x)
     if state is not None and state.x.tobytes() == x.tobytes():
         c, factor = state.constraint(problem), state.jacobian_factor(problem)
     else:
-        c, factor = problem.constraint(x), linalg.nullspace_basis(problem.jacobian(x))
+        c, factor = problem.constraint_value(x), linalg.nullspace_basis(problem.jacobian(x))
     with np.errstate(over="ignore", invalid="ignore"):
         grad = oracle.gradient(x)
         linalg._require_finite(grad, what="exact gradient")

@@ -223,7 +223,8 @@ def cmd_check() -> int:
     return 0 if failures == 0 else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``trsqp`` parser and its ``run`` subparser, which reports run usage errors."""
     parser = argparse.ArgumentParser(
         prog="trsqp",
         description="Trust-region SQP solver benchmarks for stochastic "
@@ -249,23 +250,23 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--data-seed", type=nonnegative_int, help="dataset seed (default 0)")
 
     sub.add_parser("check", help="check this installation's reproducibility and TRS solve")
-    return parser
+    return parser, runp
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, runp = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "check":
         return cmd_check()
     if args.problem not in PROBLEM_CHOICES and not args.problem.startswith("csv:"):
-        parser.error(
+        runp.error(
             f"unknown problem {args.problem!r}; choose from "
             f"{', '.join(PROBLEM_CHOICES)} or csv:<path>"
         )
     if args.full_size and not args.problem.startswith("logistic-"):
-        parser.error("--full-size applies only to logistic-* problems")
+        runp.error("--full-size applies only to logistic-* problems")
     if args.data_seed is not None and not args.problem.startswith(("logistic-", "csv:")):
-        parser.error("--data-seed applies only to logistic-* and csv: problems")
+        runp.error("--data-seed applies only to logistic-* and csv: problems")
     overrides = {
         "alpha": args.alpha,
         "max_iters": args.max_iters,

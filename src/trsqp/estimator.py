@@ -131,18 +131,17 @@ def estimate_values(
     stream: RngStream,
 ) -> tuple[float, float, int]:
     """Batch-mean value estimates at the current and trial points from one
-    stream key (the Step-3 estimate): one record set for a finite-sum
+    stream object (the Step-3 estimate): one record set for a finite-sum
     sampler, independent noise for the Gaussian one."""
-    n = batch_size(VALUE, delta, eps, config)
-    f_k = float(_sampled(problem, "values", x_k, n, stream))
-    f_s = float(_sampled(problem, "values", x_s, n, stream))
+    f_k, n = estimate_value(problem, x_k, delta, eps, config, stream)
+    f_s, _ = estimate_value(problem, x_s, delta, eps, config, stream)
     return f_k, f_s, n
 
 
 def estimate_value(
     problem: Problem, x: np.ndarray, delta: float, eps: float, config: SolverConfig, stream: RngStream
 ) -> tuple[float, int]:
-    """Single-point value estimate on a fresh sample set (SOC re-estimation)."""
+    """Batch-mean value estimate at ``x`` (the SOC re-estimate on its own stream)."""
     n = batch_size(VALUE, delta, eps, config)
     return float(_sampled(problem, "values", x, n, stream)), n
 

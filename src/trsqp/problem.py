@@ -17,6 +17,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
+from . import linalg
 from .errors import EmptyDataset, MissingNoiselessOracle
 from .rng import RngStream
 
@@ -82,6 +83,20 @@ class Problem:
         if self.noiseless is None:
             raise MissingNoiselessOracle(f"problem {self.name!r} has no exact oracle")
         return self.noiseless
+
+    def point(self, x, name: str = "x") -> np.ndarray:
+        """A caller's point as a new float array of shape (dim,) with only finite entries."""
+        x = np.array(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"{name} must have shape ({self.dim},)")
+        linalg._require_finite(x, what=name)
+        return x
+
+    def constraint_value(self, x: np.ndarray) -> np.ndarray:
+        """c(x); a NaN or infinite value is an error, not a rejected step."""
+        c = self.constraint(x)
+        linalg._require_finite(c, what="constraint value")
+        return c
 
 
 @dataclass(frozen=True)

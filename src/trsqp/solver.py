@@ -152,12 +152,8 @@ class SolverState:
 
     @classmethod
     def initial(cls, problem: Problem, x0: np.ndarray, config: SolverConfig) -> "SolverState":
-        x0 = np.asarray(x0, dtype=float).copy()
-        if x0.shape != (problem.dim,):
-            raise ValueError(f"x0 must have shape ({problem.dim},)")
-        linalg._require_finite(x0, what="x0")
         return cls(
-            x=x0,
+            x=problem.point(x0, name="x0"),
             delta=config.delta0,
             eps=config.eps0,
             mu=config.mu0,
@@ -179,7 +175,7 @@ class SolverState:
 
     def constraint(self, problem: Problem) -> np.ndarray:
         """c(x) at the iterate, evaluated once per distinct iterate."""
-        return self._at_iterate("c", lambda x: _constraint(problem, x))
+        return self._at_iterate("c", problem.constraint_value)
 
     def jacobian_factor(self, problem: Problem) -> linalg.JacobianFactor:
         """The factor of G(x) at the iterate. G is evaluated once per distinct
@@ -288,13 +284,6 @@ class RunResult:
         return self.stop_reason == "converged"
 
 
-def _constraint(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """c(x); a NaN or infinite value is an error, not a rejected step."""
-    c = problem.constraint(x)
-    linalg._require_finite(c, what="constraint value")
-    return c
-
-
 def _shrink_eps(eps: float, config: SolverConfig) -> float:
     """The reliability parameter after an unreliable or failed iteration."""
     return max(eps / config.gamma, EPS_FLOOR)
@@ -313,9 +302,10 @@ def _stop_measure(kkt: float, tau_plus: float, config: SolverConfig) -> float:
     return kkt if config.alpha == 0 else max(kkt, tau_plus)
 
 
-def check_step(report, step, c, J, grad, H, delta):
+def check_step(report, step, c, J, grad, H, delta, tau_plus):
     """Re-verify a constructed trial step against its defining inequalities,
-    adding one row per inequality to ``report``."""
+    adding one row per inequality to ``report``. ``tau_plus`` is the
+    iteration's, read off the one decomposition of the same Z^T H Z."""
     breve, tilde = step.split.normal, step.split.tangential
     report.add("radius_split_pythagorean", abs(breve**2 + tilde**2 - delta**2), 1e-10 * delta**2)
 
@@ -339,7 +329,6 @@ def check_step(report, step, c, J, grad, H, delta):
         m_u = linalg.model_value(H_r, g_r, step.u)
         report.add("cauchy_fraction", m_u - rhs, 1e-10 * max(1.0, abs(rhs)))
     else:
-        tau_plus = linalg.SymmetricEig.of(H_r).tau_plus
         u_norm = linalg.vector_norm(step.u)
         desc_scale = linalg.vector_norm(g_r) * u_norm
         report.add("eigen_descent", float(g_r @ step.u), 1e-12 * max(desc_scale, 1e-300))
@@ -436,7 +425,7 @@ def iterate(
         pred = steps.predicted_reduction(grad, H, state.mu, drop, step.dx)
 
     if report is not None:
-        check_step(report, step, c, J, grad, H, delta)
+        check_step(report, step, c, J, grad, H, delta, tau_plus)
         report.add("pred_threshold", pred - threshold, slack)
 
     x_trial = x + step.dx
@@ -447,7 +436,7 @@ def iterate(
     def ratio_test(x_s, f_s):
         """c at the trial point ``x_s``, Ared (the estimated merit change from
         x to x_s) and whether Ared / Pred reaches eta; Pred >= 0 or NaN never does."""
-        c_s = _constraint(problem, x_s)
+        c_s = problem.constraint_value(x_s)
         ared = f_s - f_k + state.mu * (linalg.vector_norm(c_s) - c_norm)
         return c_s, ared, pred < 0.0 and ared / pred >= config.eta
 

@@ -189,6 +189,29 @@ class TestTrueKKT:
         with pytest.raises(NonFiniteInput, match="^constraint Jacobian contains NaN or infinity$"):
             true_kkt(problem, np.array([0.6, 0.8]))
 
+    def test_non_finite_constraint_value_is_named(self):
+        # Named as run names it, not as the NaN KKT residual it would give.
+        problem = dataclasses.replace(make_saddle(), constraint=lambda x: np.full(1, np.nan))
+        with pytest.raises(NonFiniteInput, match="^constraint value contains NaN or infinity$"):
+            true_kkt(problem, np.array([0.6, 0.8]))
+
+    @pytest.mark.parametrize("x", [[0.6, 0.8, 0.0], [0.6], [[0.6, 0.8]]], ids=["3", "1", "1x2"])
+    def test_point_of_wrong_shape_raises(self, x):
+        # Rejected as run rejects x0: the oracles would read the first two
+        # entries of a 3-entry x, and index past a 1-entry one.
+        with pytest.raises(ValueError, match=r"^x must have shape \(2,\)$"):
+            true_kkt(make_saddle(), np.array(x))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_named(self, bad):
+        # Named as x before any oracle call, not as the NaN Jacobian it gives.
+        def unreachable(x):
+            raise AssertionError("an oracle was called")
+
+        problem = dataclasses.replace(make_saddle(), constraint=unreachable, jacobian=unreachable)
+        with pytest.raises(NonFiniteInput, match="^x contains NaN or infinity$"):
+            true_kkt(problem, np.array([bad, 0.8]))
+
 
 class TestQuadratic:
     def test_solution_is_stationary(self):

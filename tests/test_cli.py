@@ -62,7 +62,9 @@ class TestRunCommand:
     def test_unknown_problem_exits_2(self, tmp_path, capsys):
         code = run_cli(["run", "--problem", "mystery", "--out", str(tmp_path)])
         assert code == 2
-        assert "usage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trsqp run")
+        assert err.splitlines()[-1].startswith("trsqp run: error: unknown problem 'mystery'")
 
     def test_quadratic_run_converges(self, tmp_path):
         out = tmp_path / "q"
@@ -221,15 +223,15 @@ class TestRunCommand:
     def test_flag_that_does_nothing_is_an_error(
         self, tmp_path, capsys, monkeypatch, problem, flags, message
     ):
-        # The flag would change no run, so it is argparse's error, exit code 2,
-        # before any problem is built.
+        # The flag would change no run, so it is the run parser's error, exit
+        # code 2, before any problem is built.
         def unreachable(*args):
             raise AssertionError("a problem was built")
 
         monkeypatch.setattr("trsqp.cli.build_problem", unreachable)
         out = tmp_path / "o"
         assert run_cli(["run", "--problem", problem, "--out", str(out), *flags]) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == f"trsqp: error: {message}"
+        assert capsys.readouterr().err.splitlines()[-1] == f"trsqp run: error: {message}"
         assert not out.exists()
 
     def test_subproblem_fault_is_recorded(self, tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from trsqp.benchmarks import true_kkt
 from trsqp.estimator import HESSIAN_STRATEGIES
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import SolverConfig, run
@@ -90,3 +91,7 @@ def test_random_solves_stop_cleanly_and_repeat(instance, with_oracle):
     assert first.state.x.tobytes() == second.state.x.tobytes()
     if not with_oracle:
         assert all(math.isnan(r.kkt_true) for r in first.records)
+    else:
+        # The standalone reference and the solver's path into it agree.
+        standalone = np.array(true_kkt(problem, first.state.x))
+        assert standalone.tobytes() == np.array([first.final_kkt, first.final_tau]).tobytes()

@@ -16,7 +16,7 @@ from trsqp.benchmarks import (
 from trsqp.cli import _initial_point
 from trsqp.errors import MeritLoopDiverged, NonFiniteInput, RankDeficient
 from trsqp.estimator import GRADIENT, HESSIAN, VALUE, batch_size
-from trsqp.linalg import SymmetricEig
+from trsqp.linalg import SymmetricEig, nullspace_basis
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.solver import (
     DELTA_MIN,
@@ -30,6 +30,7 @@ from trsqp.solver import (
     IterationRecord,
     SolverConfig,
     SolverState,
+    check_step,
     iterate,
     run,
 )
@@ -229,6 +230,29 @@ class TestIterate:
         assert rec.tau_est == pytest.approx(1.0, abs=1e-12)
         assert rec.soc
         assert rec.outcome in (SUCCESSFUL_RELIABLE, SUCCESSFUL_UNRELIABLE)
+
+    def test_eigen_step_check_reads_the_iterations_tau(self, monkeypatch):
+        # At the saddle (1, 0), grad f = (2, 0), lambda = -1 and the Lagrangian
+        # Hessian is diag(-2, -1), so Z^T H Z = -1 and tau_plus = 1. The check
+        # reads the tau_plus of the iteration's one decomposition of that
+        # matrix and decomposes none of its own.
+        prob, x, delta = make_saddle(), np.array([1.0, 0.0]), 0.5
+        c, J = prob.constraint(x), nullspace_basis(prob.jacobian(x))
+        grad, H = np.array([2.0, 0.0]), np.diag([-2.0, -1.0])
+        reduced = J.reduce(H)
+        step = steps.build_trial_step(
+            steps.EIGEN_STEP, c, J, grad, H, 2.0, np.zeros(2), delta, reduced
+        )
+
+        def unreachable(*args):
+            raise AssertionError("check_step decomposed Z^T H Z")
+
+        monkeypatch.setattr(SymmetricEig, "of", unreachable)
+        report = InvariantReport()
+        check_step(report, step, c, J, grad, H, delta, reduced.tau_plus)
+        assert reduced.tau_plus == 1.0
+        assert {"eigen_descent", "eigen_within_radius", "eigen_curvature"} <= set(report.checked)
+        assert report.violations == {}
 
     def test_one_jacobian_factorization_per_iteration(self, monkeypatch):
         # The null-space basis, multiplier, normal step, SOC pull and the
