@@ -254,23 +254,21 @@ def true_kkt(
     eigenvalue of the reduced Lagrangian Hessian. One SVD of G and one
     eigendecomposition of the reduced Hessian serve both.
 
-    x and c(x) pass ``run``'s checks, ``Problem.point`` and ``constraint_value``.
-    A solver ``state`` on ``problem`` at the bits of x, its memo's key, lends
-    its c and factor of G; any other state is not read. The first of the
-    exact gradient, KKT residual and Lagrangian Hessian that is not finite
+    Every oracle output passes the ``Problem`` check that ``run`` uses. A
+    solver ``state`` on ``problem`` at the bits of x, its memo's key, lends
+    its c and factor of G; any other state is not read. Finite parts can
+    still overflow: a KKT residual or Lagrangian Hessian that is not finite
     raises ``NonFiniteInput`` naming it, with numpy's warnings silenced.
     """
-    oracle = problem.require_noiseless()
+    problem.require_noiseless()
     x = problem.point(x)
     if state is not None and state.x.tobytes() == x.tobytes():
         c, factor = state.constraint(problem), state.jacobian_factor(problem)
     else:
-        c, factor = problem.constraint_value(x), linalg.nullspace_basis(problem.jacobian(x))
+        c, factor = problem.constraint_value(x), linalg.nullspace_basis(problem.jacobian_value(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = oracle.gradient(x)
-        linalg._require_finite(grad, what="exact gradient")
-        lam, _, kkt = estimator.kkt_residual(factor, grad, c)
+        lam, _, kkt = estimator.kkt_residual(factor, problem.exact("gradient", x), c)
         linalg._require_finite(kkt, what="exact KKT residual")
-        H = oracle.hessian(x) + estimator._lagrangian_term(problem, x, lam)
+        H = problem.exact("hessian", x) + problem.lagrangian_term(x, lam)
         linalg._require_finite(H, what="exact Lagrangian Hessian")
     return kkt, factor.reduce(H).tau_plus

@@ -273,9 +273,12 @@ def main(argv: list[str] | None = None) -> int:
         "kkt_tol": args.kkt_tol,
         "hessian": args.hessian,
     }
+    args.noise = [noise + 0.0 for noise in args.noise]  # -0 is noise 0
     try:
-        file_values = read_config_file(args.config) if args.config else {}
-        return cmd_run(args, build_config(file_values, overrides))
+        config = build_config(read_config_file(args.config) if args.config else {}, overrides)
+        if args.hessian is not None and config.alpha == 1:
+            runp.error("--hessian applies only to --alpha 0 runs")
+        return cmd_run(args, config)
     except (ValueError, OSError, errors.TrsqpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -105,20 +105,12 @@ def batch_size(kind: str, delta: float, eps: float, config: SolverConfig) -> int
     return int(min(max(math.ceil(raw), 1), config.batch_cap))
 
 
-def _sampled(problem: Problem, kind: str, x: np.ndarray, n: int, stream: RngStream):
-    """The sampler's batch mean of ``kind`` ("values", "gradients" or
-    "hessians"); raises NonFiniteInput when it holds a NaN or infinity."""
-    mean = getattr(problem.sampler, kind)(x, n, stream)
-    linalg._require_finite(mean, what=f"sampled {kind}")
-    return mean
-
-
 def estimate_gradient(
     problem: Problem, x: np.ndarray, delta: float, config: SolverConfig, stream: RngStream
 ) -> tuple[np.ndarray, int]:
     """Batch-mean gradient estimate at ``x``."""
     n = batch_size(GRADIENT, delta, math.inf, config)
-    return _sampled(problem, "gradients", x, n, stream), n
+    return problem.mean("gradients", x, n, stream), n
 
 
 def estimate_values(
@@ -143,7 +135,7 @@ def estimate_value(
 ) -> tuple[float, int]:
     """Batch-mean value estimate at ``x`` (the SOC re-estimate on its own stream)."""
     n = batch_size(VALUE, delta, eps, config)
-    return float(_sampled(problem, "values", x, n, stream)), n
+    return float(problem.mean("values", x, n, stream)), n
 
 
 def estimate_multiplier(G: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -159,14 +151,6 @@ def kkt_residual(
     lam = J.multiplier(grad)
     grad_l = grad + J.G.T @ lam
     return lam, grad_l, math.sqrt(grad_l @ grad_l + c @ c)
-
-
-def _lagrangian_term(problem: Problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """sum_i lam_i * hess(c_i)(x): the one ``np.dot`` that
-    ``np.tensordot(lam, Hc, axes=1)`` runs, without its argument handling."""
-    Hc = problem.constraint_hessians(x)
-    m = Hc.shape[0]
-    return np.dot(lam.reshape(1, m), Hc.reshape(m, -1)).reshape(Hc.shape[1:])
 
 
 class IdentityHessian:
@@ -215,8 +199,8 @@ class AveragedLagrangianHessian:
         self._buffer: deque = deque(maxlen=window)
 
     def build(self, problem, x, lam, grad_l, delta, config, stream):
-        sample = _sampled(problem, "hessians", x, 1, stream)
-        self._buffer.append(sample + _lagrangian_term(problem, x, lam))
+        sample = problem.mean("hessians", x, 1, stream)
+        self._buffer.append(sample + problem.lagrangian_term(x, lam))
         return np.mean(self._buffer, axis=0), 1
 
 
@@ -225,7 +209,7 @@ class BatchedLagrangianHessian:
 
     def build(self, problem, x, lam, grad_l, delta, config, stream):
         n = batch_size(HESSIAN, delta, math.inf, config)
-        return _sampled(problem, "hessians", x, n, stream) + _lagrangian_term(problem, x, lam), n
+        return problem.mean("hessians", x, n, stream) + problem.lagrangian_term(x, lam), n
 
 
 # First-order Hessian strategies by config name, as zero-argument constructors.

@@ -48,6 +48,8 @@ class ObjectiveSampler(Protocol):
     mean of ``n = 1`` is one draw. One ``stream`` key at two points reuses
     the same records in the finite-sum sampler; the Gaussian sampler keys
     its draws by the point too, so its noise at two points is independent.
+    The solver reads a sampler only through :meth:`Problem.mean`, which
+    rejects a mean whose shape is not ``()``, ``(dim,)`` or ``(dim, dim)``.
     """
 
     def values(self, x: np.ndarray, n: int, stream: RngStream) -> float: ...
@@ -63,7 +65,7 @@ class Problem:
 
     Constraint oracles are deterministic; the objective is accessed only
     through ``sampler`` unless a noiseless oracle is attached for
-    benchmarking.
+    benchmarking. The methods below are the one reader of each oracle field.
     """
 
     dim: int
@@ -84,19 +86,44 @@ class Problem:
             raise MissingNoiselessOracle(f"problem {self.name!r} has no exact oracle")
         return self.noiseless
 
+    @staticmethod
+    def _checked(value, shape: tuple, what: str) -> np.ndarray:
+        """``value`` as a float array of ``shape``, else an error naming ``what``."""
+        value = np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise ValueError(f"{what} must have shape {shape}")
+        linalg._require_finite(value, what=what)
+        return value
+
     def point(self, x, name: str = "x") -> np.ndarray:
         """A caller's point as a new float array of shape (dim,) with only finite entries."""
-        x = np.array(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"{name} must have shape ({self.dim},)")
-        linalg._require_finite(x, what=name)
-        return x
+        return self._checked(np.array(x, dtype=float), (self.dim,), name)
 
     def constraint_value(self, x: np.ndarray) -> np.ndarray:
-        """c(x); a NaN or infinite value is an error, not a rejected step."""
-        c = self.constraint(x)
-        linalg._require_finite(c, what="constraint value")
-        return c
+        """c(x), of shape (num_constraints,); a NaN or infinity is an error, not a rejected step."""
+        return self._checked(self.constraint(x), (self.num_constraints,), "constraint value")
+
+    def jacobian_value(self, x: np.ndarray) -> np.ndarray:
+        """G(x), of shape (num_constraints, dim)."""
+        shape = (self.num_constraints, self.dim)
+        return self._checked(self.jacobian(x), shape, "constraint Jacobian")
+
+    def lagrangian_term(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """sum_i lam_i * hess(c_i)(x): the one ``np.dot`` of ``np.tensordot(lam, Hc, axes=1)``."""
+        m, d = self.num_constraints, self.dim
+        Hc = self._checked(self.constraint_hessians(x), (m, d, d), "constraint Hessians")
+        return np.dot(lam.reshape(1, m), Hc.reshape(m, -1)).reshape(d, d)
+
+    def mean(self, kind: str, x: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
+        """Batch mean of "values", "gradients" or "hessians"; shape (), (dim,) or (dim, dim)."""
+        shape = {"values": (), "gradients": (self.dim,), "hessians": (self.dim, self.dim)}[kind]
+        return self._checked(getattr(self.sampler, kind)(x, n, stream), shape, f"sampled {kind}")
+
+    def exact(self, kind: str, x: np.ndarray) -> np.ndarray:
+        """The noiseless oracle's "gradient" or "hessian" at x, of shape (dim,) or (dim, dim)."""
+        what = {"gradient": "exact gradient", "hessian": "exact Hessian"}[kind]
+        shape = (self.dim,) if kind == "gradient" else (self.dim, self.dim)
+        return self._checked(getattr(self.require_noiseless(), kind)(x), shape, what)
 
 
 @dataclass(frozen=True)

@@ -180,10 +180,9 @@ class SolverState:
     def jacobian_factor(self, problem: Problem) -> linalg.JacobianFactor:
         """The factor of G(x) at the iterate. G is evaluated once per distinct
         iterate and factored once per distinct G."""
-        return self._at_iterate("J", lambda x: self._factor(problem.jacobian(x)))
+        return self._at_iterate("J", lambda x: self._factor(problem.jacobian_value(x)))
 
     def _factor(self, G: np.ndarray) -> linalg.JacobianFactor:
-        G = np.asarray(G, dtype=float)
         key = (G.shape, G.tobytes())
         if self.at_g is None or self.at_g[0] != key:
             self.at_g = (key, linalg.nullspace_basis(G))

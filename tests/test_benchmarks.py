@@ -164,7 +164,7 @@ class TestTrueKKT:
             (np.full(2, np.nan), None, "exact gradient"),
             # Finite, but ||grad_L||^2 = (2e199)^2 overflows.
             (np.full(2, 1e200), None, "exact KKT residual"),
-            (np.ones(2), np.full((2, 2), np.inf), "exact Lagrangian Hessian"),
+            (np.ones(2), np.full((2, 2), np.inf), "exact Hessian"),
         ],
     )
     def test_first_non_finite_quantity_is_named(self, gradient, hessian, name):
@@ -181,6 +181,20 @@ class TestTrueKKT:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteInput, match=f"^{name} contains NaN or infinity$"):
+                true_kkt(problem, np.array([0.6, 0.8]))
+
+    def test_finite_parts_that_overflow_name_the_lagrangian_hessian(self):
+        # At (0.6, 0.8) a gradient of ones gives lam = -0.7, so the finite
+        # -1.7e308 I and lam * 1e308 I sum past the largest double.
+        oracle = NoiselessOracle(
+            value=lambda x: 0.0, gradient=lambda x: np.ones(2), hessian=lambda x: -1.7e308 * np.eye(2)
+        )
+        problem = dataclasses.replace(
+            make_saddle(), noiseless=oracle, constraint_hessians=lambda x: 1e308 * np.eye(2)[None]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="^exact Lagrangian Hessian contains NaN or infinity$"):
                 true_kkt(problem, np.array([0.6, 0.8]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

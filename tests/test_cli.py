@@ -132,6 +132,23 @@ class TestRunCommand:
             csv[tag] = (out / "quadratic_noise0.0001_seed0.csv").read_bytes()
         assert csv["file"] == csv["flag"] != csv["identity"]
 
+    def test_config_hessian_applies_with_config_alpha_1(self, tmp_path):
+        # Only the --hessian flag is a usage error at alpha 1; a config file
+        # may name both keys, and the run takes the batched Hessian.
+        cfg, out = tmp_path / "solver.cfg", tmp_path / "o"
+        cfg.write_text("alpha = 1\nhessian = sr1\n")
+        args = ["run", "--problem", "saddle", "--max-iters", "3", "--config", str(cfg)]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert (out / "saddle_noise0_seed0.csv").exists()
+
+    def test_negative_zero_noise_is_noise_zero(self, tmp_path):
+        # -0 is the same solve as 0, so it takes its name and its summary value.
+        out = tmp_path / "o"
+        args = ["run", "--problem", "saddle", "--noise", "-0", "--max-iters", "3"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == ["saddle_noise0_seed0.csv"]
+        assert '"noise": 0.0,' in (out / "summary.json").read_text()
+
     def test_seed_env_is_ignored(self, tmp_path, monkeypatch):
         # The seeds come from --seeds or the config file alone, so a
         # TRSQP_SEED in the environment changes no byte.
@@ -196,8 +213,11 @@ class TestRunCommand:
             (["--seeds", "1", "1"],
              "runs (noise=0.0, seed=1) and (noise=0.0, seed=1) "
              "share the name 'quadratic_noise0_seed1'"),
+            (["--noise", "0", "-0"],
+             "runs (noise=0.0, seed=0) and (noise=0.0, seed=0) "
+             "share the name 'quadratic_noise0_seed0'"),
         ],
-        ids=["noise-levels", "seeds"],
+        ids=["noise-levels", "seeds", "signed-zero"],
     )  # fmt: skip
     def test_colliding_run_names_are_an_error(self, tmp_path, capsys, flags, clash):
         # Two runs of one name would write one CSV and list it twice in the
@@ -217,18 +237,26 @@ class TestRunCommand:
              "--data-seed applies only to logistic-* and csv: problems"),
             ("saddle", ["--data-seed", "0"],
              "--data-seed applies only to logistic-* and csv: problems"),
+            ("saddle", ["--alpha", "1", "--hessian", "sr1"],
+             "--hessian applies only to --alpha 0 runs"),
+            ("saddle", ["--config", "alpha1.cfg", "--hessian", "esth"],
+             "--hessian applies only to --alpha 0 runs"),
         ],
-        ids=["full-size-saddle", "full-size-csv", "data-seed-quadratic", "data-seed-saddle"],
+        ids=["full-size-saddle", "full-size-csv", "data-seed-quadratic", "data-seed-saddle",
+             "hessian-alpha-1", "hessian-config-alpha-1"],
     )  # fmt: skip
     def test_flag_that_does_nothing_is_an_error(
         self, tmp_path, capsys, monkeypatch, problem, flags, message
     ):
         # The flag would change no run, so it is the run parser's error, exit
-        # code 2, before any problem is built.
+        # code 2, before any problem is built. A second-order run always uses
+        # the batched Lagrangian Hessian, whichever source set its alpha.
         def unreachable(*args):
             raise AssertionError("a problem was built")
 
         monkeypatch.setattr("trsqp.cli.build_problem", unreachable)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "alpha1.cfg").write_text("alpha = 1\n")
         out = tmp_path / "o"
         assert run_cli(["run", "--problem", problem, "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"trsqp run: error: {message}"

@@ -1,12 +1,15 @@
+import ast
 import dataclasses
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trsqp.benchmarks import make_quadratic, make_saddle
+from trsqp.benchmarks import make_quadratic, make_saddle, true_kkt
 from finite_differences import finite_difference_gradient
-from trsqp.errors import EmptyDataset, MissingNoiselessOracle
+from trsqp.errors import EmptyDataset, MissingNoiselessOracle, NonFiniteInput
 from trsqp.problem import (
     GaussianNoiseSpec,
     NoiselessOracle,
@@ -17,6 +20,7 @@ from trsqp.problem import (
     load_labeled_csv,
 )
 from trsqp.rng import RngStream
+from trsqp.solver import SolverConfig, run
 
 
 @pytest.fixture
@@ -404,3 +408,157 @@ class TestCsvLoader:
         path.write_text(f"1,0.5,-1.0\n-1,{bad},3.0\n")
         with pytest.raises(ValueError, match="NaN or infinity"):
             load_labeled_csv(path)
+
+
+class _Reshaped:
+    """The sampler ``inner`` with the means of ``kind`` passed through ``change``."""
+
+    def __init__(self, inner, kind, change):
+        self._inner, self._kind, self._change = inner, kind, change
+
+    def __getattr__(self, name):
+        draw = getattr(self._inner, name)
+        if name != self._kind:
+            return draw
+        return lambda x, n, stream: self._change(draw(x, n, stream))
+
+
+def _saddle_with(noise=0.0, **oracles):
+    """The saddle at this noise level with some oracle fields replaced; a
+    ``gradient`` or ``hessian`` replaces the exact one the sampler draws around."""
+    base = make_saddle()
+    exact = {k: oracles.pop(k) for k in ("gradient", "hessian") if k in oracles}
+    base = dataclasses.replace(base, noiseless=dataclasses.replace(base.noiseless, **exact))
+    return dataclasses.replace(gaussian_noisy(base, GaussianNoiseSpec(noise)), **oracles)
+
+
+AT = np.array([0.6, 0.8])
+
+
+def _solve(problem, alpha=1, hessian="identity"):
+    return run(problem, AT, SolverConfig(alpha=alpha, hessian=hessian, max_iters=50, seed=0))
+
+
+class TestOracleOutputChecks:
+    # A wrong shape used to give a wrong answer with no error, or numpy's
+    # matmul, reshape, IndexError or TypeError message; each oracle output
+    # is now read once, by Problem, and its error names it.
+    @pytest.mark.parametrize(
+        "constraint",
+        [lambda x: np.array([x @ x - 1.0, 0.3]), lambda x: x @ x - 1.0],
+        ids=["two entries", "scalar"],
+    )
+    def test_constraint_value_of_wrong_shape(self, constraint):
+        problem = _saddle_with(constraint=constraint)
+        for solve in (lambda: true_kkt(problem, AT), lambda: _solve(problem)):
+            with pytest.raises(ValueError, match=r"^constraint value must have shape \(1,\)$"):
+                solve()
+
+    def test_jacobian_of_wrong_shape(self):
+        problem = _saddle_with(jacobian=lambda x: np.diag(2.0 * x))
+        for solve in (lambda: true_kkt(problem, AT), lambda: _solve(problem)):
+            with pytest.raises(ValueError, match=r"^constraint Jacobian must have shape \(1, 2\)$"):
+                solve()
+
+    @pytest.mark.parametrize("alpha, hessian", [(0, "esth"), (1, "identity")])
+    def test_non_finite_constraint_hessians_without_exact_oracle(self, alpha, hessian):
+        nan = _saddle_with(1e-4, noiseless=None, constraint_hessians=lambda x: np.full((1, 2, 2), np.nan))
+        with pytest.raises(NonFiniteInput, match="^constraint Hessians contains NaN or infinity$"):
+            _solve(nan, alpha, hessian)
+        flat = dataclasses.replace(nan, constraint_hessians=lambda x: 2.0 * np.eye(2))
+        with pytest.raises(ValueError, match=r"^constraint Hessians must have shape \(1, 2, 2\)$"):
+            _solve(flat, alpha, hessian)
+
+    @pytest.mark.parametrize(
+        "kind, change, message",
+        [
+            ("gradients", lambda g: np.append(g, 0.0), r"sampled gradients must have shape \(2,\)"),
+            ("values", lambda f: np.full(2, f), r"sampled values must have shape \(\)"),
+        ],
+        ids=["gradients", "values"],
+    )
+    def test_sampled_mean_of_wrong_shape(self, kind, change, message):
+        noisy = _saddle_with(1e-4)
+        problem = dataclasses.replace(noisy, sampler=_Reshaped(noisy.sampler, kind, change))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _solve(problem)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-4])
+    def test_exact_hessian_of_wrong_shape(self, noise):
+        # At noise 0 the sampler's model was wrong too, and the run "converged".
+        problem = _saddle_with(noise, hessian=lambda x: np.zeros((1, 1)))
+        for solve in (lambda: true_kkt(problem, AT), lambda: _solve(problem)):
+            with pytest.raises(ValueError, match=r"^exact Hessian must have shape \(2, 2\)$"):
+                solve()
+
+    def test_exact_gradient_of_wrong_shape(self):
+        problem = _saddle_with(gradient=lambda x: np.array([2.0]))
+        with pytest.raises(ValueError, match=r"^exact gradient must have shape \(2,\)$"):
+            true_kkt(problem, AT)
+
+
+# Problem fields that hold an oracle, and the noiseless oracle's methods.
+ORACLE_FIELDS = {"sampler", "constraint", "jacobian", "constraint_hessians"}
+EXACT_METHODS = {"value", "gradient", "hessian"}
+
+
+def oracle_reads(source: str) -> list[int]:
+    """Lines of ``source`` that read an oracle field of a problem (a name
+    ``problem`` or a parameter annotated ``Problem``) or use a noiseless
+    oracle's methods (on ``.noiseless``, ``.require_noiseless()`` or a name
+    assigned one of them). The receiver decides, so a method that shares a
+    field's name, such as ``state.constraint(problem)``, is not a read."""
+    tree = ast.parse(source)
+    problems = {"problem"} | {
+        a.arg for a in ast.walk(tree)
+        if isinstance(a, ast.arg) and a.annotation is not None
+        and re.search(r"\bProblem\b", ast.unparse(a.annotation))
+    }  # fmt: skip
+
+    def is_noiseless(node):
+        """``<x>.noiseless`` or ``<x>.require_noiseless()``."""
+        if isinstance(node, ast.Call):
+            return isinstance(node.func, ast.Attribute) and node.func.attr == "require_noiseless"
+        return isinstance(node, ast.Attribute) and node.attr == "noiseless"
+
+    oracles = {
+        t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and is_noiseless(node.value)
+        for t in node.targets if isinstance(t, ast.Name)
+    }  # fmt: skip
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        recv = node.value
+        named = recv.id if isinstance(recv, ast.Name) else None
+        if (node.attr in ORACLE_FIELDS and named in problems) or (
+            node.attr in EXACT_METHODS and (named in oracles or is_noiseless(recv))
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_problem_reads_oracles():
+    src = Path(__file__).resolve().parents[1] / "src" / "trsqp"
+    reads = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py")) if path.name != "problem.py"
+        for line in oracle_reads(path.read_text())
+    ]  # fmt: skip
+    assert reads == []
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("def f(problem):\n    return getattr(problem.sampler, 'values')", [2]),
+        ("def f(p: Problem, x):\n    return p.jacobian(x)", [2]),
+        ("def f(problem, x):\n    h = problem.constraint_hessians\n    return h(x)", [2]),
+        ("def f(problem, x):\n    o = problem.require_noiseless()\n    return o.gradient(x)", [3]),
+        ("def f(problem, x):\n    return problem.noiseless.hessian(x)", [2]),
+        ("def f(state, problem, x):\n    return state.constraint(problem), problem.mean('values', x, 1, 0)", []),
+    ],
+    ids=["sampler", "annotated", "field-read", "oracle-name", "noiseless", "methods"],
+)
+def test_oracle_read_guard_matches_on_the_receiver(source, lines):
+    assert oracle_reads(source) == lines
