@@ -45,8 +45,8 @@ class NoiselessOracle:
 class ObjectiveSampler(Protocol):
     """Draws batch means of the stochastic objective: each method returns
     the mean of ``n`` draws at ``x`` (a float, a gradient, a Hessian), and a
-    mean of ``n = 1`` is one draw. One ``stream`` key at two points reuses
-    the same records in the finite-sum sampler; the Gaussian sampler keys
+    mean of ``n = 1`` is one draw. A finite-sum batch is a set of records,
+    the same at two points under one ``stream`` key; the Gaussian sampler keys
     its draws by the point too, so its noise at two points is independent.
     The solver reads a sampler only through :meth:`Problem.mean`, which
     rejects a mean whose shape is not ``()``, ``(dim,)`` or ``(dim, dim)``.
@@ -150,6 +150,7 @@ class _GaussianSampler:
     ``np.mean`` of its draws; a Hessian's is summed over the upper triangle
     around (H + H^T) / 2 (H itself for a symmetric oracle) and mirrored, so
     it is exactly symmetric. At zero noise it is the exact oracle's value.
+    Each exact read is checked, and named, as :meth:`Problem.exact` does.
 
     The draws live in one workspace array that the sampler reuses and grows
     only for a larger batch, so a call allocates nothing that grows with n.
@@ -178,7 +179,7 @@ class _GaussianSampler:
         return np.cumsum(rows, axis=1, out=rows)[:, -1] / n
 
     def values(self, x, n, stream):
-        f = self._oracle.value(x)
+        f = Problem._checked(self._oracle.value(x), (), "exact value")
         if self._sigma == 0.0:
             return f
         draws = stream.point_generator(x).standard_normal(out=self._workspace(n))
@@ -187,10 +188,10 @@ class _GaussianSampler:
         return np.mean(draws)
 
     def gradients(self, x, n, stream):
-        g = self._oracle.gradient(x)
+        d = self._dim
+        g = Problem._checked(self._oracle.gradient(x), (d,), "exact gradient")
         if self._sigma == 0.0:
             return g
-        d = self._dim
         work = self._workspace(2 * d * n)
         drawn, rows = work[: d * n], work[d * n :].reshape(d, n)
         rng = stream.point_generator(x)
@@ -202,7 +203,8 @@ class _GaussianSampler:
         return self._draw_order_mean(rows, n)
 
     def hessians(self, x, n, stream):
-        H = self._oracle.hessian(x)
+        d = self._dim
+        H = Problem._checked(self._oracle.hessian(x), (d, d), "exact Hessian")
         if self._sigma == 0.0:
             return H
         iu = self._triu
@@ -250,43 +252,30 @@ def gaussian_noisy(base: Problem, spec: GaussianNoiseSpec) -> Problem:
 
 
 class _FiniteSumSampler:
-    """Batch means over records drawn uniformly with replacement.
+    """Batch means over a set of records.
 
-    Record indices are a deterministic function of the stream key alone, so
-    one sample set evaluated at two points reuses the same records. Batches
-    larger than the dataset are drawn with replacement too, not swapped for
-    the full mean. The sampler alone turns n drawn indices into the records
-    and weights a callable sums over:
-
-    - n >= N: every record in dataset order (``rows=None``), each weighted
-      by its draw count over n, so no rows need be gathered;
-    - n < N: the drawn indices, each weighted 1/n.
-
-    A repeated index counts once per draw either way, and the counted sum
-    does not depend on the order of the draws. The last pair is cached,
-    read-only, with the stream object and size it was drawn for, so the
-    second point of a shared-sample pair that passes the same stream does
-    not draw or count it again; any other call redraws.
+    A batch of n >= N records is the whole dataset: ``rows=None`` with the
+    problem's one read-only 1/N array ``every``, the noiseless oracle's own
+    pair, and nothing is drawn. A smaller batch is n distinct records drawn
+    uniformly without replacement from the stream's generator, each weighted
+    1/n; both arrays are read-only. The records depend on the stream key
+    alone, so one sample set evaluated at two points reuses the same records.
     """
 
-    def __init__(self, value_fn, gradient_fn, hessian_fn, n_records):
+    def __init__(self, value_fn, gradient_fn, hessian_fn, every):
         self._value = value_fn
         self._gradient = gradient_fn
         self._hessian = hessian_fn
-        self._n = n_records
-        self._last = (None, None)
+        self._every = every
 
     def _batch(self, n, stream):
-        if self._last[0] != (stream, n):
-            idx = stream.generator().integers(0, self._n, size=n)
-            if n >= self._n:
-                rows, w = None, np.bincount(idx, minlength=self._n) / n
-            else:
-                rows, w = idx, np.full(n, 1.0 / n)
-                rows.flags.writeable = False
-            w.flags.writeable = False
-            self._last = ((stream, n), (rows, w))
-        return self._last[1]
+        N = len(self._every)
+        if n >= N:
+            return None, self._every
+        rows = stream.generator().choice(N, size=n, replace=False)
+        w = np.full(n, 1.0 / n)
+        rows.flags.writeable = w.flags.writeable = False
+        return rows, w
 
     def values(self, x, n, stream):
         return self._value(x, *self._batch(n, stream))
@@ -315,9 +304,9 @@ def finite_sum_problem(
     ``value_fn(x, rows, w)``, ``gradient_fn`` and ``hessian_fn`` return
     ``sum_j w[j] f_{rows[j]}(x)`` for the loss, gradient and Hessian of the
     records at ``x``; ``rows=None`` means every record in dataset order.
-    The sampler decides the pair (see ``_FiniteSumSampler``); the noiseless
-    oracle passes every record with weight 1/n_records. Both arrays are
-    read-only.
+    The noiseless oracle passes ``(None, every)``, every record weighted
+    1/n_records; the sampler picks each batch's pair (see
+    ``_FiniteSumSampler``). Both arrays are read-only.
     """
     if n_records < 1:
         raise EmptyDataset("finite-sum problem needs at least one record")
@@ -328,7 +317,7 @@ def finite_sum_problem(
         gradient=lambda x: gradient_fn(x, None, every),
         hessian=lambda x: hessian_fn(x, None, every),
     )
-    sampler = _FiniteSumSampler(value_fn, gradient_fn, hessian_fn, n_records)
+    sampler = _FiniteSumSampler(value_fn, gradient_fn, hessian_fn, every)
     return Problem(
         dim=dim,
         num_constraints=num_constraints,

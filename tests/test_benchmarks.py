@@ -21,27 +21,18 @@ from trsqp.errors import NonFiniteInput
 from trsqp.estimator import estimate_multiplier
 from trsqp.linalg import nullspace_basis, smallest_eigpair
 from trsqp.problem import NoiselessOracle, _FiniteSumSampler
+from trsqp.rng import RngStream
 from trsqp.solver import SolverConfig, SolverState, run
 
 
-class _Drawn:
-    """A stream whose generator draws ``idx``, so that a finite-sum sampler
-    given it turns the batch ``idx`` into rows and weights."""
-
-    def __init__(self, idx):
-        self.idx = idx
-
-    def generator(self):
-        return self
-
-    def integers(self, low, high, size):
-        assert low == 0 and size == len(self.idx) and self.idx.max() < high
-        return self.idx.copy()
-
-
-def _batch(N, idx):
-    """The (rows, w) pair a sampler over N records passes for the draws ``idx``."""
-    return _FiniteSumSampler(None, None, None, N)._batch(len(idx), _Drawn(idx))
+def _pair(N, idx):
+    """A (rows, w) pair over N records that sums the multiset ``idx``: the
+    rows themselves weighted 1/n below N of them, and from N on every record
+    weighted by its count over n, so both of the callables' paths see repeats."""
+    n = len(idx)
+    if n >= N:
+        return None, np.bincount(idx, minlength=N) / n
+    return idx, np.full(n, 1.0 / n)
 
 
 class TestSaddle:
@@ -287,21 +278,21 @@ class TestLogistic:
         assert np.max(np.abs(small.constraint_hessians(x))) == 0.0
 
     def test_record_means_match_einsum_reference(self):
-        # The sampler's means come without per-record tensors; the reference
+        # The callables' means come without per-record tensors; the reference
         # builds those tensors and averages them. Batches of fewer than 6,000
-        # draws gather their rows; the rest weight every record by its draw
-        # count, from exactly 6,000 draws with repeats on.
+        # records gather their rows; the rest weight every record by its
+        # count, from exactly 6,000 with repeats on.
         rng = np.random.default_rng(11)
         labels = np.repeat([1.0, -1.0], 3_000)
         features = rng.normal(np.where(labels > 0, 0.0, 5.0)[:, None], 1.0, size=(6_000, 15))
         prob = make_logistic_from_data(features, labels, rng=np.random.default_rng(1))
-        sampler = prob.sampler
+        records = _logistic_records(features, labels)
         boundary = rng.integers(0, 6_000, size=6_000)
         assert len(np.unique(boundary)) < 6_000
         batches = [rng.integers(0, 6_000, size=n) for n in (1, 10, 5_999)]
         batches += [boundary, rng.integers(0, 6_000, size=10_000), np.arange(6_000)]
         for idx in batches:
-            n, stream = len(idx), _Drawn(idx)
+            pair = _pair(6_000, idx)
             for _ in range(3):
                 x = 0.3 * rng.standard_normal(15)
                 Zi, yi = features[idx], labels[idx]
@@ -312,20 +303,21 @@ class TestLogistic:
                     np.mean(np.einsum("n,ni->ni", (s - 1.0) * yi, Zi), axis=0),
                     np.mean(np.einsum("n,ni,nj->nij", s * (1.0 - s), Zi, Zi), axis=0),
                 )
-                got = (
-                    sampler.values(x, n, stream),
-                    sampler.gradients(x, n, stream),
-                    sampler.hessians(x, n, stream),
-                )
-                for g, ref in zip(got, refs):
+                for fn, ref in zip(records, refs):
+                    g = fn(x, *pair)
                     assert np.shape(g) == np.shape(ref)
                     assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # The noiseless oracle is bitwise the sampler's batch of every record once.
-        exact = prob.require_noiseless()
-        full = _Drawn(np.arange(6_000))
-        assert exact.value(x) == sampler.values(x, 6_000, full)
-        assert np.array_equal(exact.gradient(x), sampler.gradients(x, 6_000, full))
-        assert np.array_equal(exact.hessian(x), sampler.hessians(x, 6_000, full))
+        # The noiseless oracle is bitwise every record once, and is the
+        # sampler's batch of 6,000 records or more under any key.
+        exact, sampler = prob.require_noiseless(), prob.sampler
+        every = _pair(6_000, np.arange(6_000))
+        for n in (6_000, 10_000):
+            stream = RngStream(n)
+            assert exact.value(x) == records[0](x, *every) == sampler.values(x, n, stream)
+            assert np.array_equal(exact.gradient(x), records[1](x, *every))
+            assert np.array_equal(exact.gradient(x), sampler.gradients(x, n, stream))
+            assert np.array_equal(exact.hessian(x), records[2](x, *every))
+            assert np.array_equal(exact.hessian(x), sampler.hessians(x, n, stream))
 
     def test_blocked_hessian_matches_einsum_reference(self):
         # 2 blocks and a last block of one row. Counted batches sum all of
@@ -342,7 +334,7 @@ class TestLogistic:
             Zi = features[idx]
             s = 1.0 / (1.0 + np.exp(-labels[idx] * (Zi @ x)))
             ref = np.mean(np.einsum("n,ni,nj->nij", s * (1.0 - s), Zi, Zi), axis=0)
-            got = hessian(x, *_batch(N, idx))
+            got = hessian(x, *_pair(N, idx))
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 100, GRAM_BLOCK])
@@ -353,17 +345,6 @@ class TestLogistic:
         for ZT in (np.ascontiguousarray(Z.T), Z.T):  # counted and gathered layouts
             assert _gram(ZT, Z, v).tobytes() == ((ZT * v) @ Z).tobytes()
 
-    def test_counted_batch_ignores_index_order(self):
-        rng = np.random.default_rng(12)
-        features = rng.standard_normal((6_000, 15))
-        labels = np.where(rng.uniform(size=6_000) < 0.5, 1.0, -1.0)
-        sampler = make_logistic_from_data(features, labels, rng=np.random.default_rng(1)).sampler
-        idx = rng.integers(0, 6_000, size=10_000)
-        x = 0.3 * rng.standard_normal(15)
-        for mean in (sampler.values, sampler.gradients, sampler.hessians):
-            shuffled = _Drawn(rng.permutation(idx))
-            assert np.array_equal(mean(x, 10_000, _Drawn(idx)), mean(x, 10_000, shuffled))
-
     def test_records_that_served_earlier_calls_match_fresh_ones(self):
         # The callables keep the last point's whole-dataset vectors. Whatever
         # they served before, each result must equal that of a fresh set of
@@ -373,9 +354,9 @@ class TestLogistic:
         features = rng.standard_normal((N, d))
         labels = np.where(rng.uniform(size=N) < 0.5, 1.0, -1.0)
         served = _logistic_records(features, labels)
-        shared, other = (_batch(N, rng.integers(0, N, size=2 * N)) for _ in range(2))
-        exact, boundary = _batch(N, np.arange(N)), _batch(N, rng.integers(0, N, size=N))
-        gathered = _batch(N, rng.integers(0, N, size=10))
+        shared, other = (_pair(N, rng.integers(0, N, size=2 * N)) for _ in range(2))
+        exact, boundary = _pair(N, np.arange(N)), _pair(N, rng.integers(0, N, size=N))
+        gathered = _pair(N, rng.integers(0, N, size=10))
         x, z = 0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d)
         script = [
             (x, shared), (x, shared), (z, shared), (x, shared),  # repeated and alternating points
@@ -412,8 +393,8 @@ class TestLogistic:
             make_logistic_from_data(rows, labels, rng=np.random.default_rng(1))
 
     def test_solve_with_batches_beyond_dataset(self):
-        # 40 records: every batch above 40 draws weights records by counts,
-        # and the batch sizes reach the cap of 10^4.
+        # 40 records: every batch of 40 or more is the whole dataset, and the
+        # batch sizes reach the cap of 10^4.
         rng = np.random.default_rng(5)
         features = rng.standard_normal((40, 6))
         labels = np.where(rng.uniform(size=40) < 0.5, 1.0, -1.0)
@@ -426,6 +407,31 @@ class TestLogistic:
         rows = [[r.csv_row() for r in res.records] for res in (first, again)]
         assert rows[0] == rows[1]
         assert np.array_equal(first.state.x, again.state.x)
+
+    def test_benchmark_dataset_converges_to_1e_4(self):
+        # A batch of 6,000 records or more is the exact mean, so no sampling
+        # floor holds these solves above 1e-4.
+        prob = make_logistic(SyntheticLogisticSpec(), np.random.default_rng(913_000))
+        for seed in range(10):
+            res = run(prob, np.zeros(15), SolverConfig(alpha=1, kkt_tol=1e-4, max_iters=300, seed=seed))
+            assert res.converged and res.final_kkt <= 1e-4, (seed, res.stop_reason, res.final_kkt)
+
+    def test_full_size_dataset_converges_on_distinct_records(self, monkeypatch):
+        # 60,000 records: every batch, up to the cap of 10^4, is a set of rows.
+        batches = []
+        batch = _FiniteSumSampler._batch
+
+        def recorded(sampler, n, stream):
+            pair = batch(sampler, n, stream)
+            batches.append((n, pair[0]))
+            return pair
+
+        monkeypatch.setattr(_FiniteSumSampler, "_batch", recorded)
+        prob = make_logistic(SyntheticLogisticSpec(n_records=60_000), np.random.default_rng(913_000))
+        for seed in range(2):
+            res = run(prob, np.zeros(15), SolverConfig(alpha=1, kkt_tol=1e-2, seed=seed))
+            assert res.converged and res.final_kkt <= 1e-2
+        assert batches and all(rows is not None and len(np.unique(rows)) == n for n, rows in batches)
 
     def test_constraints_are_the_first_draw(self):
         features = np.random.default_rng(5).standard_normal((40, 6))

@@ -20,7 +20,7 @@ from trsqp.problem import (
     load_labeled_csv,
 )
 from trsqp.rng import RngStream
-from trsqp.solver import SolverConfig, run
+from trsqp.solver import SolverConfig, SolverState, iterate, run
 
 
 @pytest.fixture
@@ -314,52 +314,96 @@ class TestFiniteSum:
         prob.sampler.values(x1, 50, stream.child("other"))
         # Same key, same records at both points; another key, other records.
         (rows, w), again, other = seen
-        assert again[0] is rows and again[1] is w and rows.shape == (50,)
+        assert rows.shape == (50,) and np.array_equal(again[0], rows)
         assert not rows.flags.writeable and not w.flags.writeable
-        assert np.array_equal(w, np.full(50, 1 / 50))
+        assert np.array_equal(w, np.full(50, 1 / 50)) and np.array_equal(again[1], w)
         assert not np.array_equal(rows, other[0])
         assert v1 == prob.sampler.values(x1, 50, stream)
 
-    def test_value_pair_draws_indices_once(self, monkeypatch):
-        keys = []
+    def test_value_pair_shares_records(self):
+        # Step 3 evaluates one stream at x_k and at the trial point: both
+        # calls see equal rows. Another key, or another size, sees other rows.
+        seen = []
+        prob = _toy_finite_sum(n_records=6_000, seen=seen)
+        stream = RngStream(9).child("pair", 1)
+        prob.sampler.values(np.zeros(3), 5_000, stream)
+        prob.sampler.values(np.ones(3), 5_000, stream)
+        prob.sampler.values(np.zeros(3), 4_999, stream)
+        prob.sampler.values(np.zeros(3), 5_000, RngStream(9).child("pair", 2))
+        (rows, w), again, smaller, other = seen
+        assert np.array_equal(again[0], rows) and np.array_equal(again[1], w)
+        assert not np.array_equal(smaller[0], rows[:4_999])
+        assert not np.array_equal(other[0], rows)
+
+    def test_batch_of_dataset_size_or_more_is_every_record(self, monkeypatch):
+        draws = []
         generator = RngStream.generator
 
         def counted(stream):
-            keys.append(stream.path)
+            draws.append(stream.path)
             return generator(stream)
 
         monkeypatch.setattr(RngStream, "generator", counted)
         seen = []
         prob = _toy_finite_sum(n_records=6_000, seen=seen)
-        stream = RngStream(9).child("pair", 1)
-        prob.sampler.values(np.zeros(3), 10_000, stream)
-        prob.sampler.values(np.ones(3), 10_000, stream)
-        assert len(keys) == 1 and seen[0][1] is seen[1][1]
-        assert not seen[0][1].flags.writeable
-        # Another size, or a path part that compares equal but keys another
-        # generator, draws afresh.
-        prob.sampler.values(np.zeros(3), 9_999, stream)
-        prob.sampler.values(np.zeros(3), 10_000, RngStream(9).child("pair", np.int64(1)))
-        assert len(keys) == 3
-        fresh = _toy_finite_sum(n_records=6_000, seen=[]).sampler._batch
-        _, w = fresh(10_000, RngStream(9).child("pair", np.int64(1)))
-        assert np.array_equal(seen[3][1], w)
-        assert not np.array_equal(seen[3][1], seen[0][1])
+        x = np.array([0.3, 0.1, -0.7])
+        exact = prob.noiseless.value(x)
+        _, every = seen.pop()
+        for n in (6_000, 10_000):  # as many records as the dataset, and more
+            stream = RngStream(5).child("big", n)
+            mean = prob.sampler.values(x, n, stream)
+            # The noiseless oracle's own pair, and its value bit for bit.
+            rows, w = seen.pop()
+            assert rows is None and w is every
+            assert np.float64(mean).tobytes() == np.float64(exact).tobytes()
+            for kind, oracle in (("gradients", "gradient"), ("hessians", "hessian")):
+                assert prob.mean(kind, x, n, stream).tobytes() == prob.exact(oracle, x).tobytes()
+        assert draws == []
 
-    def test_batch_larger_than_dataset_draws_with_replacement(self):
+    @pytest.mark.parametrize("n", [1, 3_000, 5_999])
+    def test_batch_below_dataset_size_holds_distinct_records(self, n):
         seen = []
         prob = _toy_finite_sum(n_records=6_000, seen=seen)
-        x = np.array([0.3, 0.1, -0.7])
-        stream = RngStream(5).child("big")
-        for n in (6_000, 10_000):  # as many draws as records, and more
-            mean = prob.sampler.values(x, n, stream)
-            rows, w = seen.pop()
-            # Every record, weighted by its draw count over n.
-            idx = stream.generator().integers(0, 6_000, size=n)
-            assert rows is None
-            assert w.tobytes() == (np.bincount(idx, minlength=6_000) / n).tobytes()
-            assert np.count_nonzero(w) < 6_000
-            assert mean != prob.noiseless.value(x)
+        for key in range(3):
+            prob.sampler.values(np.zeros(3), n, RngStream(key).child("set"))
+        for rows, w in seen:
+            assert rows.shape == (n,) and len(np.unique(rows)) == n
+            assert 0 <= rows.min() and rows.max() < 6_000
+            assert np.array_equal(w, np.full(n, 1 / n))
+
+    @pytest.mark.parametrize("n", [1, 10, 19, 20])
+    def test_batch_mean_variance_is_that_of_sampling_without_replacement(self, n):
+        # A mean of n of N records drawn without replacement has variance
+        # (N - n)/(N - 1) sigma^2/n (Cochran, Sampling Techniques, ch. 2),
+        # against sigma^2/n with replacement: 0.53 of it at n = 10, 0.05 at
+        # n = 19, and 0 at n = N, where the mean is the exact one.
+        N, keys = 20, 4_000
+        records = np.random.default_rng(3).standard_normal(N) ** 2
+        prob = finite_sum_problem(
+            dim=2,
+            value_fn=lambda x, rows, w: w @ (records if rows is None else records[rows]),
+            gradient_fn=lambda x, rows, w: np.zeros(2),
+            hessian_fn=lambda x, rows, w: np.zeros((2, 2)),
+            n_records=N,
+            constraint=lambda x: x[:1],
+            jacobian=lambda x: np.eye(1, 2),
+            constraint_hessians=lambda x: np.zeros((1, 2, 2)),
+            num_constraints=1,
+        )
+        x = np.zeros(2)
+        means = np.array([prob.sampler.values(x, n, RngStream(k).child("var")) for k in range(keys)])
+        expected = (N - n) / (N - 1) * np.var(records) / n
+        if n == N:
+            assert np.all(means == prob.noiseless.value(x)) and expected == 0.0
+            return
+        # Within five standard errors of the sample variance, estimated from
+        # its fourth moment; above n = 1 the law with replacement lies outside.
+        dev = means - means.mean()
+        stderr = np.sqrt((np.mean(dev**4) - np.mean(dev**2) ** 2) / keys)
+        var = np.var(means, ddof=1)
+        assert abs(var - expected) <= 5.0 * stderr
+        if n > 1:
+            assert abs(var - np.var(records) / n) > 5.0 * stderr
 
     def test_gradient_matches_finite_differences(self):
         prob = _toy_finite_sum()
@@ -425,9 +469,10 @@ class _Reshaped:
 
 def _saddle_with(noise=0.0, **oracles):
     """The saddle at this noise level with some oracle fields replaced; a
-    ``gradient`` or ``hessian`` replaces the exact one the sampler draws around."""
+    ``value``, ``gradient`` or ``hessian`` replaces the exact one the sampler
+    draws around."""
     base = make_saddle()
-    exact = {k: oracles.pop(k) for k in ("gradient", "hessian") if k in oracles}
+    exact = {k: oracles.pop(k) for k in ("value", "gradient", "hessian") if k in oracles}
     base = dataclasses.replace(base, noiseless=dataclasses.replace(base.noiseless, **exact))
     return dataclasses.replace(gaussian_noisy(base, GaussianNoiseSpec(noise)), **oracles)
 
@@ -496,6 +541,23 @@ class TestOracleOutputChecks:
         with pytest.raises(ValueError, match=r"^exact gradient must have shape \(2,\)$"):
             true_kkt(problem, AT)
 
+
+    @pytest.mark.parametrize(
+        "oracle, message",
+        [
+            ({"hessian": lambda x: np.zeros((1, 1))}, r"exact Hessian must have shape \(2, 2\)"),
+            ({"gradient": lambda x: np.array([2.0, x[1], 0.0])}, r"exact gradient must have shape \(2,\)"),
+            ({"value": lambda x: np.array([2.0 * x[0], 0.5 * x[1] ** 2])}, r"exact value must have shape \(\)"),
+        ],
+        ids=["hessian", "gradient", "value"],
+    )
+    def test_noisy_sampler_names_a_wrong_exact_oracle(self, oracle, message):
+        # iterate without run has no true_kkt ahead of it: the Gaussian
+        # sampler's own read of the exact oracle names the fault.
+        problem = _saddle_with(1e-4, **oracle)
+        config = SolverConfig(alpha=1, max_iters=50, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            iterate(SolverState.initial(problem, AT, config), problem, config)
 
 # Problem fields that hold an oracle, and the noiseless oracle's methods.
 ORACLE_FIELDS = {"sampler", "constraint", "jacobian", "constraint_hessians"}
