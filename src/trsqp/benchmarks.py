@@ -142,26 +142,17 @@ def _gram(ZT: np.ndarray, Z: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _logistic_records(features: np.ndarray, labels: np.ndarray):
     """Weighted sums of the loss log(1 + exp(-y z^T x)) and its derivatives
     over records ``rows`` (every record if None) with weights ``w``.
-
-    Whole-dataset sums copy no rows, and keep the vectors of the last point
-    x, keyed by the bits of x, so the gradient, Hessian and value at one
-    iterate and the exact oracle there share one ``Z @ x`` and one sigmoid.
-    Other batches gather their rows. The three callables share this state,
-    so they must not be shared between threads.
+    Whole-dataset sums copy no rows; other batches gather theirs.
     """
     Zf = np.asarray(features, dtype=float)
     ZfT = np.ascontiguousarray(Zf.T)
     y = np.asarray(labels, dtype=float)
-    point = [None, None]  # bits of x, _RecordVectors at x
 
     def batch(x, rows):
         """Rows a batch sums over, their transpose and their vectors at x."""
         x = np.asarray(x, dtype=float)
         if rows is None:
-            key = x.tobytes()
-            if point[0] != key:
-                point[:] = key, _RecordVectors(Zf, y, x)
-            return Zf, ZfT, point[1]
+            return Zf, ZfT, _RecordVectors(Zf, y, x)
         Z = Zf.take(rows, axis=0)
         return Z, Z.T, _RecordVectors(Z, y.take(rows), x)
 

@@ -287,6 +287,22 @@ class _FiniteSumSampler:
         return self._hessian(x, *self._batch(n, stream))
 
 
+def _whole_dataset_memo(fn):
+    """``fn`` with its whole-dataset result (``rows=None``) kept for the bits
+    of the last x. Each read hands out a copy; a call that raises stores nothing."""
+    last = [None, None]  # bits of x, fn(x, None, w) there
+
+    def call(x, rows, w):
+        if rows is not None:
+            return fn(x, rows, w)
+        key = np.asarray(x, dtype=float).tobytes()
+        if last[0] != key:
+            last[:] = key, fn(x, rows, w)
+        return np.copy(last[1])
+
+    return call
+
+
 def finite_sum_problem(
     dim: int,
     value_fn: Callable[[np.ndarray, np.ndarray | None, np.ndarray], float],
@@ -307,11 +323,17 @@ def finite_sum_problem(
     The noiseless oracle passes ``(None, every)``, every record weighted
     1/n_records; the sampler picks each batch's pair (see
     ``_FiniteSumSampler``). Both arrays are read-only.
+
+    Each callable's whole-dataset result is kept for the bits of the last x,
+    so the noiseless oracle and every batch of n >= n_records records at one
+    point evaluate it once. A caller gets a copy. The three slots are
+    unguarded, so the problem must not be shared between threads.
     """
     if n_records < 1:
         raise EmptyDataset("finite-sum problem needs at least one record")
     every = np.full(n_records, 1.0 / n_records)
     every.flags.writeable = False
+    value_fn, gradient_fn, hessian_fn = map(_whole_dataset_memo, (value_fn, gradient_fn, hessian_fn))
     oracle = NoiselessOracle(
         value=lambda x: float(value_fn(x, None, every)),
         gradient=lambda x: gradient_fn(x, None, every),
