@@ -9,7 +9,6 @@ affine constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,31 +100,12 @@ class SyntheticLogisticSpec:
             raise ValueError("need at least two records")
 
 
-class _RecordVectors:
-    """Per-record vectors of rows Z with labels y at one point x, each formed
-    at its first use: the margins m = y (Z x), the sigmoid s of m, the loss
-    log(1 + exp(-m)) and the gradient coefficient (s - 1) y."""
-
-    def __init__(self, Z, y, x):
-        self.margins = y * (Z @ x)
-        self._y = y
-
-    @cached_property
-    def sigmoid(self):
-        return 1.0 / (1.0 + np.exp(-self.margins))
-
-    @cached_property
-    def loss(self):
-        # The stable softplus that np.logaddexp(0, -m) runs through scalar
-        # libm calls, in vectorized ufuncs. e^{-|m|} may underflow harmlessly.
-        m = self.margins
-        with np.errstate(under="ignore"):
-            return np.log1p(np.exp(-np.abs(m))) + np.maximum(-m, 0.0)
-
-    @cached_property
-    def coef(self):
-        # d/dm log(1+e^{-m}) = sigma(m) - 1
-        return (self.sigmoid - 1.0) * self._y
+def _logistic_loss(margins: np.ndarray) -> np.ndarray:
+    """log(1 + exp(-m)) per margin m: the stable softplus that
+    np.logaddexp(0, -m) runs through scalar libm calls, in vectorized ufuncs.
+    e^{-|m|} may underflow harmlessly."""
+    with np.errstate(under="ignore"):
+        return np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
 
 
 def _gram(ZT: np.ndarray, Z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -140,33 +120,37 @@ def _gram(ZT: np.ndarray, Z: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _logistic_records(features: np.ndarray, labels: np.ndarray):
-    """Weighted sums of the loss log(1 + exp(-y z^T x)) and its derivatives
-    over records ``rows`` (every record if None) with weights ``w``.
-    Whole-dataset sums copy no rows; other batches gather theirs.
-    """
+    """Means of the loss log(1 + exp(-y z^T x)) and its derivatives over the
+    records ``rows`` (every record if None). Whole-dataset means copy no
+    rows; other batches gather theirs."""
     Zf = np.asarray(features, dtype=float)
     ZfT = np.ascontiguousarray(Zf.T)
-    y = np.asarray(labels, dtype=float)
+    yf = np.asarray(labels, dtype=float)
 
     def batch(x, rows):
-        """Rows a batch sums over, their transpose and their vectors at x."""
-        x = np.asarray(x, dtype=float)
+        """A batch's rows, their transpose, labels and margins y (Z x)."""
         if rows is None:
-            return Zf, ZfT, _RecordVectors(Zf, y, x)
-        Z = Zf.take(rows, axis=0)
-        return Z, Z.T, _RecordVectors(Z, y.take(rows), x)
+            Z, ZT, y = Zf, ZfT, yf
+        else:
+            Z = Zf.take(rows, axis=0)
+            ZT, y = Z.T, yf.take(rows)
+        return Z, ZT, y, y * (Z @ x)
 
-    def value(x, rows, w):
-        return w @ batch(x, rows)[2].loss
+    def sigmoid(m):
+        return 1.0 / (1.0 + np.exp(-m))
 
-    def gradient(x, rows, w):
-        Z, _, at = batch(x, rows)
-        return (w * at.coef) @ Z
+    def value(x, rows):
+        return np.mean(_logistic_loss(batch(x, rows)[3]))
 
-    def hessian(x, rows, w):
-        Z, ZT, at = batch(x, rows)
-        s = at.sigmoid
-        return _gram(ZT, Z, w * s * (1.0 - s))
+    def gradient(x, rows):
+        Z, _, y, m = batch(x, rows)
+        # d/dm log(1+e^{-m}) = sigma(m) - 1
+        return ((sigmoid(m) - 1.0) * y) @ Z / len(y)
+
+    def hessian(x, rows):
+        Z, ZT, y, m = batch(x, rows)
+        s = sigmoid(m)
+        return _gram(ZT, Z, s * (1.0 - s)) / len(y)
 
     return value, gradient, hessian
 

@@ -11,6 +11,7 @@ and finite-sum subsampling over a dataset of per-record oracles.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol
@@ -254,60 +255,61 @@ def gaussian_noisy(base: Problem, spec: GaussianNoiseSpec) -> Problem:
 class _FiniteSumSampler:
     """Batch means over a set of records.
 
-    A batch of n >= N records is the whole dataset: ``rows=None`` with the
-    problem's one read-only 1/N array ``every``, the noiseless oracle's own
-    pair, and nothing is drawn. A smaller batch is n distinct records drawn
-    uniformly without replacement from the stream's generator, each weighted
-    1/n; both arrays are read-only. The records depend on the stream key
-    alone, so one sample set evaluated at two points reuses the same records.
+    A batch of n >= N records is the whole dataset, ``rows=None``: the
+    noiseless oracle's own call, and nothing is drawn. A smaller batch is n
+    distinct records drawn uniformly without replacement from the stream's
+    generator. The records depend on the stream key alone, so one sample set
+    evaluated at two points reuses the same records.
     """
 
-    def __init__(self, value_fn, gradient_fn, hessian_fn, every):
+    def __init__(self, value_fn, gradient_fn, hessian_fn, n_records):
         self._value = value_fn
         self._gradient = gradient_fn
         self._hessian = hessian_fn
-        self._every = every
+        self._n_records = n_records
 
-    def _batch(self, n, stream):
-        N = len(self._every)
-        if n >= N:
-            return None, self._every
-        rows = stream.generator().choice(N, size=n, replace=False)
-        w = np.full(n, 1.0 / n)
-        rows.flags.writeable = w.flags.writeable = False
-        return rows, w
+    def _rows(self, n, stream):
+        N = self._n_records
+        return None if n >= N else stream.generator().choice(N, size=n, replace=False)
 
     def values(self, x, n, stream):
-        return self._value(x, *self._batch(n, stream))
+        return self._value(x, self._rows(n, stream))
 
     def gradients(self, x, n, stream):
-        return self._gradient(x, *self._batch(n, stream))
+        return self._gradient(x, self._rows(n, stream))
 
     def hessians(self, x, n, stream):
-        return self._hessian(x, *self._batch(n, stream))
+        return self._hessian(x, self._rows(n, stream))
 
 
 def _whole_dataset_memo(fn):
     """``fn`` with its whole-dataset result (``rows=None``) kept for the bits
     of the last x. Each read hands out a copy; a call that raises stores nothing."""
-    last = [None, None]  # bits of x, fn(x, None, w) there
+    last = [None, None]  # bits of x, fn(x, None) there
 
-    def call(x, rows, w):
+    def call(x, rows):
         if rows is not None:
-            return fn(x, rows, w)
+            return fn(x, rows)
         key = np.asarray(x, dtype=float).tobytes()
         if last[0] != key:
-            last[:] = key, fn(x, rows, w)
+            last[:] = key, fn(x, None)
         return np.copy(last[1])
 
     return call
 
 
+def _require_integer(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer;
+    a bool is not one, a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def finite_sum_problem(
     dim: int,
-    value_fn: Callable[[np.ndarray, np.ndarray | None, np.ndarray], float],
-    gradient_fn: Callable[[np.ndarray, np.ndarray | None, np.ndarray], np.ndarray],
-    hessian_fn: Callable[[np.ndarray, np.ndarray | None, np.ndarray], np.ndarray],
+    value_fn: Callable[[np.ndarray, np.ndarray | None], float],
+    gradient_fn: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+    hessian_fn: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
     n_records: int,
     constraint: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
@@ -317,29 +319,26 @@ def finite_sum_problem(
 ) -> Problem:
     """Problem whose objective is the mean of per-record losses.
 
-    ``value_fn(x, rows, w)``, ``gradient_fn`` and ``hessian_fn`` return
-    ``sum_j w[j] f_{rows[j]}(x)`` for the loss, gradient and Hessian of the
-    records at ``x``; ``rows=None`` means every record in dataset order.
-    The noiseless oracle passes ``(None, every)``, every record weighted
-    1/n_records; the sampler picks each batch's pair (see
-    ``_FiniteSumSampler``). Both arrays are read-only.
+    ``value_fn(x, rows)``, ``gradient_fn`` and ``hessian_fn`` return the
+    mean over the records ``rows`` of the loss, gradient and Hessian at
+    ``x``; ``rows=None`` means every record. The noiseless oracle passes
+    ``None``; the sampler picks each batch's rows (see ``_FiniteSumSampler``).
 
-    Each callable's whole-dataset result is kept for the bits of the last x,
+    Each callable's whole-dataset mean is kept for the bits of the last x,
     so the noiseless oracle and every batch of n >= n_records records at one
     point evaluate it once. A caller gets a copy. The three slots are
     unguarded, so the problem must not be shared between threads.
     """
+    _require_integer(n_records, "n_records")
     if n_records < 1:
         raise EmptyDataset("finite-sum problem needs at least one record")
-    every = np.full(n_records, 1.0 / n_records)
-    every.flags.writeable = False
     value_fn, gradient_fn, hessian_fn = map(_whole_dataset_memo, (value_fn, gradient_fn, hessian_fn))
     oracle = NoiselessOracle(
-        value=lambda x: float(value_fn(x, None, every)),
-        gradient=lambda x: gradient_fn(x, None, every),
-        hessian=lambda x: hessian_fn(x, None, every),
+        value=lambda x: float(value_fn(x, None)),
+        gradient=lambda x: gradient_fn(x, None),
+        hessian=lambda x: hessian_fn(x, None),
     )
-    sampler = _FiniteSumSampler(value_fn, gradient_fn, hessian_fn, every)
+    sampler = _FiniteSumSampler(value_fn, gradient_fn, hessian_fn, n_records)
     return Problem(
         dim=dim,
         num_constraints=num_constraints,

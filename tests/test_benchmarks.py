@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from trsqp import benchmarks
 from trsqp.benchmarks import (
     GRAM_BLOCK,
     SyntheticLogisticSpec,
-    _RecordVectors,
     _gram,
+    _logistic_loss,
     _logistic_records,
     make_logistic,
     make_logistic_from_data,
@@ -23,16 +24,6 @@ from trsqp.linalg import nullspace_basis, smallest_eigpair
 from trsqp.problem import NoiselessOracle, _FiniteSumSampler
 from trsqp.rng import RngStream
 from trsqp.solver import SolverConfig, SolverState, run
-
-
-def _pair(N, idx):
-    """A (rows, w) pair over N records that sums the multiset ``idx``: the
-    rows themselves weighted 1/n below N of them, and from N on every record
-    weighted by its count over n, so both of the callables' paths see repeats."""
-    n = len(idx)
-    if n >= N:
-        return None, np.bincount(idx, minlength=N) / n
-    return idx, np.full(n, 1.0 / n)
 
 
 class TestSaddle:
@@ -235,8 +226,7 @@ def small():
 class TestLogisticLoss:
     @staticmethod
     def loss(margins):
-        m = np.asarray(margins, dtype=float)
-        return _RecordVectors(m[:, None], np.ones(len(m)), np.ones(1)).loss
+        return _logistic_loss(np.asarray(margins, dtype=float))
 
     def test_matches_logaddexp(self):
         t = np.geomspace(1e-3, 745.0, 20_001)
@@ -280,19 +270,15 @@ class TestLogistic:
     def test_record_means_match_einsum_reference(self):
         # The callables' means come without per-record tensors; the reference
         # builds those tensors and averages them. Batches of fewer than 6,000
-        # records gather their rows; the rest weight every record by its
-        # count, from exactly 6,000 with repeats on.
+        # records gather their rows; None is every record.
         rng = np.random.default_rng(11)
         labels = np.repeat([1.0, -1.0], 3_000)
         features = rng.normal(np.where(labels > 0, 0.0, 5.0)[:, None], 1.0, size=(6_000, 15))
         prob = make_logistic_from_data(features, labels, rng=np.random.default_rng(1))
         records = _logistic_records(features, labels)
-        boundary = rng.integers(0, 6_000, size=6_000)
-        assert len(np.unique(boundary)) < 6_000
-        batches = [rng.integers(0, 6_000, size=n) for n in (1, 10, 5_999)]
-        batches += [boundary, rng.integers(0, 6_000, size=10_000), np.arange(6_000)]
-        for idx in batches:
-            pair = _pair(6_000, idx)
+        batches = [rng.choice(6_000, size=n, replace=False) for n in (1, 10, 5_999)] + [None]
+        for rows in batches:
+            idx = np.arange(6_000) if rows is None else rows
             for _ in range(3):
                 x = 0.3 * rng.standard_normal(15)
                 Zi, yi = features[idx], labels[idx]
@@ -304,37 +290,36 @@ class TestLogistic:
                     np.mean(np.einsum("n,ni,nj->nij", s * (1.0 - s), Zi, Zi), axis=0),
                 )
                 for fn, ref in zip(records, refs):
-                    g = fn(x, *pair)
+                    g = fn(x, rows)
                     assert np.shape(g) == np.shape(ref)
                     assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
         # The noiseless oracle is bitwise every record once, and is the
         # sampler's batch of 6,000 records or more under any key.
         exact, sampler = prob.require_noiseless(), prob.sampler
-        every = _pair(6_000, np.arange(6_000))
         for n in (6_000, 10_000):
             stream = RngStream(n)
-            assert exact.value(x) == records[0](x, *every) == sampler.values(x, n, stream)
-            assert np.array_equal(exact.gradient(x), records[1](x, *every))
+            assert exact.value(x) == records[0](x, None) == sampler.values(x, n, stream)
+            assert np.array_equal(exact.gradient(x), records[1](x, None))
             assert np.array_equal(exact.gradient(x), sampler.gradients(x, n, stream))
-            assert np.array_equal(exact.hessian(x), records[2](x, *every))
+            assert np.array_equal(exact.hessian(x), records[2](x, None))
             assert np.array_equal(exact.hessian(x), sampler.hessians(x, n, stream))
 
     def test_blocked_hessian_matches_einsum_reference(self):
-        # 2 blocks and a last block of one row. Counted batches sum all of
-        # them; gathered ones between one block and N draws span two.
+        # 2 blocks and a last block of one row. The whole dataset sums all of
+        # them; gathered sets between one block and N records span two.
         rng = np.random.default_rng(14)
         N, d = 2 * GRAM_BLOCK + 1, 6
         features = rng.standard_normal((N, d))
         labels = np.where(rng.uniform(size=N) < 0.5, 1.0, -1.0)
         _, _, hessian = _logistic_records(features, labels)
-        sizes = (GRAM_BLOCK + 1, 2 * GRAM_BLOCK, N, 3 * N)
-        batches = [np.arange(N)] + [rng.integers(0, N, size=n) for n in sizes]
-        for idx in batches:
+        sizes = (GRAM_BLOCK + 1, 2 * GRAM_BLOCK, N - 1)
+        for rows in [None] + [rng.choice(N, size=n, replace=False) for n in sizes]:
             x = 0.3 * rng.standard_normal(d)
-            Zi = features[idx]
-            s = 1.0 / (1.0 + np.exp(-labels[idx] * (Zi @ x)))
+            Zi = features if rows is None else features[rows]
+            yi = labels if rows is None else labels[rows]
+            s = 1.0 / (1.0 + np.exp(-yi * (Zi @ x)))
             ref = np.mean(np.einsum("n,ni,nj->nij", s * (1.0 - s), Zi, Zi), axis=0)
-            got = hessian(x, *_pair(N, idx))
+            got = hessian(x, rows)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 100, GRAM_BLOCK])
@@ -346,35 +331,58 @@ class TestLogistic:
             assert _gram(ZT, Z, v).tobytes() == ((ZT * v) @ Z).tobytes()
 
     def test_records_that_served_earlier_calls_match_fresh_ones(self):
-        # The callables keep the last point's whole-dataset vectors. Whatever
-        # they served before, each result must equal that of a fresh set of
-        # records bit for bit.
+        # The problem keeps the last point's whole-dataset means. Whatever it
+        # served before, each result must equal that of fresh callables bit
+        # for bit.
         rng = np.random.default_rng(13)
         N, d = 300, 6
         features = rng.standard_normal((N, d))
         labels = np.where(rng.uniform(size=N) < 0.5, 1.0, -1.0)
-        served = _logistic_records(features, labels)
-        shared, other = (_pair(N, rng.integers(0, N, size=2 * N)) for _ in range(2))
-        exact, boundary = _pair(N, np.arange(N)), _pair(N, rng.integers(0, N, size=N))
-        gathered = _pair(N, rng.integers(0, N, size=10))
+        prob = make_logistic_from_data(features, labels, rng=np.random.default_rng(1))
+        shared, other = RngStream(1), RngStream(2)
         x, z = 0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d)
         script = [
-            (x, shared), (x, shared), (z, shared), (x, shared),  # repeated and alternating points
-            (x, other), (x, shared),  # another sample set of the same size
-            (x, exact), (x, boundary), (x, exact),  # N draws, without and with repeats
-            (x, gathered), (x, shared),  # gathered, then every record at the same x
-            (z, gathered), (z, exact),
+            (x, N, shared), (x, N, shared), (z, N, shared), (x, 2 * N, other),  # repeated and alternating points
+            (x, 10, shared), (x, N, shared),  # gathered, then every record at the same x
+            (z, 10, other), (z, N - 1, shared), (z, N, other),
         ]
-        for k, fn in enumerate(served):
+        for k, kind in enumerate(("values", "gradients", "hessians")):
+            served = getattr(prob.sampler, kind)
 
-            def fresh(x_at, batch):
-                return _logistic_records(features, labels)[k](x_at, *batch)
+            def fresh(x_at, n, stream):
+                return _logistic_records(features, labels)[k](x_at, prob.sampler._rows(n, stream))
 
-            for x_at, batch in script:
-                assert np.array_equal(fn(x_at, *batch), fresh(x_at, batch))
-            fn(x, *shared)
+            for x_at, n, stream in script:
+                assert np.array_equal(served(x_at, n, stream), fresh(x_at, n, stream))
+            served(x, N, shared)
             x += 0.125  # mutated in place: the bits of x are the key
-            assert np.array_equal(fn(x, *shared), fresh(x, shared))
+            assert np.array_equal(served(x, N, shared), fresh(x, N, shared))
+
+    def test_run_evaluates_whole_dataset_means_once_per_point(self, monkeypatch):
+        # The noiseless oracle and every batch of N records or more share one
+        # whole-dataset evaluation per distinct point.
+        calls = {"gradient": [], "hessian": []}
+        records = benchmarks._logistic_records
+
+        def counted(features, labels):
+            value, gradient, hessian = records(features, labels)
+
+            def count(kind, fn):
+                def call(x, rows):
+                    if rows is None:
+                        calls[kind].append(x.tobytes())
+                    return fn(x, rows)
+
+                return call
+
+            return value, count("gradient", gradient), count("hessian", hessian)
+
+        monkeypatch.setattr(benchmarks, "_logistic_records", counted)
+        prob = make_logistic(SyntheticLogisticSpec(), np.random.default_rng(913_000))
+        res = run(prob, np.zeros(15), SolverConfig(alpha=1, kkt_tol=1e-2, seed=0))
+        assert res.converged
+        for kind, keys in calls.items():
+            assert len(keys) > 1 and len(keys) == len(set(keys)), kind
 
     @pytest.mark.parametrize(
         "rows, labels, match",
@@ -419,14 +427,14 @@ class TestLogistic:
     def test_full_size_dataset_converges_on_distinct_records(self, monkeypatch):
         # 60,000 records: every batch, up to the cap of 10^4, is a set of rows.
         batches = []
-        batch = _FiniteSumSampler._batch
+        draw = _FiniteSumSampler._rows
 
         def recorded(sampler, n, stream):
-            pair = batch(sampler, n, stream)
-            batches.append((n, pair[0]))
-            return pair
+            rows = draw(sampler, n, stream)
+            batches.append((n, rows))
+            return rows
 
-        monkeypatch.setattr(_FiniteSumSampler, "_batch", recorded)
+        monkeypatch.setattr(_FiniteSumSampler, "_rows", recorded)
         prob = make_logistic(SyntheticLogisticSpec(n_records=60_000), np.random.default_rng(913_000))
         for seed in range(2):
             res = run(prob, np.zeros(15), SolverConfig(alpha=1, kkt_tol=1e-2, seed=seed))

@@ -390,8 +390,8 @@ class TestRunCommand:
         assert result["converged"] and result["invariant_violations"] == 0
 
     def test_package_error_is_an_error_line(self, tmp_path):
-        # A feature of 1e200 overflows the exact KKT residual at x0 to
-        # infinity, so the solve raises NonFiniteInput; a file with no records
+        # A feature of 1e200 overflows the exact Hessian at x0 to infinity,
+        # so the solve raises NonFiniteInput; a file with no records
         # raises EmptyDataset. The command reports each as one error line,
         # with no traceback and no numpy warning before it, and leaves no
         # output directory.
@@ -401,7 +401,7 @@ class TestRunCommand:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         for data, message in [
-            (huge, "exact KKT residual contains NaN or infinity"),
+            (huge, "exact Hessian contains NaN or infinity"),
             (empty, f"{empty} has no records"),
         ]:
             proc = subprocess.run(

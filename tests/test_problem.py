@@ -250,8 +250,8 @@ class TestGaussianNoise:
                 GaussianNoiseSpec(variance)
 
 
-def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None):
-    """Least-squares finite sum; ``seen`` collects every (rows, w) batch."""
+def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None, hessian_fn=None):
+    """Least-squares finite sum; ``seen`` collects the rows of every value call."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_records, dim))
     b = rng.standard_normal(n_records)
@@ -259,29 +259,44 @@ def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None):
     def records(rows):
         return (A, b) if rows is None else (A[rows], b[rows])
 
-    def value(x, rows, w):
+    def value(x, rows):
         if seen is not None:
-            seen.append((rows, w))
+            seen.append(rows)
         Ar, br = records(rows)
-        return w @ (0.5 * (Ar @ x - br) ** 2)
+        return np.mean(0.5 * (Ar @ x - br) ** 2)
 
-    def gradient(x, rows, w):
+    def gradient(x, rows):
         Ar, br = records(rows)
-        return (w * (Ar @ x - br)) @ Ar
+        return (Ar @ x - br) @ Ar / len(br)
 
-    def hessian(x, rows, w):
+    def hessian(x, rows):
         Ar, _ = records(rows)
-        return (Ar.T * w) @ Ar
+        return Ar.T @ Ar / len(Ar)
 
     return finite_sum_problem(
         dim=dim,
         value_fn=value,
         gradient_fn=gradient,
-        hessian_fn=hessian,
+        hessian_fn=hessian if hessian_fn is None else hessian_fn,
         n_records=n_records,
         constraint=lambda x: np.array([x[0] - 1.0]),
         jacobian=lambda x: np.eye(1, dim),
         constraint_hessians=lambda x: np.zeros((1, dim, dim)),
+        num_constraints=1,
+    )
+
+
+def _finite_sum(n_records, value_fn=lambda x, rows: 0.0, hessian_fn=lambda x, rows: np.zeros((2, 2))):
+    """A 2-D finite sum over ``n_records`` records with the given value and Hessian means."""
+    return finite_sum_problem(
+        dim=2,
+        value_fn=value_fn,
+        gradient_fn=lambda x, rows: np.zeros(2),
+        hessian_fn=hessian_fn,
+        n_records=n_records,
+        constraint=lambda x: x[:1],
+        jacobian=lambda x: np.eye(1, 2),
+        constraint_hessians=lambda x: np.zeros((1, 2, 2)),
         num_constraints=1,
     )
 
@@ -297,11 +312,9 @@ class TestFiniteSum:
         b = rng.standard_normal(5)
         expected = np.mean(0.5 * (A @ x - b) ** 2)
         assert prob.noiseless.value(x) == pytest.approx(expected, rel=1e-12)
-        # Every record once: bitwise the weights of a count of arange(N).
+        # Every record, at each distinct point.
         prob.noiseless.value(-x)
-        (rows, w), again = seen
-        assert rows is None and again[1] is w and not w.flags.writeable
-        assert w.tobytes() == (np.bincount(np.arange(5), minlength=5) / 5).tobytes()
+        assert seen == [None, None]
 
     def test_batches_share_indices_across_points(self):
         seen = []
@@ -313,11 +326,9 @@ class TestFiniteSum:
         prob.sampler.values(x2, 50, stream)
         prob.sampler.values(x1, 50, stream.child("other"))
         # Same key, same records at both points; another key, other records.
-        (rows, w), again, other = seen
-        assert rows.shape == (50,) and np.array_equal(again[0], rows)
-        assert not rows.flags.writeable and not w.flags.writeable
-        assert np.array_equal(w, np.full(50, 1 / 50)) and np.array_equal(again[1], w)
-        assert not np.array_equal(rows, other[0])
+        rows, again, other = seen
+        assert rows.shape == (50,) and np.array_equal(again, rows)
+        assert not np.array_equal(rows, other)
         assert v1 == prob.sampler.values(x1, 50, stream)
 
     def test_value_pair_shares_records(self):
@@ -330,10 +341,10 @@ class TestFiniteSum:
         prob.sampler.values(np.ones(3), 5_000, stream)
         prob.sampler.values(np.zeros(3), 4_999, stream)
         prob.sampler.values(np.zeros(3), 5_000, RngStream(9).child("pair", 2))
-        (rows, w), again, smaller, other = seen
-        assert np.array_equal(again[0], rows) and np.array_equal(again[1], w)
-        assert not np.array_equal(smaller[0], rows[:4_999])
-        assert not np.array_equal(other[0], rows)
+        rows, again, smaller, other = seen
+        assert np.array_equal(again, rows)
+        assert not np.array_equal(smaller, rows[:4_999])
+        assert not np.array_equal(other, rows)
 
     def test_batch_of_dataset_size_or_more_is_every_record(self, monkeypatch):
         draws = []
@@ -348,12 +359,12 @@ class TestFiniteSum:
         prob = _toy_finite_sum(n_records=6_000, seen=seen)
         x = np.array([0.3, 0.1, -0.7])
         exact = prob.noiseless.value(x)
-        assert seen.pop()[0] is None
+        assert seen == [None]
         for n in (6_000, 10_000):  # as many records as the dataset, and more
             stream = RngStream(5).child("big", n)
             mean = prob.sampler.values(x, n, stream)
-            # The noiseless oracle's kept result, and its value bit for bit.
-            assert seen == []
+            # The noiseless oracle's kept mean, bit for bit, with no new call.
+            assert seen == [None]
             assert np.float64(mean).tobytes() == np.float64(exact).tobytes()
             for kind, oracle in (("gradients", "gradient"), ("hessians", "hessian")):
                 assert prob.mean(kind, x, n, stream).tobytes() == prob.exact(oracle, x).tobytes()
@@ -365,10 +376,10 @@ class TestFiniteSum:
         prob = _toy_finite_sum(n_records=6_000, seen=seen)
         for key in range(3):
             prob.sampler.values(np.zeros(3), n, RngStream(key).child("set"))
-        for rows, w in seen:
+        assert len(seen) == 3
+        for rows in seen:
             assert rows.shape == (n,) and len(np.unique(rows)) == n
             assert 0 <= rows.min() and rows.max() < 6_000
-            assert np.array_equal(w, np.full(n, 1 / n))
 
     @pytest.mark.parametrize("n", [1, 10, 19, 20])
     def test_batch_mean_variance_is_that_of_sampling_without_replacement(self, n):
@@ -378,17 +389,7 @@ class TestFiniteSum:
         # n = 19, and 0 at n = N, where the mean is the exact one.
         N, keys = 20, 4_000
         records = np.random.default_rng(3).standard_normal(N) ** 2
-        prob = finite_sum_problem(
-            dim=2,
-            value_fn=lambda x, rows, w: w @ (records if rows is None else records[rows]),
-            gradient_fn=lambda x, rows, w: np.zeros(2),
-            hessian_fn=lambda x, rows, w: np.zeros((2, 2)),
-            n_records=N,
-            constraint=lambda x: x[:1],
-            jacobian=lambda x: np.eye(1, 2),
-            constraint_hessians=lambda x: np.zeros((1, 2, 2)),
-            num_constraints=1,
-        )
+        prob = _finite_sum(N, value_fn=lambda x, rows: np.mean(records if rows is None else records[rows]))
         x = np.zeros(2)
         means = np.array([prob.sampler.values(x, n, RngStream(k).child("var")) for k in range(keys)])
         expected = (N - n) / (N - 1) * np.var(records) / n
@@ -410,13 +411,56 @@ class TestFiniteSum:
         fd = finite_difference_gradient(prob.noiseless.value, x)
         assert np.max(np.abs(fd - prob.noiseless.gradient(x))) <= 1e-6
 
+    def test_kept_mean_is_handed_out_as_a_copy(self):
+        prob = _toy_finite_sum(n_records=40)
+        x = np.array([0.3, 0.1, -0.7])
+        g, H = prob.noiseless.gradient(x), prob.noiseless.hessian(x)
+        fresh = _toy_finite_sum(n_records=40).noiseless
+        g[:] = np.nan
+        H[0, 0] = np.inf
+        stream = RngStream(0)
+        for got in (prob.noiseless.gradient(x), prob.sampler.gradients(x, 40, stream)):
+            assert got.tobytes() == fresh.gradient(x).tobytes()
+        for got in (prob.noiseless.hessian(x), prob.sampler.hessians(x, 40, stream)):
+            assert got.tobytes() == fresh.hessian(x).tobytes()
+
+    def test_call_that_raises_keeps_no_mean(self):
+        # A Hessian oracle that fails once at z: the next read at z evaluates
+        # again, and the mean kept for x before it is not served at z.
+        calls = []
+
+        def hessian(x, rows):
+            calls.append(x[0])
+            if len(calls) == 2:
+                raise FloatingPointError("transient")
+            return np.diag([x[0], 1.0])
+
+        prob = _finite_sum(10, hessian_fn=hessian)
+        x, z = np.zeros(2), np.ones(2)
+        assert np.array_equal(prob.noiseless.hessian(x), np.diag([0.0, 1.0]))
+        with pytest.raises(FloatingPointError):
+            prob.noiseless.hessian(z)
+        assert np.array_equal(prob.noiseless.hessian(z), np.eye(2))
+        assert np.array_equal(prob.sampler.hessians(z, 10, RngStream(0)), np.eye(2))
+        assert calls == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("n_records", [6_000.0, 2.5, True, "40"])
+    def test_record_count_must_be_an_integer(self, n_records):
+        with pytest.raises(ValueError, match="n_records must be an integer"):
+            _finite_sum(n_records)
+
+    def test_numpy_integer_record_count_accepted(self):
+        prob = _finite_sum(np.int64(40), value_fn=lambda x, rows: 40.0 if rows is None else len(rows))
+        assert prob.sampler.values(np.zeros(2), 39, RngStream(0)) == 39
+        assert prob.sampler.values(np.zeros(2), 40, RngStream(0)) == 40.0
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
             finite_sum_problem(
                 dim=2,
-                value_fn=lambda x, rows, w: 0.0,
-                gradient_fn=lambda x, rows, w: np.zeros(2),
-                hessian_fn=lambda x, rows, w: np.zeros((2, 2)),
+                value_fn=lambda x, rows: 0.0,
+                gradient_fn=lambda x, rows: np.zeros(2),
+                hessian_fn=lambda x, rows: np.zeros((2, 2)),
                 n_records=0,
                 constraint=lambda x: np.array([x[0]]),
                 jacobian=lambda x: np.array([[1.0, 0.0]]),
