@@ -3,8 +3,10 @@
 A synthetic two-class dataset (features N(0,1) for label +1, N(5,1) for
 label -1), the mean logistic loss, and five random affine constraints
 A x = b. All objective quantities are estimated from record batches whose
-sizes adapt to the trust radius; the solver never touches the full dataset
-except to report true residuals.
+sizes adapt to the trust radius. A batch of 6000 records or more is the
+whole dataset: here most batches reach the cap of 10^4, so they are the
+exact means, which the problem evaluates once per point and shares with
+the true residuals.
 """
 
 import numpy as np

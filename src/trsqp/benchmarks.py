@@ -101,9 +101,8 @@ class SyntheticLogisticSpec:
 
 
 def _logistic_loss(margins: np.ndarray) -> np.ndarray:
-    """log(1 + exp(-m)) per margin m: the stable softplus that
-    np.logaddexp(0, -m) runs through scalar libm calls, in vectorized ufuncs.
-    e^{-|m|} may underflow harmlessly."""
+    """log(1 + exp(-m)) per margin m: the stable softplus that np.logaddexp(0, -m)
+    runs through scalar libm calls, in vectorized ufuncs. e^{-|m|} may underflow harmlessly."""
     with np.errstate(under="ignore"):
         return np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
 
@@ -128,29 +127,25 @@ def _logistic_records(features: np.ndarray, labels: np.ndarray):
     yf = np.asarray(labels, dtype=float)
 
     def batch(x, rows):
-        """A batch's rows, their transpose, labels and margins y (Z x)."""
-        if rows is None:
-            Z, ZT, y = Zf, ZfT, yf
-        else:
-            Z = Zf.take(rows, axis=0)
-            ZT, y = Z.T, yf.take(rows)
-        return Z, ZT, y, y * (Z @ x)
+        """A batch's rows, their labels and margins y (Z x)."""
+        Z, y = (Zf, yf) if rows is None else (Zf.take(rows, axis=0), yf.take(rows))
+        return Z, y, y * (Z @ x)
 
     def sigmoid(m):
         return 1.0 / (1.0 + np.exp(-m))
 
     def value(x, rows):
-        return np.mean(_logistic_loss(batch(x, rows)[3]))
+        return np.mean(_logistic_loss(batch(x, rows)[2]))
 
     def gradient(x, rows):
-        Z, _, y, m = batch(x, rows)
+        Z, y, m = batch(x, rows)
         # d/dm log(1+e^{-m}) = sigma(m) - 1
         return ((sigmoid(m) - 1.0) * y) @ Z / len(y)
 
     def hessian(x, rows):
-        Z, ZT, y, m = batch(x, rows)
+        Z, y, m = batch(x, rows)
         s = sigmoid(m)
-        return _gram(ZT, Z, s * (1.0 - s)) / len(y)
+        return _gram(ZfT if rows is None else Z.T, Z, s * (1.0 - s)) / len(y)
 
     return value, gradient, hessian
 

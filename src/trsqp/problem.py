@@ -253,14 +253,11 @@ def gaussian_noisy(base: Problem, spec: GaussianNoiseSpec) -> Problem:
 
 
 class _FiniteSumSampler:
-    """Batch means over a set of records.
-
-    A batch of n >= N records is the whole dataset, ``rows=None``: the
-    noiseless oracle's own call, and nothing is drawn. A smaller batch is n
-    distinct records drawn uniformly without replacement from the stream's
-    generator. The records depend on the stream key alone, so one sample set
-    evaluated at two points reuses the same records.
-    """
+    """Batch means over a set of records: at n >= N the whole dataset
+    (``rows=None``, the noiseless oracle's own call, drawing nothing), and
+    below N n distinct records drawn uniformly without replacement from the
+    stream's generator. The rows depend on the stream key alone, so one
+    sample set evaluated at two points reuses the same records."""
 
     def __init__(self, value_fn, gradient_fn, hessian_fn, n_records):
         self._value = value_fn
@@ -299,8 +296,7 @@ def _whole_dataset_memo(fn):
 
 
 def _require_integer(value, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer;
-    a bool is not one, a numpy integer is."""
+    """Raise ``ValueError`` unless ``value`` is an integer: a numpy one, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -320,14 +316,11 @@ def finite_sum_problem(
     """Problem whose objective is the mean of per-record losses.
 
     ``value_fn(x, rows)``, ``gradient_fn`` and ``hessian_fn`` return the
-    mean over the records ``rows`` of the loss, gradient and Hessian at
-    ``x``; ``rows=None`` means every record. The noiseless oracle passes
-    ``None``; the sampler picks each batch's rows (see ``_FiniteSumSampler``).
-
-    Each callable's whole-dataset mean is kept for the bits of the last x,
-    so the noiseless oracle and every batch of n >= n_records records at one
-    point evaluate it once. A caller gets a copy. The three slots are
-    unguarded, so the problem must not be shared between threads.
+    mean loss, gradient and Hessian at ``x`` over the records ``rows``, and
+    ``rows=None`` means every record, as the noiseless oracle and a batch of
+    n >= n_records ask (see ``_FiniteSumSampler``). Each whole-dataset mean
+    is kept for the bits of the last x and handed out as a copy; the three
+    slots are unguarded, so the problem must not be shared between threads.
     """
     _require_integer(n_records, "n_records")
     if n_records < 1:

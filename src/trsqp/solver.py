@@ -20,7 +20,7 @@ import numpy as np
 
 from . import benchmarks, estimator, linalg, steps
 from .errors import MeritLoopDiverged
-from .problem import Problem
+from .problem import Problem, _require_integer
 from .rng import RngStream
 
 __all__ = [
@@ -116,6 +116,8 @@ class SolverConfig:
         for name in ("p_f", "p_g", "p_h"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
+        for name in ("batch_cap", "max_iters", "seed"):
+            _require_integer(getattr(self, name), name)
         if not self.batch_cap >= 1:
             raise ValueError("batch_cap must be at least 1")
         if not self.kkt_tol >= 0.0:

@@ -342,7 +342,8 @@ class TestLogistic:
         shared, other = RngStream(1), RngStream(2)
         x, z = 0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d)
         script = [
-            (x, N, shared), (x, N, shared), (z, N, shared), (x, 2 * N, other),  # repeated and alternating points
+            # repeated and alternating points, every record
+            (x, N, shared), (x, N, shared), (z, N, shared), (x, 2 * N, other),
             (x, 10, shared), (x, N, shared),  # gathered, then every record at the same x
             (z, 10, other), (z, N - 1, shared), (z, N, other),
         ]

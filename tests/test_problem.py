@@ -286,7 +286,7 @@ def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None, hessian_fn=None):
     )
 
 
-def _finite_sum(n_records, value_fn=lambda x, rows: 0.0, hessian_fn=lambda x, rows: np.zeros((2, 2))):
+def _finite_sum(n_records, value_fn=lambda x, rows: 0.0, hessian_fn=lambda x, rows: np.eye(2)):
     """A 2-D finite sum over ``n_records`` records with the given value and Hessian means."""
     return finite_sum_problem(
         dim=2,

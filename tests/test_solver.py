@@ -88,6 +88,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["batch_cap", "max_iters", "seed"])
+    @pytest.mark.parametrize("bad", [5.5, 6.0, True, np.float64(6.0)], ids=["5.5", "6.0", "True", "np6.0"])
+    def test_integer_settings_must_be_integers(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["batch_cap", "max_iters", "seed"])
+    def test_numpy_integer_settings_accepted(self, field):
+        assert getattr(SolverConfig(**{field: np.int64(6)}), field) == 6
+
     def test_r_and_kkt_tol_may_be_infinite(self):
         SolverConfig(r=math.inf, kkt_tol=math.inf)
         with pytest.raises(ValueError, match="r must"):
