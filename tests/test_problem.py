@@ -250,7 +250,7 @@ class TestGaussianNoise:
                 GaussianNoiseSpec(variance)
 
 
-def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None, hessian_fn=None):
+def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None):
     """Least-squares finite sum; ``seen`` collects the rows of every value call."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_records, dim))
@@ -277,7 +277,7 @@ def _toy_finite_sum(n_records=5, dim=3, seed=0, seen=None, hessian_fn=None):
         dim=dim,
         value_fn=value,
         gradient_fn=gradient,
-        hessian_fn=hessian if hessian_fn is None else hessian_fn,
+        hessian_fn=hessian,
         n_records=n_records,
         constraint=lambda x: np.array([x[0] - 1.0]),
         jacobian=lambda x: np.eye(1, dim),
