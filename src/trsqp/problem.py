@@ -279,18 +279,25 @@ class _FiniteSumSampler:
         return self._hessian(x, self._rows(n, stream))
 
 
+def _kept(slots: dict, name: str, key, evaluate):
+    """``evaluate()``, kept in ``slots[name]`` until ``key`` changes. A call
+    that raises stores nothing."""
+    kept = slots.get(name)
+    if kept is None or kept[0] != key:
+        kept = slots[name] = (key, evaluate())
+    return kept[1]
+
+
 def _whole_dataset_memo(fn):
     """``fn`` with its whole-dataset result (``rows=None``) kept for the bits
-    of the last x. Each read hands out a copy; a call that raises stores nothing."""
-    last = [None, None]  # bits of x, fn(x, None) there
+    of the last x. Each read hands out a copy."""
+    slots = {}
 
     def call(x, rows):
         if rows is not None:
             return fn(x, rows)
         key = np.asarray(x, dtype=float).tobytes()
-        if last[0] != key:
-            last[:] = key, fn(x, None)
-        return np.copy(last[1])
+        return np.copy(_kept(slots, "whole", key, lambda: fn(x, None)))
 
     return call
 

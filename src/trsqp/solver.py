@@ -20,7 +20,7 @@ import numpy as np
 
 from . import benchmarks, estimator, linalg, steps
 from .errors import MeritLoopDiverged
-from .problem import Problem, _require_integer
+from .problem import Problem, _kept, _require_integer
 from .rng import RngStream
 
 __all__ = [
@@ -135,9 +135,33 @@ class SolverConfig:
 
 
 @dataclass
+class InvariantReport:
+    """Aggregated per-iteration invariant checks across a run."""
+
+    checked: dict = field(default_factory=dict)
+    violations: dict = field(default_factory=dict)
+    worst: dict = field(default_factory=dict)
+
+    def add(self, name: str, excess: float, allowed: float) -> None:
+        """Count one check of ``excess <= allowed`` (``allowed > 0``). Its margin,
+        excess / allowed, is above 1 exactly when it fails; a NaN reads as inf."""
+        self.checked[name] = self.checked.get(name, 0) + 1
+        margin = float(excess) / float(allowed)
+        if not excess <= allowed:
+            self.violations[name] = self.violations.get(name, 0) + 1
+            margin = margin if margin > 1.0 else math.inf  # a NaN side
+        self.worst[name] = max(self.worst.get(name, -math.inf), margin)
+
+    @property
+    def total_violations(self) -> int:
+        return sum(self.violations.values())
+
+
+@dataclass
 class SolverState:
     """Mutable per-run state: iterate, radius, reliability and merit
-    parameters, iteration counter, Hessian-strategy memory."""
+    parameters, iteration counter, Hessian-strategy memory, and the run's
+    invariant checks, which every iteration adds to."""
 
     x: np.ndarray
     delta: float
@@ -145,12 +169,12 @@ class SolverState:
     mu: float
     k: int
     strategy: object
-    # c, the factor of G and the exact KKT pair at the iterate, keyed by the
-    # bits of x: an x assigned or changed from outside gets fresh evaluations.
-    at_x: tuple[bytes, dict] | None = field(default=None, repr=False)
-    # The last factor of G, keyed by the bits of G, so a constant Jacobian
-    # is factored once per run.
-    at_g: tuple[tuple, linalg.JacobianFactor] | None = field(default=None, repr=False)
+    invariants: InvariantReport = field(default_factory=InvariantReport)
+    # What the state keeps (see problem._kept): c, G and the exact KKT pair
+    # keyed by the bits of x, so an x assigned or changed from outside gets
+    # fresh evaluations, and the factor of G keyed by G's shape and bits,
+    # so a constant Jacobian is factored once per run.
+    slots: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def initial(cls, problem: Problem, x0: np.ndarray, config: SolverConfig) -> "SolverState":
@@ -165,37 +189,24 @@ class SolverState:
             else estimator.HESSIAN_STRATEGIES[config.hessian](),
         )
 
-    def _at_iterate(self, name: str, evaluate):
-        """``evaluate(x)``, stored as ``name`` until the bits of x change."""
-        key = self.x.tobytes()
-        if self.at_x is None or self.at_x[0] != key:
-            self.at_x = (key, {})
-        values = self.at_x[1]
-        if name not in values:
-            values[name] = evaluate(self.x)
-        return values[name]
-
     def constraint(self, problem: Problem) -> np.ndarray:
         """c(x) at the iterate, evaluated once per distinct iterate."""
-        return self._at_iterate("c", problem.constraint_value)
+        return _kept(self.slots, "c", self.x.tobytes(), lambda: problem.constraint_value(self.x))
 
     def jacobian_factor(self, problem: Problem) -> linalg.JacobianFactor:
         """The factor of G(x) at the iterate. G is evaluated once per distinct
         iterate and factored once per distinct G."""
-        return self._at_iterate("J", lambda x: self._factor(problem.jacobian_value(x)))
-
-    def _factor(self, G: np.ndarray) -> linalg.JacobianFactor:
-        key = (G.shape, G.tobytes())
-        if self.at_g is None or self.at_g[0] != key:
-            self.at_g = (key, linalg.nullspace_basis(G))
-        return self.at_g[1]
+        G = _kept(self.slots, "G", self.x.tobytes(), lambda: problem.jacobian_value(self.x))
+        return _kept(self.slots, "factor", (G.shape, G.tobytes()), lambda: linalg.nullspace_basis(G))
 
     def exact_kkt(self, problem: Problem) -> tuple[float, float]:
         """:func:`benchmarks.true_kkt` on the iterate's c and factor of G, once
         per distinct iterate; NaNs when the problem has no noiseless oracle."""
         if problem.noiseless is None:
             return math.nan, math.nan
-        return self._at_iterate("kkt", lambda x: benchmarks.true_kkt(problem, x, self))
+        return _kept(
+            self.slots, "kkt", self.x.tobytes(), lambda: benchmarks.true_kkt(problem, self.x, self)
+        )
 
 
 @dataclass
@@ -243,29 +254,6 @@ def _csv_cell(value) -> str:
 
 _CSV_COLUMNS = tuple(f.name for f in fields(IterationRecord))
 IterationRecord.CSV_FIELDS = ",".join(_CSV_COLUMNS)
-
-
-@dataclass
-class InvariantReport:
-    """Aggregated per-iteration invariant checks across a run."""
-
-    checked: dict = field(default_factory=dict)
-    violations: dict = field(default_factory=dict)
-    worst: dict = field(default_factory=dict)
-
-    def add(self, name: str, excess: float, allowed: float) -> None:
-        """Count one check of ``excess <= allowed`` (``allowed > 0``). Its margin,
-        excess / allowed, is above 1 exactly when it fails; a NaN reads as inf."""
-        self.checked[name] = self.checked.get(name, 0) + 1
-        margin = float(excess) / float(allowed)
-        if not excess <= allowed:
-            self.violations[name] = self.violations.get(name, 0) + 1
-            margin = margin if margin > 1.0 else math.inf  # a NaN side
-        self.worst[name] = max(self.worst.get(name, -math.inf), margin)
-
-    @property
-    def total_violations(self) -> int:
-        return sum(self.violations.values())
 
 
 @dataclass
@@ -340,12 +328,10 @@ def check_step(report, step, c, J, grad, H, delta, tau_plus):
 
 
 def iterate(
-    state: SolverState,
-    problem: Problem,
-    config: SolverConfig,
-    report: InvariantReport | None = None,
+    state: SolverState, problem: Problem, config: SolverConfig
 ) -> tuple[SolverState, IterationRecord]:
-    """Run exactly one outer iteration, mutating and returning the state."""
+    """Run exactly one outer iteration, mutating and returning the state. A
+    trial step's checks go to ``state.invariants``."""
     k = state.k
     it_stream = RngStream(config.seed).child(k)
     x, delta, eps = state.x, state.delta, state.eps
@@ -425,9 +411,8 @@ def iterate(
             )
         pred = steps.predicted_reduction(grad, H, state.mu, drop, step.dx)
 
-    if report is not None:
-        check_step(report, step, c, J, grad, H, delta, tau_plus)
-        report.add("pred_threshold", pred - threshold, slack)
+    check_step(state.invariants, step, c, J, grad, H, delta, tau_plus)
+    state.invariants.add("pred_threshold", pred - threshold, slack)
 
     x_trial = x + step.dx
     f_k, f_s, batch_f = estimator.estimate_values(
@@ -454,7 +439,7 @@ def iterate(
 
     if accepted:
         state.x = x_trial
-        state.at_x = (x_trial.tobytes(), {"c": c_trial})
+        state.slots["c"] = (x_trial.tobytes(), c_trial)
         state.delta = min(config.gamma * delta, config.delta_max)
         if -pred >= state.eps:
             outcome = SUCCESSFUL_RELIABLE
@@ -486,7 +471,6 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
     exact_stop = problem.noiseless is not None
 
     records: list[IterationRecord] = []
-    report = InvariantReport()
     hits = 0
 
     while True:
@@ -500,7 +484,7 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
         if state.delta < DELTA_MIN:
             stop_reason = "radius-floor"
             break
-        state, record = iterate(state, problem, config, report)
+        state, record = iterate(state, problem, config)
         record.kkt_true, record.tau_true = kkt_true, tau_true
         records.append(record)
         if not exact_stop:
@@ -517,6 +501,6 @@ def run(problem: Problem, x0: np.ndarray, config: SolverConfig) -> RunResult:
         stop_reason=stop_reason,
         final_kkt=kkt_true,
         final_tau=tau_true,
-        invariants=report,
+        invariants=state.invariants,
         wall_time=time.perf_counter() - t0,
     )

@@ -281,19 +281,52 @@ class TestIterate:
             return svd(G)
 
         monkeypatch.setattr(trsqp.linalg, "_checked_svd", counting)
-        report = InvariantReport()
         seen = set()
         iterates = set()
         for _ in range(20):
             iterates.add(state.x.tobytes())
-            state, rec = iterate(state, prob, cfg, report)
+            state, rec = iterate(state, prob, cfg)
             assert len(calls) == len(iterates)
             seen.add("line6" if rec.outcome == UNSUCCESSFUL_LINE6 else rec.step_kind)
             if rec.soc:
                 seen.add("soc")
         assert seen == {"line6", "gradient", "eigen", "soc"}
         assert len(calls) < 20
+        report = state.invariants
         assert sum(report.checked.values()) > 0 and report.total_violations == 0
+
+    def test_iterate_records_its_checks_in_the_state(self):
+        # A direct iterate checks its trial step: each row of check_step and
+        # the threshold row, once per trial step, in the state's own report.
+        prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
+        cfg = SolverConfig(alpha=1, kkt_tol=0.0, seed=0)
+        state = SolverState.initial(prob, np.array([1.0, 0.005]), cfg)
+        records = [iterate(state, prob, cfg)[1] for _ in range(20)]
+        trials = sum(r.outcome != UNSUCCESSFUL_LINE6 for r in records)
+        report = state.invariants
+        assert trials > 0 and report.total_violations == 0
+        assert report.checked["pred_threshold"] == report.checked["step_within_radius"] == trials
+        assert "eigen_curvature" in report.checked and "cauchy_fraction" in report.checked
+
+    def test_raising_constraint_oracle_keeps_nothing(self):
+        # A c(x) read that raises stores nothing, so the next read calls the
+        # oracle again and keeps what it returns.
+        base = make_saddle()
+        calls = []
+
+        def failing_once(x):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("transient")
+            return base.constraint(x)
+
+        prob = dataclasses.replace(base, constraint=failing_once)
+        state = SolverState.initial(prob, np.array([0.6, 0.8]), SolverConfig())
+        with pytest.raises(RuntimeError, match="transient"):
+            state.constraint(prob)
+        c = state.constraint(prob)
+        assert len(calls) == 2 and state.constraint(prob) is c and len(calls) == 2
+        assert c.tobytes() == base.constraint(state.x).tobytes()
 
     @pytest.mark.parametrize("name", ["quadratic", "logistic"])
     def test_constant_jacobian_factored_once_per_run(self, monkeypatch, name):
@@ -456,12 +489,14 @@ class TestIterate:
         "alpha, x0, kind, eigh, svd",
         [
             # Estimate and step share one eigh of Z^T H Z; the SVDs are G
-            # (which also gives ||G||) and ||H||.
-            (1, [0.0, 1.0], "gradient", 1, 2),
-            # A first-order line-6 iteration reads no reduced curvature.
+            # (which also gives ||G||), ||H|| and check_step's own ||Z^T H Z||.
+            (1, [0.0, 1.0], "gradient", 1, 3),
+            # A first-order line-6 iteration reads no reduced curvature and
+            # builds no step to check.
             (0, [-1.0, 0.0], "none", 0, 2),
-            # A first-order step decomposes Z^T H Z once, for its tangential solve.
-            (0, [0.0, 1.0], "gradient", 1, 2),
+            # A first-order step decomposes Z^T H Z once, for its tangential
+            # solve; check_step takes one more SVD, of the same matrix.
+            (0, [0.0, 1.0], "gradient", 1, 3),
         ],
     )
     def test_decompositions_per_iteration(self, monkeypatch, alpha, x0, kind, eigh, svd):
@@ -477,7 +512,7 @@ class TestIterate:
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
         cfg = SolverConfig(alpha=alpha, kkt_tol=0.0, seed=0)
         state = SolverState.initial(prob, np.array(x0), cfg)
-        _, rec = iterate(state, prob, cfg, report=None)
+        _, rec = iterate(state, prob, cfg)
         assert rec.step_kind == kind
         assert counts == {"eigh": eigh, "svd": svd}
 
