@@ -27,7 +27,7 @@ print("(batches clamp at 10000)\n")
 
 problem = trsqp.gaussian_noisy(trsqp.make_quadratic(), trsqp.GaussianNoiseSpec(1e-2))
 x = np.array([0.8, -0.3])
-g_true = problem.noiseless.gradient(x)
+g_true = problem.exact("gradient", x)
 delta = 1.0
 trials, failures = 500, 0
 for t in range(trials):

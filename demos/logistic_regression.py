@@ -19,7 +19,7 @@ x0 = np.zeros(spec.dim)
 
 print(f"dataset: {spec.n_records} records, {spec.dim} features, "
       f"{spec.num_constraints} affine constraints")
-print(f"loss at x0 = 0: {problem.noiseless.value(x0):.6f} (log 2 = {np.log(2):.6f})\n")
+print(f"loss at x0 = 0: {float(problem.exact('value', x0)):.6f} (log 2 = {np.log(2):.6f})\n")
 
 config = trsqp.SolverConfig(alpha=1, kkt_tol=1e-2, max_iters=10_000, seed=0)
 result = trsqp.run(problem, x0, config)
@@ -33,4 +33,4 @@ for rec in result.records[:: max(1, len(result.records) // 12)]:
 print()
 print(f"stopped: {result.stop_reason} after {result.state.k} iterations")
 print(f"final true KKT {result.final_kkt:.3e}, "
-      f"constraint violation {np.linalg.norm(problem.constraint(result.state.x)):.2e}")
+      f"constraint violation {np.linalg.norm(problem.constraint_value(result.state.x)):.2e}")

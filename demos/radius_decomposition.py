@@ -18,18 +18,16 @@ problem = trsqp.make_saddle()
 x = np.array([0.8, 0.7])  # infeasible: |x| != 1
 delta = 0.5
 
-c = problem.constraint(x)
-J = linalg.nullspace_basis(problem.jacobian(x))
+c = problem.constraint_value(x)
+J = linalg.nullspace_basis(problem.jacobian_value(x))
 G, Z = J.G, J.Z
 
 print(f"at x = {x}: feasibility residual |c| = {np.linalg.norm(c):.4f}")
 for scale in (1e-3, 1.0, 1e3):
-    grad = scale * problem.noiseless.gradient(x)
+    grad = scale * problem.exact("gradient", x)
     lam = J.multiplier(grad)
     grad_l = grad + G.T @ lam
-    H = scale * problem.noiseless.hessian(x) + np.tensordot(
-        lam, problem.constraint_hessians(x), axes=1
-    )
+    H = scale * problem.exact("hessian", x) + problem.lagrangian_term(x, lam)
     c_rs, grad_l_rs = steps.rescaled_residuals(c, J, grad_l, linalg.spectral_norm(H))
     split = steps.split_radius(
         delta, float(np.linalg.norm(c_rs)), float(np.linalg.norm(grad_l_rs))

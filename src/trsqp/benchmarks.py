@@ -22,6 +22,7 @@ from .problem import (
     exact_problem,
     finite_sum_problem,
 )
+from .rng import _require_integer
 
 if TYPE_CHECKING:
     from .solver import SolverState
@@ -94,6 +95,12 @@ class SyntheticLogisticSpec:
     feature_law: str = "normal"
 
     def __post_init__(self):
+        for name in ("dim", "n_records", "num_constraints"):
+            _require_integer(getattr(self, name), name)
+        if not 0 < self.num_constraints < self.dim:
+            raise ValueError(
+                f"need 0 < num_constraints < dim, got {self.num_constraints} and {self.dim}"
+            )
         if self.feature_law not in ("normal", "exponential"):
             raise ValueError("feature_law must be 'normal' or 'exponential'")
         if self.n_records < 2:

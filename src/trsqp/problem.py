@@ -11,7 +11,6 @@ and finite-sum subsampling over a dataset of per-record oracles.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EmptyDataset, MissingNoiselessOracle
-from .rng import RngStream
+from .rng import RngStream, _require_integer
 
 __all__ = [
     "NoiselessOracle",
@@ -121,9 +120,9 @@ class Problem:
         return self._checked(getattr(self.sampler, kind)(x, n, stream), shape, f"sampled {kind}")
 
     def exact(self, kind: str, x: np.ndarray) -> np.ndarray:
-        """The noiseless oracle's "gradient" or "hessian" at x, of shape (dim,) or (dim, dim)."""
-        what = {"gradient": "exact gradient", "hessian": "exact Hessian"}[kind]
-        shape = (self.dim,) if kind == "gradient" else (self.dim, self.dim)
+        """Noiseless "value", "gradient" or "hessian" at x, of shape (), (dim,) or (dim, dim)."""
+        shape = {"value": (), "gradient": (self.dim,), "hessian": (self.dim, self.dim)}[kind]
+        what = "exact Hessian" if kind == "hessian" else f"exact {kind}"
         return self._checked(getattr(self.require_noiseless(), kind)(x), shape, what)
 
 
@@ -300,12 +299,6 @@ def _whole_dataset_memo(fn):
         return np.copy(_kept(slots, "whole", key, lambda: fn(x, None)))
 
     return call
-
-
-def _require_integer(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer: a numpy one, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def finite_sum_problem(

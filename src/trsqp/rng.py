@@ -20,6 +20,12 @@ __all__ = ["RngStream"]
 _WORD = (1 << 64) - 1
 
 
+def _require_integer(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer: a numpy one, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _digest(parts: tuple) -> int:
     h = hashlib.blake2b(digest_size=16)
     for part in parts:
@@ -59,7 +65,7 @@ class RngStream:
     Parameters
     ----------
     seed : int
-        Run-level seed.
+        Run-level seed: an integer (a numpy one too), not a bool, float or string.
     path : tuple, optional
         Key components appended by :meth:`child`.
     """
@@ -67,6 +73,7 @@ class RngStream:
     __slots__ = ("seed", "path")
 
     def __init__(self, seed: int, path: tuple = ()):
+        _require_integer(seed, "seed")
         self.seed = int(seed)
         self.path = tuple(path)
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import benchmarks, estimator, linalg, steps
 from .errors import MeritLoopDiverged
-from .problem import Problem, _kept, _require_integer
-from .rng import RngStream
+from .problem import Problem, _kept
+from .rng import RngStream, _require_integer
 
 __all__ = [
     "SolverConfig",
@@ -96,6 +96,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("alpha", "batch_cap", "max_iters", "seed"):
+            _require_integer(getattr(self, name), name)
         if self.alpha not in (0, 1):
             raise ValueError("alpha must be 0 or 1")
         if self.hessian not in estimator.HESSIAN_STRATEGIES:
@@ -116,8 +118,6 @@ class SolverConfig:
         for name in ("p_f", "p_g", "p_h"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        for name in ("batch_cap", "max_iters", "seed"):
-            _require_integer(getattr(self, name), name)
         if not self.batch_cap >= 1:
             raise ValueError("batch_cap must be at least 1")
         if not self.kkt_tol >= 0.0:

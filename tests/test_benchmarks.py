@@ -454,8 +454,17 @@ class TestLogistic:
 
     @pytest.mark.parametrize(
         "field, match",
-        [({"feature_law": "uniform"}, "feature_law"), ({"n_records": 1}, "two records")],
-        ids=["unknown-law", "one-record"],
+        [
+            ({"feature_law": "uniform"}, "feature_law"),
+            ({"n_records": 1}, "two records"),
+            ({"n_records": 6000.0}, "n_records must be an integer, got 6000.0"),
+            ({"n_records": True}, "n_records must be an integer, got True"),
+            ({"dim": 15.5}, "dim must be an integer, got 15.5"),
+            ({"num_constraints": -1}, r"need 0 < num_constraints < dim, got -1 and 15"),
+            ({"dim": 0}, r"need 0 < num_constraints < dim, got 5 and 0"),
+        ],
+        ids=["unknown-law", "one-record", "float-records", "bool-records", "float-dim",
+             "negative-constraints", "zero-dim"],
     )
     def test_spec_rejects_bad_fields(self, field, match):
         with pytest.raises(ValueError, match=match):

@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/trsqp`` is used in its module.
+"""Every module-level import in ``src/trsqp``, ``tests`` and ``demos`` is used
+in its module.
 
 No linter runs in CI, so this stands in for pyflakes' F401. An import kept
 on purpose, such as a name another module patches, carries ``# noqa: F401``
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "trsqp"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "trsqp"
+MODULES = [path for where in (SRC, ROOT / "tests", ROOT / "demos") for path in sorted(where.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +37,9 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}"
+)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -644,10 +644,11 @@ def oracle_reads(source: str) -> list[int]:
 
 
 def test_only_problem_reads_oracles():
-    src = Path(__file__).resolve().parents[1] / "src" / "trsqp"
+    root = Path(__file__).resolve().parents[1]
+    paths = [*sorted((root / "src" / "trsqp").glob("*.py")), *sorted((root / "demos").glob("*.py"))]
     reads = [
-        f"{path.name}:{line}"
-        for path in sorted(src.glob("*.py")) if path.name != "problem.py"
+        f"{path.relative_to(root)}:{line}"
+        for path in paths if path.name != "problem.py"
         for line in oracle_reads(path.read_text())
     ]  # fmt: skip
     assert reads == []

@@ -89,3 +89,15 @@ def test_generators_for_one_key_are_separate():
     p, q = stream.point_generator(x), stream.point_generator(x)
     p.standard_normal(1_000)
     assert np.array_equal(q.standard_normal(4), stream.point_generator(x).standard_normal(4))
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "3", np.float64(2.0)], ids=["1.5", "True", "str", "np2.0"])
+def test_seed_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        RngStream(bad)
+
+
+def test_numpy_integer_seed_keys_as_its_int():
+    s = RngStream(np.int64(3))
+    assert type(s.seed) is int and repr(s) == "RngStream(seed=3, path=())"
+    assert s.generator().integers(2**63) == RngStream(3).generator().integers(2**63)

@@ -88,8 +88,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: bad})
 
-    @pytest.mark.parametrize("field", ["batch_cap", "max_iters", "seed"])
-    @pytest.mark.parametrize("bad", [5.5, 6.0, True, np.float64(6.0)], ids=["5.5", "6.0", "True", "np6.0"])
+    # alpha = True or 1.0 compares equal to 1, so a membership test alone lets it through.
+    @pytest.mark.parametrize("field", ["batch_cap", "max_iters", "seed", "alpha"])
+    @pytest.mark.parametrize(
+        "bad", [5.5, 6.0, True, np.float64(6.0), 1.0], ids=["5.5", "6.0", "True", "np6.0", "1.0"]
+    )
     def test_integer_settings_must_be_integers(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SolverConfig(**{field: bad})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trsqp import linalg, steps
+from trsqp import linalg
 from trsqp.benchmarks import make_saddle
 from trsqp.steps import (
     EIGEN_STEP,
