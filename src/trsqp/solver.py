@@ -439,7 +439,7 @@ def iterate(
 
     if accepted:
         state.x = x_trial
-        state.slots["c"] = (x_trial.tobytes(), c_trial)
+        _kept(state.slots, "c", x_trial.tobytes(), lambda: c_trial)
         state.delta = min(config.gamma * delta, config.delta_max)
         if -pred >= state.eps:
             outcome = SUCCESSFUL_RELIABLE
