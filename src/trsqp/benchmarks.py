@@ -18,6 +18,7 @@ from .estimator import estimate_multiplier  # noqa: F401 -- bench/tracing.py pat
 from .problem import (
     NoiselessOracle,
     Problem,
+    _kept,
     check_labeled_data,
     exact_problem,
     finite_sum_problem,
@@ -125,33 +126,46 @@ def _gram(ZT: np.ndarray, Z: np.ndarray, v: np.ndarray) -> np.ndarray:
     return H
 
 
+def _margins(Z: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The margins y (Z x) of the records Z with labels y at x."""
+    return y * (Z @ x)
+
+
+def _sigmoid(m: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-m))
+
+
 def _logistic_records(features: np.ndarray, labels: np.ndarray):
     """Means of the loss log(1 + exp(-y z^T x)) and its derivatives over the
     records ``rows`` (every record if None). Whole-dataset means copy no
-    rows; other batches gather theirs."""
+    rows, and share one margin vector and its sigmoid, kept for the bits of
+    the last x; other batches gather their rows and compute their own."""
     Zf = np.asarray(features, dtype=float)
     ZfT = np.ascontiguousarray(Zf.T)
     yf = np.asarray(labels, dtype=float)
+    slots = {}
 
-    def batch(x, rows):
-        """A batch's rows, their labels and margins y (Z x)."""
-        Z, y = (Zf, yf) if rows is None else (Zf.take(rows, axis=0), yf.take(rows))
-        return Z, y, y * (Z @ x)
-
-    def sigmoid(m):
-        return 1.0 / (1.0 + np.exp(-m))
+    def batch(x, rows, sigmoid=False):
+        """A batch's rows, their labels, and their margins or, with
+        ``sigmoid``, the margins' sigmoid."""
+        if rows is not None:
+            Z, y = Zf.take(rows, axis=0), yf.take(rows)
+            m = _margins(Z, y, x)
+            return Z, y, _sigmoid(m) if sigmoid else m
+        key = np.asarray(x, dtype=float).tobytes()
+        m = _kept(slots, "margins", key, lambda: _margins(Zf, yf, x))
+        return Zf, yf, _kept(slots, "sigmoid", key, lambda: _sigmoid(m)) if sigmoid else m
 
     def value(x, rows):
         return np.mean(_logistic_loss(batch(x, rows)[2]))
 
     def gradient(x, rows):
-        Z, y, m = batch(x, rows)
+        Z, y, s = batch(x, rows, sigmoid=True)
         # d/dm log(1+e^{-m}) = sigma(m) - 1
-        return ((sigmoid(m) - 1.0) * y) @ Z / len(y)
+        return ((s - 1.0) * y) @ Z / len(y)
 
     def hessian(x, rows):
-        Z, y, m = batch(x, rows)
-        s = sigmoid(m)
+        Z, y, s = batch(x, rows, sigmoid=True)
         return _gram(ZfT if rows is None else Z.T, Z, s * (1.0 - s)) / len(y)
 
     return value, gradient, hessian
@@ -168,9 +182,11 @@ def make_logistic_from_data(
 
     The affine constraints A x = b have i.i.d. standard normal entries,
     drawn from ``rng`` once; such an A has full row rank with probability 1.
-    Raises ``ValueError`` unless ``features`` is 2-D with one label in
-    {-1, +1} per row and more than ``num_constraints`` columns.
+    Raises ``ValueError`` unless ``num_constraints`` is an integer and
+    ``features`` is 2-D with one label in {-1, +1} per row and more than
+    ``num_constraints`` columns.
     """
+    _require_integer(num_constraints, "num_constraints")
     features, labels = check_labeled_data(features, labels)
     rng = rng if rng is not None else np.random.default_rng(0)
     n, d = features.shape

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Protocol
 
 import numpy as np
@@ -78,6 +79,8 @@ class Problem:
     name: str = "problem"
 
     def __post_init__(self):
+        for name in ("dim", "num_constraints"):
+            _require_integer(getattr(self, name), name)
         if not (0 < self.num_constraints < self.dim):
             raise ValueError("need 0 < num_constraints < dim")
 
@@ -161,8 +164,12 @@ class _GaussianSampler:
         self._oracle = oracle
         self._dim = dim
         self._sigma = float(np.sqrt(variance))
-        self._triu = np.triu_indices(dim)
         self._work = np.empty(0)
+
+    @cached_property
+    def _triu(self):
+        """Upper-triangle indices, made at first use: after Problem checks dim."""
+        return np.triu_indices(self._dim)
 
     def _workspace(self, size):
         """The first ``size`` doubles of the reused workspace. The largest

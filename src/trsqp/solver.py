@@ -172,8 +172,10 @@ class SolverState:
     invariants: InvariantReport = field(default_factory=InvariantReport)
     # What the state keeps (see problem._kept): c, G and the exact KKT pair
     # keyed by the bits of x, so an x assigned or changed from outside gets
-    # fresh evaluations, and the factor of G keyed by G's shape and bits,
-    # so a constant Jacobian is factored once per run.
+    # fresh evaluations; the factor of G keyed by G's shape and bits, so a
+    # constant Jacobian is factored once per run; and ||H|| and the
+    # decomposed Z^T H Z keyed by the bits of H (and G), so an unsuccessful
+    # iteration whose next model H has the same bits decomposes nothing.
     slots: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -343,7 +345,7 @@ def iterate(
 
     # Step 1: gradient, multiplier, KKT residual, Hessian approximation.
     est = estimator.estimate_models(
-        problem, x, c, J, state.strategy, delta, config, it_stream
+        problem, x, c, J, state.strategy, delta, config, it_stream, state.slots
     )
     grad, H = est.grad, est.hessian
     kkt_est, h_norm = est.kkt_norm, est.hessian_norm

@@ -401,6 +401,52 @@ class TestLogistic:
         with pytest.raises(ValueError, match=match):
             make_logistic_from_data(rows, labels, rng=np.random.default_rng(1))
 
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_from_data_rejects_a_non_integer_constraint_count(self, bad):
+        features, labels = np.ones((40, 6)), np.tile([1.0, -1.0], 20)
+        with pytest.raises(ValueError, match="num_constraints must be an integer"):
+            make_logistic_from_data(features, labels, num_constraints=bad)
+
+    def test_from_data_accepts_a_numpy_integer_constraint_count(self):
+        features, labels = np.ones((40, 6)), np.tile([1.0, -1.0], 20)
+        prob = make_logistic_from_data(features, labels, num_constraints=np.int64(2))
+        assert prob.num_constraints == 2
+
+    def test_whole_dataset_means_share_one_margin_product(self, monkeypatch):
+        # Value, gradient and Hessian over every record at one point share one
+        # y (Z x), kept for the bits of the last x; a gathered batch makes its
+        # own. Whatever was kept, each mean equals a fresh closure's bytes.
+        rng = np.random.default_rng(17)
+        N, d = 200, 5
+        features = rng.standard_normal((N, d))
+        labels = np.where(rng.uniform(size=N) < 0.5, 1.0, -1.0)
+        x1, x2 = 0.3 * rng.standard_normal(d), 0.3 * rng.standard_normal(d)
+        rows = np.arange(0, N, 7)
+        x = x1.copy()
+        # (point, rows), then x changed in place
+        script = [(x1, None), (x2, None), (x1, None), (x1, rows), (x1, None), (x, None)]
+        fresh = [
+            [_logistic_records(features, labels)[k](at, r).tobytes() for k in range(3)]
+            for at, r in script[:-1]
+        ] + [[_logistic_records(features, labels)[k](x + 0.125, None).tobytes() for k in range(3)]]
+
+        products = []
+        margins = benchmarks._margins
+
+        def counted(Z, y, at):
+            products.append(len(y))
+            return margins(Z, y, at)
+
+        monkeypatch.setattr(benchmarks, "_margins", counted)
+        kept = _logistic_records(features, labels)
+        for k, (at, r) in enumerate(script):
+            if k == len(script) - 1:
+                x += 0.125
+            assert [fn(at, r).tobytes() for fn in kept] == fresh[k]
+        # x1, x2, x1 over every record; the gathered batch, once per mean;
+        # none again at x1; one at the changed x
+        assert products == [N, N, N, len(rows), len(rows), len(rows), N]
+
     def test_solve_with_batches_beyond_dataset(self):
         # 40 records: every batch of 40 or more is the whole dataset, and the
         # batch sizes reach the cap of 10^4.

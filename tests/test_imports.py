@@ -1,5 +1,5 @@
-"""Every module-level import in ``src/trsqp``, ``tests`` and ``demos`` is used
-in its module.
+"""Every module-level import in ``src/trsqp``, ``tests``, ``demos`` and
+``bench`` is used in its module.
 
 No linter runs in CI, so this stands in for pyflakes' F401. An import kept
 on purpose, such as a name another module patches, carries ``# noqa: F401``
@@ -13,7 +13,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "trsqp"
-MODULES = [path for where in (SRC, ROOT / "tests", ROOT / "demos") for path in sorted(where.glob("*.py"))]
+MODULES = [
+    path
+    for where in (SRC, ROOT / "tests", ROOT / "demos", ROOT / "bench")
+    for path in sorted(where.glob("*.py"))
+]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -244,6 +244,41 @@ class TestGaussianNoise:
         with pytest.raises(ValueError, match="0 < num_constraints < dim"):
             dataclasses.replace(noisy, num_constraints=num_constraints)
 
+    @pytest.mark.parametrize("field", ["dim", "num_constraints"])
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_dimensions_must_be_integers(self, noisy, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            dataclasses.replace(noisy, **{field: bad})
+
+    def test_numpy_integer_dimensions_accepted(self, noisy):
+        prob = dataclasses.replace(noisy, dim=np.int64(2), num_constraints=np.int32(1))
+        assert prob.point([0.5, 0.5]).shape == (2,)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_builders_check_integer_dimensions(self, bad):
+        oracle = NoiselessOracle(
+            value=lambda x: 0.0, gradient=lambda x: np.zeros(3), hessian=lambda x: np.zeros((3, 3))
+        )
+        oracles = dict(
+            constraint=lambda x: np.array([x[0]]),
+            jacobian=lambda x: np.array([[1.0, 0.0, 0.0]]),
+            constraint_hessians=lambda x: np.zeros((1, 3, 3)),
+        )
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            exact_problem(bad, 1, oracle, **oracles)
+        with pytest.raises(ValueError, match="num_constraints must be an integer"):
+            exact_problem(3, bad, oracle, **oracles)
+        with pytest.raises(ValueError, match="num_constraints must be an integer"):
+            finite_sum_problem(
+                dim=3,
+                value_fn=lambda x, rows: 0.0,
+                gradient_fn=lambda x, rows: np.zeros(3),
+                hessian_fn=lambda x, rows: np.zeros((3, 3)),
+                n_records=4,
+                num_constraints=bad,
+                **oracles,
+            )
+
     def test_negative_variance_rejected(self):
         for variance in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):

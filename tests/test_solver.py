@@ -5,19 +5,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trsqp import steps
+from trsqp import estimator, linalg, steps
 from trsqp.benchmarks import (
     SyntheticLogisticSpec,
     make_logistic,
+    make_logistic_from_data,
     make_quadratic,
     make_saddle,
     true_kkt,
 )
 from trsqp.cli import _initial_point
 from trsqp.errors import MeritLoopDiverged, NonFiniteInput, RankDeficient
-from trsqp.estimator import GRADIENT, HESSIAN, VALUE, batch_size
+from trsqp.estimator import GRADIENT, HESSIAN, VALUE, Estimates, batch_size
 from trsqp.linalg import SymmetricEig, nullspace_basis
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
+from trsqp.rng import RngStream
 from trsqp.solver import (
     DELTA_MIN,
     EPS_FLOOR,
@@ -184,6 +186,26 @@ class TestInvariantReport:
         }  # fmt: skip
         assert 1.0 < worst["e"] < 1.0 + 1e-5  # a subnormal allowed side
         assert {name for name, margin in worst.items() if margin > 1} == set(report.violations)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Running counts of the ``np.linalg.eigh`` and ``np.linalg.svd`` calls."""
+    counts = {"eigh": 0, "svd": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+def _made(counts, before):
+    """The decompositions counted since ``before``, a copy of ``counts``."""
+    return {name: counts[name] - before[name] for name in counts}
 
 
 class TestIterate:
@@ -502,22 +524,72 @@ class TestIterate:
             (0, [0.0, 1.0], "gradient", 1, 3),
         ],
     )
-    def test_decompositions_per_iteration(self, monkeypatch, alpha, x0, kind, eigh, svd):
-        counts = {"eigh": 0, "svd": 0}
-        for name in counts:
-            real = getattr(np.linalg, name)
-
-            def counting(*args, _real=real, _name=name, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+    def test_decompositions_per_iteration(self, decompositions, alpha, x0, kind, eigh, svd):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
         cfg = SolverConfig(alpha=alpha, kkt_tol=0.0, seed=0)
         state = SolverState.initial(prob, np.array(x0), cfg)
         _, rec = iterate(state, prob, cfg)
         assert rec.step_kind == kind
-        assert counts == {"eigh": eigh, "svd": svd}
+        assert decompositions == {"eigh": eigh, "svd": svd}
+
+    def test_failed_iteration_decomposes_an_unchanged_model_hessian_no_more(self, decompositions):
+        # Every batch covers all 40 records, so after a line-6 failure the next
+        # model H at the same x has the same bits: its norm and the
+        # eigendecomposition of Z^T H Z come from the state.
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((40, 6))
+        labels = np.where(rng.uniform(size=40) < 0.5, 1.0, -1.0)
+        prob = make_logistic_from_data(features, labels, rng=np.random.default_rng(1))
+        cfg = SolverConfig(alpha=1, kkt_tol=1e-8, seed=0)
+        solved = run(prob, np.zeros(6), cfg)
+        assert solved.converged
+        state = SolverState.initial(prob, solved.state.x, cfg)
+        made = []
+        for _ in range(2):
+            before = dict(decompositions)
+            state, rec = iterate(state, prob, cfg)
+            assert rec.outcome == UNSUCCESSFUL_LINE6 and rec.batch_h >= 40
+            made.append(_made(decompositions, before))
+        # G, ||H|| and Z^T H Z, then nothing
+        assert made == [{"eigh": 1, "svd": 2}, {"eigh": 0, "svd": 0}]
+
+        J = state.jacobian_factor(prob)
+        args = (prob, state.x, state.constraint(prob), J, state.strategy, state.delta, cfg)
+        H = estimator.estimate_models(*args, RngStream(9)).hessian
+        before = dict(decompositions)
+        kept = estimator.estimate_models(*args, RngStream(9), state.slots)
+        assert kept.hessian.tobytes() == H.tobytes()
+        h_norm, reduced = kept.hessian_norm, kept.reduced
+        assert _made(decompositions, before) == {"eigh": 0, "svd": 0}
+        fresh = J.reduce(H)
+        assert h_norm == linalg.spectral_norm(H)
+        assert reduced.w.tobytes() == fresh.w.tobytes()
+        assert reduced.Q.tobytes() == fresh.Q.tobytes()
+
+    def test_model_hessian_decompositions_kept_for_the_bits_of_h_and_g(self, decompositions):
+        H = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, -1.0]])
+        bumped = H.copy()
+        bumped[0, 0] = np.nextafter(2.0, 3.0)  # one ulp
+        J = nullspace_basis(np.array([[1.0, 1.0, 0.0]]))
+        K = nullspace_basis(np.array([[0.0, 1.0, 1.0]]))
+        slots = {}
+
+        def read(H, J):
+            """Decompositions made for one bundle's ||H|| and Z^T H Z."""
+            zero = np.zeros(3)
+            est = Estimates(zero, zero, 0.0, H, J, 0, 0, slots=slots)
+            before = dict(decompositions)
+            h_norm, reduced = est.hessian_norm, est.reduced
+            made = _made(decompositions, before)
+            assert h_norm == linalg.spectral_norm(H)
+            assert reduced.w.tobytes() == J.reduce(H).w.tobytes()
+            return made
+
+        assert read(H, J) == {"eigh": 1, "svd": 1}
+        assert read(H.copy(), J) == {"eigh": 0, "svd": 0}
+        assert read(bumped, J) == {"eigh": 1, "svd": 1}
+        assert read(bumped, K) == {"eigh": 1, "svd": 0}  # ||H|| does not read G
+        assert read(H, J) == {"eigh": 1, "svd": 1}  # only the last pair is kept
 
     def test_merit_parameter_monotone(self):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(1e-2))
