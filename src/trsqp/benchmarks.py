@@ -152,9 +152,9 @@ def _logistic_records(features: np.ndarray, labels: np.ndarray):
             Z, y = Zf.take(rows, axis=0), yf.take(rows)
             m = _margins(Z, y, x)
             return Z, y, _sigmoid(m) if sigmoid else m
-        key = np.asarray(x, dtype=float).tobytes()
-        m = _kept(slots, "margins", key, lambda: _margins(Zf, yf, x))
-        return Zf, yf, _kept(slots, "sigmoid", key, lambda: _sigmoid(m)) if sigmoid else m
+        x = np.asarray(x, dtype=float)
+        m = _kept(slots, "margins", lambda: _margins(Zf, yf, x), x)
+        return Zf, yf, _kept(slots, "sigmoid", lambda: _sigmoid(m), x) if sigmoid else m
 
     def value(x, rows):
         return np.mean(_logistic_loss(batch(x, rows)[2]))

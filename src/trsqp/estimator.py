@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
-from .problem import Problem, _kept
+from .problem import Problem
 from .rng import RngStream
 
 if TYPE_CHECKING:
@@ -52,34 +52,15 @@ SR1_SKIP_TOL = 1e-8
 @dataclass
 class Estimates:
     """Estimation bundle opening one iteration: gradient, Lagrangian
-    gradient and its stacked KKT norm, Hessian approximation, the
-    iteration's factor of the constraint Jacobian, and the batch sizes
-    spent. ``slots`` is where the decompositions of H are kept (see
-    :func:`problem._kept`); a run passes its state's, so a model Hessian
-    with the bits of an earlier one is not decomposed again."""
+    gradient and its stacked KKT norm, Hessian approximation, and the batch
+    sizes spent."""
 
     grad: np.ndarray
     grad_lagrangian: np.ndarray
     kkt_norm: float
     hessian: np.ndarray
-    factor: linalg.JacobianFactor
     batch_grad: int
     batch_hess: int
-    slots: dict = field(default_factory=dict, repr=False)
-
-    @cached_property
-    def hessian_norm(self) -> float:
-        """||H||, the iteration's only one: one SVD per distinct H."""
-        H = self.hessian
-        return _kept(self.slots, "h_norm", H.tobytes(), lambda: linalg.spectral_norm(H))
-
-    @cached_property
-    def reduced(self) -> linalg.SymmetricEig:
-        """The eigendecomposition of Z^T H Z, made at first read and once per
-        distinct pair of H and G; an iteration that fails the progress test
-        on first-order data reads it not at all."""
-        H, J = self.hessian, self.factor
-        return _kept(self.slots, "reduced", (H.tobytes(), J.G.tobytes()), lambda: J.reduce(H))
 
 
 def batch_size(kind: str, delta: float, eps: float, config: SolverConfig) -> int:
@@ -256,13 +237,11 @@ def estimate_models(
     delta: float,
     config: SolverConfig,
     stream: RngStream,
-    slots: dict | None = None,
 ) -> Estimates:
     """Gradient, multiplier, and Hessian estimation opening an iteration.
 
     The multiplier is read off the one factorization ``J`` of the constraint
-    Jacobian. The decompositions of H are kept in ``slots`` (a new dict if
-    None) for the bits of H and G.
+    Jacobian.
     """
     grad, batch_grad = estimate_gradient(problem, x, delta, config, stream.child("grad"))
     lam, grad_l, kkt = kkt_residual(J, grad, c)
@@ -274,8 +253,6 @@ def estimate_models(
         grad_lagrangian=grad_l,
         kkt_norm=kkt,
         hessian=H,
-        factor=J,
         batch_grad=batch_grad,
         batch_hess=batch_hess,
-        slots={} if slots is None else slots,
     )

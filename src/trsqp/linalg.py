@@ -146,11 +146,13 @@ def cauchy_point(H: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
     """Minimizer of the quadratic model along -g within the ball.
 
     Serves as the independent oracle for fraction-of-Cauchy-decrease checks
-    on :func:`trs_solve`.
+    on :func:`trs_solve`. Raises ValueError unless 0 <= radius < inf.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     _require_finite(H, g)
+    if not 0.0 <= radius < math.inf:  # NaN fails too
+        raise ValueError("radius must be nonnegative and finite")
     gnorm = vector_norm(g)
     if gnorm == 0.0 or radius == 0.0:
         return np.zeros_like(g)
@@ -198,11 +200,13 @@ class SymmetricEig:
         the interior, boundary and hard cases of More and Sorensen (1983), so
         the Cauchy-decrease fraction is 1. A root-finding overshoot is
         scaled back onto the sphere, at a pole by its bottom part alone.
+        Raises ValueError unless 0 < radius < inf: an unbounded model has no
+        minimizer.
         """
         g = np.asarray(g, dtype=float)
         _require_finite(g)
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < math.inf:  # NaN fails too
+            raise ValueError("radius must be positive and finite")
         u = self._secular_solve(g, radius)
         nrm = vector_norm(u)
         if nrm > radius:

@@ -285,9 +285,10 @@ class _FiniteSumSampler:
         return self._hessian(x, self._rows(n, stream))
 
 
-def _kept(slots: dict, name: str, key, evaluate):
-    """``evaluate()``, kept in ``slots[name]`` until ``key`` changes. A call
-    that raises stores nothing."""
+def _kept(slots: dict, name: str, evaluate, *arrays: np.ndarray):
+    """``evaluate()``, kept in ``slots[name]`` until the bits of ``arrays``
+    change. A call that raises stores nothing."""
+    key = tuple(map(np.ndarray.tobytes, arrays))
     kept = slots.get(name)
     if kept is None or kept[0] != key:
         kept = slots[name] = (key, evaluate())
@@ -302,8 +303,7 @@ def _whole_dataset_memo(fn):
     def call(x, rows):
         if rows is not None:
             return fn(x, rows)
-        key = np.asarray(x, dtype=float).tobytes()
-        return np.copy(_kept(slots, "whole", key, lambda: fn(x, None)))
+        return np.copy(_kept(slots, "whole", lambda: fn(x, None), np.asarray(x, dtype=float)))
 
     return call
 

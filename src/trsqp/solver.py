@@ -170,12 +170,7 @@ class SolverState:
     k: int
     strategy: object
     invariants: InvariantReport = field(default_factory=InvariantReport)
-    # What the state keeps (see problem._kept): c, G and the exact KKT pair
-    # keyed by the bits of x, so an x assigned or changed from outside gets
-    # fresh evaluations; the factor of G keyed by G's shape and bits, so a
-    # constant Jacobian is factored once per run; and ||H|| and the
-    # decomposed Z^T H Z keyed by the bits of H (and G), so an unsuccessful
-    # iteration whose next model H has the same bits decomposes nothing.
+    # Each kept value with the bits of the arrays its method names (problem._kept).
     slots: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -193,22 +188,31 @@ class SolverState:
 
     def constraint(self, problem: Problem) -> np.ndarray:
         """c(x) at the iterate, evaluated once per distinct iterate."""
-        return _kept(self.slots, "c", self.x.tobytes(), lambda: problem.constraint_value(self.x))
+        return _kept(self.slots, "c", lambda: problem.constraint_value(self.x), self.x)
 
     def jacobian_factor(self, problem: Problem) -> linalg.JacobianFactor:
         """The factor of G(x) at the iterate. G is evaluated once per distinct
-        iterate and factored once per distinct G."""
-        G = _kept(self.slots, "G", self.x.tobytes(), lambda: problem.jacobian_value(self.x))
-        return _kept(self.slots, "factor", (G.shape, G.tobytes()), lambda: linalg.nullspace_basis(G))
+        iterate and factored once per distinct G, so a constant Jacobian is
+        factored once per run."""
+        G = _kept(self.slots, "G", lambda: problem.jacobian_value(self.x), self.x)
+        return _kept(self.slots, "factor", lambda: linalg.nullspace_basis(G), G)
 
     def exact_kkt(self, problem: Problem) -> tuple[float, float]:
         """:func:`benchmarks.true_kkt` on the iterate's c and factor of G, once
         per distinct iterate; NaNs when the problem has no noiseless oracle."""
         if problem.noiseless is None:
             return math.nan, math.nan
-        return _kept(
-            self.slots, "kkt", self.x.tobytes(), lambda: benchmarks.true_kkt(problem, self.x, self)
-        )
+        return _kept(self.slots, "kkt", lambda: benchmarks.true_kkt(problem, self.x, self), self.x)
+
+    def hessian_norm(self, H: np.ndarray) -> float:
+        """||H||, one SVD per distinct H."""
+        return _kept(self.slots, "h_norm", lambda: linalg.spectral_norm(H), H)
+
+    def reduced(self, H: np.ndarray, J: linalg.JacobianFactor) -> linalg.SymmetricEig:
+        """The eigendecomposition of Z^T H Z, once per distinct pair of H and
+        G, so an unsuccessful iteration whose next model H has the same bits
+        decomposes nothing."""
+        return _kept(self.slots, "reduced", lambda: J.reduce(H), H, J.G)
 
 
 @dataclass
@@ -344,13 +348,12 @@ def iterate(
     J = state.jacobian_factor(problem)
 
     # Step 1: gradient, multiplier, KKT residual, Hessian approximation.
-    est = estimator.estimate_models(
-        problem, x, c, J, state.strategy, delta, config, it_stream, state.slots
-    )
+    est = estimator.estimate_models(problem, x, c, J, state.strategy, delta, config, it_stream)
     grad, H = est.grad, est.hessian
-    kkt_est, h_norm = est.kkt_norm, est.hessian_norm
-    # Negative curvature enters only second-order runs.
-    tau_plus = est.reduced.tau_plus if config.alpha == 1 else 0.0
+    kkt_est, h_norm = est.kkt_norm, state.hessian_norm(H)
+    # Negative curvature enters only second-order runs; a first-order
+    # iteration that fails the progress test decomposes Z^T H Z not at all.
+    tau_plus = state.reduced(H, J).tau_plus if config.alpha == 1 else 0.0
 
     def make_record(outcome, step_kind, soc, pred, ared, batch_f):
         return IterationRecord(
@@ -382,7 +385,7 @@ def iterate(
 
     kind, decrease = steps.select_step_type(kkt_est, h_norm, tau_plus, c_norm, delta)
     step = steps.build_trial_step(
-        kind, c, J, grad, H, h_norm, est.grad_lagrangian, delta, est.reduced
+        kind, c, J, grad, H, h_norm, est.grad_lagrangian, delta, state.reduced(H, J)
     )
 
     # Step 3: merit loop, then value estimates at both points.
@@ -441,7 +444,7 @@ def iterate(
 
     if accepted:
         state.x = x_trial
-        _kept(state.slots, "c", x_trial.tobytes(), lambda: c_trial)
+        _kept(state.slots, "c", lambda: c_trial, x_trial)
         state.delta = min(config.gamma * delta, config.delta_max)
         if -pred >= state.eps:
             outcome = SUCCESSFUL_RELIABLE

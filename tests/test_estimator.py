@@ -308,14 +308,16 @@ class TestEstimateModels:
     def test_bundle_at_saddle(self):
         prob = gaussian_noisy(make_saddle(), GaussianNoiseSpec(0.0))
         x = np.array([1.0, 0.0])
+        cfg = SolverConfig(alpha=1)
         c, J = prob.constraint(x), nullspace_basis(prob.jacobian(x))
         est = estimator.estimate_models(
             prob, x, c, J, BatchedLagrangianHessian(),
-            1.0, SolverConfig(alpha=1), RngStream(0).child(0),
+            1.0, cfg, RngStream(0).child(0),
         )
+        state = SolverState.initial(prob, x, cfg)
         assert est.kkt_norm == pytest.approx(0.0, abs=1e-14)
-        assert est.reduced.tau_plus == pytest.approx(1.0, abs=1e-12)
-        assert est.hessian_norm == pytest.approx(2.0, abs=1e-12)
+        assert state.reduced(est.hessian, J).tau_plus == pytest.approx(1.0, abs=1e-12)
+        assert state.hessian_norm(est.hessian) == pytest.approx(2.0, abs=1e-12)
         assert est.batch_grad > 0 and est.batch_hess > 0
 
     def test_zero_kkt_passed_through(self):

@@ -1,5 +1,6 @@
 """Every module-level import in ``src/trsqp``, ``tests``, ``demos`` and
-``bench`` is used in its module.
+``bench`` is used in its module, and ``src/trsqp`` builds memo keys in one
+place.
 
 No linter runs in CI, so this stands in for pyflakes' F401. An import kept
 on purpose, such as a name another module patches, carries ``# noqa: F401``
@@ -63,3 +64,58 @@ def test_module_imports_are_used(path):
 )
 def test_guard_reads_names_bindings_and_markers(source, unused):
     assert unused_imports(source) == unused
+
+
+def key_reads(source: str, module: str) -> list[tuple[str, str]]:
+    """Each read of ``.tobytes`` in ``source`` as ("tobytes", the qualified
+    name of the function or class it sits in, else ``module``), and each
+    import or attribute read of ``_kept`` as ("_kept", ``module``)."""
+    reads = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute):
+                if child.attr == "tobytes":
+                    reads.append(("tobytes", where))
+                elif child.attr == "_kept":
+                    reads.append(("_kept", module))
+            elif isinstance(child, ast.ImportFrom):
+                reads.extend(("_kept", module) for alias in child.names if alias.name == "_kept")
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return reads
+
+
+def test_memo_keys_are_built_in_one_place():
+    # problem._kept builds every memo key from the arrays it is handed; the
+    # point generator hashes x into a stream key, and true_kkt checks whether
+    # a solver state sits at x before it borrows the state's c and factor.
+    reads = {read for path in sorted(SRC.glob("*.py")) for read in key_reads(path.read_text(), path.stem)}
+    assert reads == {
+        ("tobytes", "problem._kept"),
+        ("tobytes", "rng.RngStream.point_generator"),
+        ("tobytes", "benchmarks.true_kkt"),
+        ("_kept", "solver"),
+        ("_kept", "benchmarks"),
+    }
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("key = x.tobytes()", [("tobytes", "m")]),
+        ("def f(x):\n    return lambda: x.tobytes()", [("tobytes", "m.f")]),
+        ("class C:\n    def g(self, x):\n        return hash(x.tobytes())", [("tobytes", "m.C.g")]),
+        ("key = tuple(map(np.ndarray.tobytes, arrays))", [("tobytes", "m")]),
+        ("from .problem import Problem, _kept", [("_kept", "m")]),
+        ("from . import problem\nproblem._kept({}, 'c', f, x)", [("_kept", "m")]),
+        ("def f(x):\n    kept = x.tolist()\n    return kept, tobytes", []),
+    ],
+    ids=["module", "nested", "method", "unbound", "import", "attribute", "names-only"],
+)
+def test_key_guard_reads_calls_references_and_imports(source, reads):
+    assert key_reads(source, "m") == reads

@@ -218,6 +218,15 @@ class TestCauchyPoint:
         u = cauchy_point(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.5)
         assert np.allclose(u, [-0.5, 0.0], atol=1e-14)
 
+    def test_zero_radius_is_the_origin(self):
+        assert np.array_equal(cauchy_point(np.eye(2), np.ones(2), 0.0), np.zeros(2))
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+    def test_radius_outside_zero_to_inf_raises(self, radius):
+        # A negative radius stepped uphill; NaN and inf returned a step.
+        with pytest.raises(ValueError, match="radius must be nonnegative and finite"):
+            cauchy_point(np.eye(2), np.ones(2), radius)
+
 
 class TestTrsSolve:
     def test_pd_interior(self):
@@ -231,6 +240,14 @@ class TestTrsSolve:
     def test_nonpositive_radius_raises(self, radius):
         with pytest.raises(ValueError, match="radius must be positive"):
             trs_solve(np.eye(2), np.ones(2), radius)
+
+    @pytest.mark.parametrize("H", [np.diag([-1.0, 2.0]), np.eye(2)], ids=["indefinite", "definite"])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_nan_or_infinite_radius_raises(self, H, radius):
+        # NaN raised SubsolverFailure from the secular equation; inf returned
+        # [0, -1/3] as the "global minimizer" of the unbounded indefinite model.
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            trs_solve(H, np.ones(2), radius)
 
     def test_negative_curvature_boundary(self):
         H = np.diag([-1.0, 1.0])

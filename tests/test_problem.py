@@ -14,6 +14,7 @@ from trsqp.problem import (
     GaussianNoiseSpec,
     NoiselessOracle,
     Problem,
+    _kept,
     exact_problem,
     finite_sum_problem,
     gaussian_noisy,
@@ -502,6 +503,54 @@ class TestFiniteSum:
                 constraint_hessians=lambda x: np.zeros((1, 2, 2)),
                 num_constraints=1,
             )
+
+
+class TestKept:
+    """``problem._kept``, the one memo rule: a value kept for the bits of
+    the arrays it names."""
+
+    def test_evaluates_again_when_a_named_array_moves_one_ulp(self):
+        calls, slots = [], {}
+        x, G = np.array([1.0, 2.0]), np.eye(2)
+
+        def read(*arrays):
+            return _kept(slots, "v", lambda: calls.append(1) or len(calls), *arrays)
+
+        assert read(x, G) == 1
+        assert read(x, G) == 1
+        assert read(np.array([1.0, np.nextafter(2.0, 3.0)]), G) == 2
+        bumped = G.copy()
+        bumped[1, 0] = np.nextafter(0.0, 1.0)
+        assert read(x, bumped) == 3
+        assert read(x, G) == 4  # only the last key is kept
+        assert read(np.array([0.0]), G) == 5
+        assert read(np.array([-0.0]), G) == 6  # -0.0 == 0.0, but its bits differ
+
+    def test_equal_bits_copy_reads_the_kept_value(self):
+        slots = {}
+        x = np.array([0.5, -0.25])
+        kept = _kept(slots, "v", lambda: object(), x)
+        y = np.asfortranarray(x.copy())
+        assert _kept(slots, "v", lambda: pytest.fail("evaluated again"), y) is kept
+        assert _kept(slots, "w", lambda: 7, x) == 7  # each name has its own slot
+        assert _kept(slots, "v", lambda: pytest.fail("evaluated again"), x) is kept
+
+    def test_call_that_raises_stores_nothing(self):
+        slots = {}
+        x, z = np.zeros(2), np.ones(2)
+        assert _kept(slots, "v", lambda: "at x", x) == "at x"
+
+        def fails():
+            raise FloatingPointError("transient")
+
+        with pytest.raises(FloatingPointError):
+            _kept(slots, "v", fails, z)
+        assert _kept(slots, "v", lambda: pytest.fail("evaluated again"), x) == "at x"
+        assert _kept(slots, "v", lambda: "at z", z) == "at z"
+        empty = {}
+        with pytest.raises(FloatingPointError):
+            _kept(empty, "v", fails, x)
+        assert empty == {}
 
 
 class TestCsvLoader:

@@ -16,7 +16,7 @@ from trsqp.benchmarks import (
 )
 from trsqp.cli import _initial_point
 from trsqp.errors import MeritLoopDiverged, NonFiniteInput, RankDeficient
-from trsqp.estimator import GRADIENT, HESSIAN, VALUE, Estimates, batch_size
+from trsqp.estimator import GRADIENT, HESSIAN, VALUE, batch_size
 from trsqp.linalg import SymmetricEig, nullspace_basis
 from trsqp.problem import GaussianNoiseSpec, NoiselessOracle, exact_problem, gaussian_noisy
 from trsqp.rng import RngStream
@@ -557,9 +557,9 @@ class TestIterate:
         args = (prob, state.x, state.constraint(prob), J, state.strategy, state.delta, cfg)
         H = estimator.estimate_models(*args, RngStream(9)).hessian
         before = dict(decompositions)
-        kept = estimator.estimate_models(*args, RngStream(9), state.slots)
+        kept = estimator.estimate_models(*args, RngStream(9))
         assert kept.hessian.tobytes() == H.tobytes()
-        h_norm, reduced = kept.hessian_norm, kept.reduced
+        h_norm, reduced = state.hessian_norm(kept.hessian), state.reduced(kept.hessian, J)
         assert _made(decompositions, before) == {"eigh": 0, "svd": 0}
         fresh = J.reduce(H)
         assert h_norm == linalg.spectral_norm(H)
@@ -572,14 +572,12 @@ class TestIterate:
         bumped[0, 0] = np.nextafter(2.0, 3.0)  # one ulp
         J = nullspace_basis(np.array([[1.0, 1.0, 0.0]]))
         K = nullspace_basis(np.array([[0.0, 1.0, 1.0]]))
-        slots = {}
+        state = SolverState(np.zeros(3), 1.0, 1.0, 1.0, 0, None)
 
         def read(H, J):
-            """Decompositions made for one bundle's ||H|| and Z^T H Z."""
-            zero = np.zeros(3)
-            est = Estimates(zero, zero, 0.0, H, J, 0, 0, slots=slots)
+            """Decompositions made for one iteration's ||H|| and Z^T H Z."""
             before = dict(decompositions)
-            h_norm, reduced = est.hessian_norm, est.reduced
+            h_norm, reduced = state.hessian_norm(H), state.reduced(H, J)
             made = _made(decompositions, before)
             assert h_norm == linalg.spectral_norm(H)
             assert reduced.w.tobytes() == J.reduce(H).w.tobytes()
